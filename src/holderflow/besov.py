@@ -57,10 +57,7 @@ class DyadicPartition:
 
 
 def _lattice_radii(grid: Grid) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.h)
-    if grid.dim == 1:
-        return np.abs(k)
-    return np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+    return np.sqrt(sum(grid.wavenumbers(q) ** 2 for q in range(grid.dim)))
 
 
 def build_partition(grid: Grid, lam: float = 1.35, r0: float | None = None) -> DyadicPartition:
@@ -164,14 +161,10 @@ def deposit_nearest(
     idx = np.round(pts / grid.h).astype(int) % grid.m
     # Canonical accumulation order: sort by node index then weight, so the
     # result is bitwise independent of particle labelling.
-    if grid.dim == 1:
-        flat = idx[:, 0]
-    else:
-        flat = idx[:, 0] * grid.m + idx[:, 1]
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
     order = np.lexsort((weights, flat))
     out = np.bincount(flat[order], weights=weights[order], minlength=grid.m**grid.dim)
-    out = out.reshape((grid.m,) * grid.dim)
-    return out / (n * grid.cell_volume())
+    return out.reshape(grid.shape) / (n * grid.cell_volume())
 
 
 def negative_distance(

@@ -91,29 +91,15 @@ def _load_field(path):
 
 
 def _cmd_simulate(args) -> int:
-    from .convergence import _auto_grid
-    from .kernels import KernelFamily
+    from .convergence import simulate
     from .noise import sample_fbm
-    from .particles import init_from_fields, interaction_force, step
 
     config = _load_config(args.config)
-    family = config.kernel()
-    sigma = config.sigma()
-    path = sample_fbm(config.noise_spec(config.seeds[0]))
-    rho0, v0 = config.initial_fields()
+    seed = config.seeds[0]
+    path = sample_fbm(config.noise_spec(seed))
     n = args.n or config.n_sweep[0]
-    ens = init_from_fields(rho0, v0, n, config.pde_grid(), strategy=config.init_strategy)
-    dt = config.horizon / config.master_steps
-    backend = config.force_backend
-    grid_m = None
-    if backend == "grid":
-        grid_m = _auto_grid(family, n, config.box, config.force_grid, "phi")
     try:
-        accel = interaction_force(ens, family, backend, grid_m)
-        for i in range(config.master_steps):
-            dy = path.values[i + 1] - path.values[i]
-            ens, accel = step(ens, dt, family, dy, sigma,
-                              backend=backend, grid_m=grid_m, accel=accel)
+        _, ens = next(simulate(config, n, path, seed, {config.master_steps}))
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,8 +8,6 @@ an error naming the violated bound.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import replace
 
 from .convergence import ExperimentConfig
 
@@ -65,25 +63,6 @@ _SCHEMA = {
 }
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    # Re-raise the dataclass's hypothesis checks with config-file wording.
-    if not 0.5 < config.hurst < 1.0:
-        raise ConfigError(
-            f"hurst={config.hurst}: alpha > 1/2 required (Young regime), "
-            "so hurst must lie in (1/2, 1)"
-        )
-    if not 0.0 < config.beta < 1.0:
-        raise ConfigError(
-            f"beta={config.beta}: moderate interaction requires beta in (0, 1)"
-        )
-    if config.eta <= config.dim / 2 + 1:
-        raise ConfigError(
-            f"eta={config.eta}: negative-order distance requires eta > d/2 + 1 "
-            f"= {config.dim / 2 + 1}"
-        )
-    return config
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     cp.read_string(text)
@@ -102,10 +81,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
                     f"bad value for [{section}] {key} = {raw!r}: {exc}"
                 ) from exc
     try:
-        config = ExperimentConfig(**overrides)
+        return ExperimentConfig(**overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _validate(config)
 
 
 def parse_config(path) -> ExperimentConfig:

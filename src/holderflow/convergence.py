@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .besov import DyadicPartition, build_partition, deposit_nearest, negative_distance
+from .besov import build_partition, deposit_nearest, negative_distance
 from .fields import (
     FieldInterpolant,
     FluidState,
@@ -42,6 +42,7 @@ __all__ = [
     "RateReport",
     "energy_Q",
     "run_coupled",
+    "simulate",
     "fit_rate",
     "emit_report",
     "CSV_COLUMNS",
@@ -52,7 +53,7 @@ CSV_COLUMNS = "seed,N,t,kinetic_term,density_term,Q,besov_S,besov_V,flags"
 FLOOR_FRACTION = 0.5  # Q_0 above this share of sup Q flags floor contamination
 
 KERNEL_CELLS = 16  # grid cells per kernel width for particle-mesh operations
-MAX_GRID = 1 << 17
+MAX_GRID = 1 << 17  # most points m**d of any mesh
 
 
 def _auto_grid(family: KernelFamily, n: int, box: float, minimum: int, which: str) -> int:
@@ -60,13 +61,12 @@ def _auto_grid(family: KernelFamily, n: int, box: float, minimum: int, which: st
 
     The particle-mesh aliasing error scales like (h / width)^2, so the mesh
     must track the N^{beta/d} kernel concentration to keep the force and
-    deposition errors below the physics being measured.
+    deposition errors below the physics being measured.  The side is capped
+    so the mesh has at most MAX_GRID points.
     """
-    width = family.bandwidth / family.scale(n)
-    if which == "phi":
-        width *= np.sqrt(2.0) if family.base == "gaussian" else 2.0
-    m = max(minimum, int(np.ceil(KERNEL_CELLS * box / width)))
-    return min(MAX_GRID, 1 << int(np.ceil(np.log2(m))))
+    m = max(minimum, int(np.ceil(KERNEL_CELLS * box / family.width(n, which))))
+    cap = 1 << (MAX_GRID.bit_length() - 1) // family.dim
+    return min(cap, 1 << int(np.ceil(np.log2(m))))
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,8 @@ class ExperimentConfig:
     init_strategy: str = "quantile"
 
     def __post_init__(self) -> None:
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim={self.dim}: only d in {{1, 2}} is implemented")
         if not 0.5 < self.hurst < 1.0:
             raise ValueError("hypothesis violated: alpha > 1/2 requires hurst in (1/2, 1)")
         if not 0.0 < self.beta < 1.0:
@@ -125,6 +127,17 @@ class ExperimentConfig:
             )
         if len(self.n_sweep) < 1 or any(n < 1 for n in self.n_sweep):
             raise ValueError("n_sweep must contain positive particle counts")
+        if self.force_backend not in ("grid", "direct"):
+            raise ValueError(f"force_backend must be grid or direct, got {self.force_backend!r}")
+        if self.init_strategy not in ("quantile", "random"):
+            raise ValueError(f"init must be quantile or random, got {self.init_strategy!r}")
+        for name in ("pde_resolution", "besov_grid", "force_grid", "fine_grid"):
+            m = getattr(self, name)
+            if m**self.dim > MAX_GRID:
+                raise ValueError(
+                    f"{name}={m}: a d={self.dim} mesh of {m}^{self.dim} points exceeds "
+                    f"MAX_GRID={MAX_GRID}; set a smaller {name}"
+                )
 
     def noise_spec(self, seed: int) -> NoiseSpec:
         return NoiseSpec(
@@ -155,16 +168,9 @@ class ExperimentConfig:
 
     def initial_fields(self) -> tuple[np.ndarray, np.ndarray]:
         g = self.pde_grid()
-        x = g.nodes()
-        if self.dim == 1:
-            rho0 = 1.0 + self.rho0_amplitude * np.sin(2.0 * np.pi * x / self.box)
-            v0 = self.v0_amplitude * np.cos(2.0 * np.pi * x / self.box)[None, :]
-        else:
-            r = x[..., 0]
-            rho0 = 1.0 + self.rho0_amplitude * np.sin(2.0 * np.pi * r / self.box)
-            v0 = np.stack(
-                [self.v0_amplitude * np.cos(2.0 * np.pi * r / self.box)] * 2, axis=0
-            )
+        r = g.coordinate(0)
+        rho0 = 1.0 + self.rho0_amplitude * np.sin(2.0 * np.pi * r / self.box)
+        v0 = np.stack([self.v0_amplitude * np.cos(2.0 * np.pi * r / self.box)] * self.dim)
         rho0 = rho0 / (np.mean(rho0) * self.box**self.dim)
         return rho0, v0
 
@@ -210,12 +216,7 @@ def energy_Q(
     fine = Grid(box=g.box, m=fine_m, dim=g.dim)
     emp = empirical_density(ens, family, fine)
     if rho_fine is None:
-        if g.dim == 1:
-            rho_fine = upsample(fluid.rho, g, fine_m)
-        else:
-            if fine_m != g.m:
-                raise ValueError("d=2 energy needs fine_m == pde resolution")
-            rho_fine = fluid.rho
+        rho_fine = upsample(fluid.rho, g, fine_m)
     diff2 = (emp - rho_fine) ** 2
     density = sorted_sum(diff2) / diff2.size * g.box**g.dim
     return EnergyRecord(t=ens.time, kinetic_term=kinetic, density_term=density)
@@ -247,6 +248,34 @@ def _fluid_trajectory(
     return snaps
 
 
+def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at: set):
+    """Evolve N particles on the master path of fBm seed ``seed``.
+
+    Yields ``(i, ensemble)`` after each step index i in ``at`` (0 is the
+    initial ensemble).  ``init = random`` draws its positions from a
+    generator seeded by (seed, N), so every run is reproducible.
+    """
+    family = config.kernel()
+    sigma = config.sigma()
+    dt = config.horizon / config.master_steps
+    rho0, v0 = config.initial_fields()
+    ens = init_from_fields(
+        rho0, v0, n, config.pde_grid(), strategy=config.init_strategy, seed=[seed, n]
+    )
+    backend = config.force_backend
+    grid_m = None
+    if backend == "grid":
+        grid_m = _auto_grid(family, n, config.box, config.force_grid, "phi")
+    accel = interaction_force(ens, family, backend, grid_m)
+    if 0 in at:
+        yield 0, ens
+    for i in range(config.master_steps):
+        dy = path.values[i + 1] - path.values[i]
+        ens, accel = step(ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel)
+        if i + 1 in at:
+            yield i + 1, ens
+
+
 def run_coupled(config: ExperimentConfig, csv_sink=None):
     """Run the full sweep; yields per-(seed, N) row dicts and streams CSV rows.
 
@@ -254,8 +283,6 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     recorded with a reason code and the sweep continues.
     """
     family = config.kernel()
-    sigma = config.sigma()
-    dt = config.horizon / config.master_steps
     stride = max(1, config.master_steps // config.checkpoints)
     checkpoint_idx = set(range(0, config.master_steps + 1, stride))
     checkpoint_idx.add(config.master_steps)
@@ -276,20 +303,21 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
         for idx, st in snaps.items():
             g = st.grid
             v_interp = [FieldInterpolant(st.v[q], g) for q in range(g.dim)]
-            if config.dim == 1:
-                rho_besov = upsample(st.rho, g, config.besov_grid)
-                mom_besov = np.stack(
-                    [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
-                )
-            else:
-                rho_besov = st.rho
-                mom_besov = st.rho[None] * st.v
+            rho_besov = upsample(st.rho, g, config.besov_grid)
+            mom_besov = np.stack(
+                [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
+            )
             cache[idx] = (st, v_interp, rho_besov, mom_besov)
 
         for n in config.n_sweep:
-            rows, flag = _run_single_n(
-                config, family, sigma, path, dt, checkpoint_idx, cache, part, n
-            )
+            fine_m = _auto_grid(family, n, config.box, config.fine_grid, "phi_r")
+            rows = []
+            flag = "ok"
+            try:
+                for i, ens in simulate(config, n, path, seed, checkpoint_idx):
+                    rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
+            except (FloatingPointError, ValueError) as exc:
+                flag = f"aborted:{type(exc).__name__}"
             for seed_row in rows:
                 line = _format_row(seed, n, *seed_row)
                 if csv_sink is not None:
@@ -307,39 +335,9 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     return results
 
 
-def _run_single_n(config, family, sigma, path, dt, checkpoint_idx, cache, part, n):
-    g0 = config.pde_grid()
-    rho0, v0 = config.initial_fields()
-    rows = []
-    flag = "ok"
-    try:
-        ens = init_from_fields(rho0, v0, n, g0, strategy=config.init_strategy)
-        backend = config.force_backend
-        grid_m = None
-        if backend == "grid":
-            grid_m = _auto_grid(family, n, config.box, config.force_grid, "phi")
-        fine_m = _auto_grid(family, n, config.box, config.fine_grid, "phi_r")
-        accel = interaction_force(ens, family, backend, grid_m)
-        rows.append(_checkpoint_row(config, ens, family, cache[0], part, fine_m))
-        for i in range(config.master_steps):
-            dy = path.values[i + 1] - path.values[i]
-            ens, accel = step(
-                ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel
-            )
-            if i + 1 in checkpoint_idx:
-                rows.append(_checkpoint_row(config, ens, family, cache[i + 1], part, fine_m))
-    except (FloatingPointError, ValueError) as exc:
-        flag = f"aborted:{type(exc).__name__}"
-    return rows, flag
-
-
 def _checkpoint_row(config, ens, family, cached, part, fine_m):
     fluid, v_interp, rho_besov, mom_besov = cached
-    if config.dim == 1:
-        rho_fine = upsample(fluid.rho, fluid.grid, fine_m)
-    else:
-        rho_fine = fluid.rho
-        fine_m = fluid.grid.m
+    rho_fine = upsample(fluid.rho, fluid.grid, fine_m)
     rec = energy_Q(ens, fluid, family, fine_m, rho_fine, v_interp)
     bg = part.grid
     dep_s = deposit_nearest(ens.positions, bg)

@@ -48,19 +48,26 @@ class Grid:
     def h(self) -> float:
         return self.box / self.m
 
+    @property
+    def shape(self) -> tuple:
+        return (self.m,) * self.dim
+
+    def along(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """A 1-d array reshaped to broadcast along ``axis`` of the mesh."""
+        shape = [1] * self.dim
+        shape[axis] = -1
+        return np.asarray(values).reshape(shape)
+
+    def coordinate(self, axis: int = 0) -> np.ndarray:
+        """The ``axis`` coordinate of every node, shape (m,) * d."""
+        return np.broadcast_to(self.along(np.arange(self.m) * self.h, axis), self.shape)
+
     def nodes(self) -> np.ndarray:
-        x = np.arange(self.m) * self.h
-        if self.dim == 1:
-            return x
-        return np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        """Node coordinates, shape (m,) * d + (d,); squeezed to (m,) in 1-d."""
+        return np.stack([self.coordinate(q) for q in range(self.dim)], axis=-1).squeeze()
 
     def wavenumbers(self, axis: int = 0) -> np.ndarray:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.m, d=self.h)
-        if self.dim == 1:
-            return k
-        shape = [1, 1]
-        shape[axis] = self.m
-        return k.reshape(shape)
+        return self.along(2.0 * np.pi * np.fft.fftfreq(self.m, d=self.h), axis)
 
     def cell_volume(self) -> float:
         return self.h**self.dim
@@ -105,11 +112,7 @@ class SigmaField:
     def __call__(self, t: float, grid: Grid) -> np.ndarray:
         if self.fn is not None:
             return np.asarray(self.fn(t, grid.nodes()), dtype=float)
-        x = grid.nodes()
-        if grid.dim == 1:
-            base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * x / grid.box))
-            return base[None, :]
-        r = x[..., 0]
+        r = grid.coordinate(0)
         base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * r / grid.box))
         return np.stack([base] * grid.dim, axis=0)
 
@@ -131,12 +134,10 @@ def _deriv(f: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
 def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule spectral truncation (idempotent)."""
     fk = np.fft.fftn(f)
-    cut = grid.m // 3
-    freq = np.fft.fftfreq(grid.m) * grid.m
-    if grid.dim == 1:
-        mask = np.abs(freq) <= cut
-    else:
-        mask = (np.abs(freq)[:, None] <= cut) & (np.abs(freq)[None, :] <= cut)
+    keep = np.abs(np.fft.fftfreq(grid.m) * grid.m) <= grid.m // 3
+    mask = True
+    for q in range(grid.dim):
+        mask = mask & grid.along(keep, q)
     return np.fft.ifftn(fk * mask).real
 
 
@@ -237,29 +238,21 @@ class FieldInterpolant:
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
         self.coeff = np.fft.fftn(values) / values.size
-        if grid.dim == 1:
-            self.k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.h)
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.h)
-            self.kx = k[:, None]
-            self.ky = k[None, :]
+        self.k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.h)
 
     def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
         g = self.grid
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if g.dim == 1:
-            phase = np.exp(1j * np.outer(pts[:, 0], self.k))
-            c = self.coeff if derivative is None else 1j * self.k * self.coeff
-            return (phase @ c).real
-        ex = np.exp(1j * np.outer(pts[:, 0], self.kx.ravel()))
-        ey = np.exp(1j * np.outer(pts[:, 1], self.ky.ravel()))
         c = self.coeff
-        if derivative == 0:
-            c = 1j * self.kx * c
-        elif derivative == 1:
-            c = 1j * self.ky * c
-        # sum_k c[kx,ky] e^{i kx x} e^{i ky y} evaluated per point
-        return np.einsum("pk,kl,pl->p", ex, c, ey).real
+        if derivative is not None:
+            c = 1j * g.wavenumbers(derivative) * c
+        # Contract one mesh axis at a time: a single matrix product over the
+        # first, then a per-point product-sum over each further axis.
+        out = np.exp(1j * np.outer(pts[:, 0], self.k)) @ c.reshape(g.m, -1)
+        for q in range(1, g.dim):
+            phase = np.exp(1j * np.outer(pts[:, q], self.k))
+            out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), g.m, -1))
+        return out[:, 0].real
 
 
 def interpolate_state(state: FluidState, points: np.ndarray):
@@ -287,12 +280,19 @@ def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
     """Zero-padded spectral upsampling onto a finer grid of the same box."""
     if m_fine == grid.m:
         return values.copy()
-    if m_fine < grid.m or grid.dim != 1:
-        raise ValueError("upsample: need m_fine >= m, d=1")
-    fk = np.fft.rfft(values)
-    out = np.zeros(m_fine // 2 + 1, dtype=complex)
-    out[: fk.shape[0]] = fk
-    return np.fft.irfft(out, n=m_fine) * (m_fine / grid.m)
+    if m_fine < grid.m:
+        raise ValueError("upsample: need m_fine >= m")
+    m, axes = grid.m, tuple(range(grid.dim))
+    fk = np.fft.rfftn(values, axes=axes)
+    # Non-negative frequencies keep their index on every axis; on the full
+    # (all but last) axes the negative ones move to the end of the finer axis.
+    j = np.arange(m)
+    lo, hi = j[: (m + 1) // 2], j[(m + 1) // 2 :]
+    src = [np.concatenate([lo, hi])] * (grid.dim - 1) + [j[: m // 2 + 1]]
+    dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [j[: m // 2 + 1]]
+    out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)
+    out[np.ix_(*dst)] = fk[np.ix_(*src)]
+    return np.fft.irfftn(out, s=(m_fine,) * grid.dim, axes=axes) * (m_fine / m) ** grid.dim
 
 
 def diagnostics(state: FluidState) -> dict:

@@ -10,6 +10,7 @@ compactly supported bump is selectable for sensitivity studies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -114,6 +115,17 @@ class KernelFamily:
         """The concentration factor N^{beta/d}."""
         return float(n) ** (self.beta / self.dim)
 
+    def width(self, n: int, which: str = "phi") -> float:
+        """Length scale of phi_N^r (``which="phi_r"``) or of phi_N at N particles.
+
+        The bandwidth shrinks by N^{beta/d}; the self-convolution phi_N is
+        sqrt(2) wider for the Gaussian base and twice as wide for the bump.
+        """
+        width = self.bandwidth / self.scale(n)
+        if which == "phi":
+            width *= np.sqrt(2.0) if self.base == "gaussian" else 2.0
+        return width
+
 
 def _build_bump_tables(family: KernelFamily) -> dict:
     # Normalization and (for d=1) a tabulated self-convolution for the
@@ -179,11 +191,7 @@ def grad_phi_r_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
 
 def kernel_radius(family: KernelFamily, n: int, which: str = "phi") -> float:
     """Radius containing 99.99% of the kernel mass (conservative for Gaussian)."""
-    h = family.bandwidth / family.scale(n)
-    if family.base == "gaussian":
-        width = h if which == "phi_r" else math.sqrt(2.0) * h
-        return 5.0 * width
-    return (1.0 if which == "phi_r" else 2.0) * h
+    return (5.0 if family.base == "gaussian" else 1.0) * family.width(n, which)
 
 
 def periodic_kernel_samples(
@@ -197,20 +205,14 @@ def periodic_kernel_samples(
 ) -> np.ndarray:
     """Kernel sampled on the periodic grid with minimum-image coordinates.
 
-    d=1 gives shape (m,), d=2 shape (m, m) (or with a trailing component axis
-    for gradients).  With ``normalize`` the scalar kernels are rescaled to
-    exact unit discrete mass so FFT mollification preserves constants to
-    rounding.
+    The shape is (m,) * d, with a trailing component axis (d,) for gradients.
+    With ``normalize`` the scalar kernels are rescaled to exact unit discrete
+    mass so FFT mollification preserves constants to rounding.
     """
+    d = family.dim
     coords = np.arange(m) * (box / m)
     coords = np.where(coords > box / 2, coords - box, coords)
-    if family.dim == 1:
-        pts = coords[:, None]
-    elif family.dim == 2:
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    else:
-        raise ValueError("d in {1, 2} supported")
+    pts = np.stack(np.meshgrid(*[coords] * d, indexing="ij"), axis=-1).reshape(-1, d)
     fns = {
         ("phi", False): phi_N,
         ("phi", True): grad_phi_N,
@@ -218,13 +220,9 @@ def periodic_kernel_samples(
         ("phi_r", True): grad_phi_r_N,
     }
     vals = fns[(which, derivative)](family, n, pts)
-    if family.dim == 2:
-        shape = (m, m) if not derivative else (m, m, 2)
-        vals = vals.reshape(shape)
-    elif derivative:
-        vals = vals[:, 0]
+    vals = vals.reshape((m,) * d + vals.shape[1:])
     if normalize and not derivative:
-        cell = (box / m) ** family.dim
+        cell = (box / m) ** d
         vals = vals / (np.sum(vals) * cell)
     return vals
 
@@ -246,11 +244,9 @@ def mollify(
     m = values.shape[0]
     kern = periodic_kernel_samples(family, n, box, m, which=which)
     cell = (box / m) ** family.dim
-    if family.dim == 1:
-        out = np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kern), n=m)
-    else:
-        out = np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kern)).real
-    return out * cell
+    axes = tuple(range(family.dim))
+    spectrum = np.fft.rfftn(values, axes=axes) * np.fft.rfftn(kern, axes=axes)
+    return np.fft.irfftn(spectrum, s=values.shape, axes=axes) * cell
 
 
 # --- technical hypothesis checks (report-only) ---
@@ -272,11 +268,9 @@ class HypothesisReport:
 
 
 def _multi_indices(dim: int, order: int):
-    if dim == 1:
-        yield (order,)
-        return
-    for i in range(order + 1):
-        yield (i, order - i)
+    for alpha in itertools.product(range(order + 1), repeat=dim):
+        if sum(alpha) == order:
+            yield alpha
 
 
 def _u_function(family: KernelFamily, alpha: tuple, q: int, pts: np.ndarray):

@@ -10,11 +10,13 @@ deposit/FFT-convolve/interpolate grid backend.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import FieldInterpolant, FluidState, Grid, SigmaField, upsample
+from .fields import FieldInterpolant, Grid, SigmaField, upsample
 from .kernels import (
     KernelFamily,
     grad_phi_N,
@@ -96,7 +98,7 @@ def init_from_fields(
     n: int,
     grid: Grid,
     strategy: str = "quantile",
-    seed: int | None = None,
+    seed: int | list | None = None,
 ) -> ParticleEnsemble:
     """Particles sampled from rho0 with velocities v0(X) by interpolation.
 
@@ -110,21 +112,18 @@ def init_from_fields(
         raise ValueError("rho0 must be strictly positive")
     d = grid.dim
     if strategy == "random":
-        rng = np.random.default_rng(seed)
-        u = rng.random((n, 1)) if d == 1 else rng.random((n, 2))
+        u = np.random.default_rng(seed).random((n, d))
     elif strategy == "quantile":
-        if d == 1:
-            u = ((np.arange(n) + 0.5) / n)[:, None]
-        else:
-            nx = int(round(np.sqrt(n)))
-            while n % nx:
-                nx -= 1
-            ny = n // nx
-            ux = (np.arange(nx) + 0.5) / nx
-            uy = (np.arange(ny) + 0.5) / ny
-            u = np.stack(
-                [np.repeat(ux, ny), np.tile(uy, nx)], axis=-1
-            )
+        # Midpoints of a near-cubic tensor grid of n strata in [0, 1)^d.
+        sides, rest = [], n
+        for q in range(d - 1):
+            side = int(round(rest ** (1.0 / (d - q))))
+            while rest % side:
+                side -= 1
+            sides.append(side)
+            rest //= side
+        mids = [(np.arange(side) + 0.5) / side for side in sides + [rest]]
+        u = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(n, d)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -174,6 +173,18 @@ def _force_direct(ens: ParticleEnsemble, family: KernelFamily, n_scale: int) -> 
     return out
 
 
+def _cic_corners(positions: np.ndarray, grid: Grid):
+    """Flat node index and linear weight of each particle at each of the
+    2^d cloud-in-cell corners, in a fixed corner order."""
+    f = (np.atleast_2d(np.asarray(positions, dtype=float)) % grid.box) / grid.h
+    i0 = np.floor(f).astype(int)
+    frac = f - i0
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        nodes = tuple((i0[:, q] + s) % grid.m for q, s in enumerate(corner))
+        weights = [frac[:, q] if s else 1.0 - frac[:, q] for q, s in enumerate(corner)]
+        yield np.ravel_multi_index(nodes, grid.shape), functools.reduce(np.multiply, weights)
+
+
 def deposit_cic(
     positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
 ) -> np.ndarray:
@@ -182,72 +193,34 @@ def deposit_cic(
     Accumulation runs in a canonical sorted order so the result is bitwise
     independent of particle labelling.
     """
-    pts = np.atleast_2d(np.asarray(positions, dtype=float)) % grid.box
-    n = pts.shape[0]
+    n = np.atleast_2d(positions).shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    h = grid.h
-    if grid.dim == 1:
-        f = pts[:, 0] / h
-        i0 = np.floor(f).astype(int)
-        frac = f - i0
-        idx = np.concatenate([i0 % grid.m, (i0 + 1) % grid.m])
-        val = np.concatenate([w * (1.0 - frac), w * frac])
-        order = np.lexsort((val, idx))
-        out = np.bincount(idx[order], weights=val[order], minlength=grid.m)
-    else:
-        f = pts / h
-        i0 = np.floor(f).astype(int)
-        frac = f - i0
-        idx_list, val_list = [], []
-        for dx_ in (0, 1):
-            for dy_ in (0, 1):
-                wx = frac[:, 0] if dx_ else 1.0 - frac[:, 0]
-                wy = frac[:, 1] if dy_ else 1.0 - frac[:, 1]
-                ii = (i0[:, 0] + dx_) % grid.m
-                jj = (i0[:, 1] + dy_) % grid.m
-                idx_list.append(ii * grid.m + jj)
-                val_list.append(w * wx * wy)
-        idx = np.concatenate(idx_list)
-        val = np.concatenate(val_list)
-        order = np.lexsort((val, idx))
-        out = np.bincount(idx[order], weights=val[order], minlength=grid.m**2)
-        out = out.reshape(grid.m, grid.m)
-    return out / (n * grid.cell_volume())
+    corners = list(_cic_corners(positions, grid))
+    idx = np.concatenate([node for node, _ in corners])
+    val = np.concatenate([w * wgt for _, wgt in corners])
+    order = np.lexsort((val, idx))
+    out = np.bincount(idx[order], weights=val[order], minlength=grid.m**grid.dim)
+    return out.reshape(grid.shape) / (n * grid.cell_volume())
 
 
 def _cic_transfer(grid: Grid) -> np.ndarray:
-    """Fourier transfer function of the CIC assignment window (one factor).
+    """Fourier transfer function of the CIC assignment window (one factor),
+    laid out like ``rfftn`` of a mesh field.
 
     Dividing deposited/gathered spectra by this removes the leading
     smoothing error of the linear window; safe here because all kernels are
     well resolved so the Nyquist region carries no signal.
     """
-    if grid.dim == 1:
-        k = np.fft.rfftfreq(grid.m)
-        return np.sinc(k) ** 2
-    kx = np.fft.fftfreq(grid.m)[:, None]
-    ky = np.fft.fftfreq(grid.m)[None, :]
-    return (np.sinc(kx) * np.sinc(ky)) ** 2
+    freqs = [np.fft.fftfreq(grid.m) for _ in range(grid.dim - 1)] + [np.fft.rfftfreq(grid.m)]
+    sincs = [grid.along(np.sinc(k), q) for q, k in enumerate(freqs)]
+    return functools.reduce(np.multiply, sincs) ** 2
 
 
 def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(positions) % grid.box
-    h = grid.h
-    if grid.dim == 1:
-        f = pts[:, 0] / h
-        i0 = np.floor(f).astype(int)
-        frac = f - i0
-        return field[i0 % grid.m] * (1.0 - frac) + field[(i0 + 1) % grid.m] * frac
-    f = pts / h
-    i0 = np.floor(f).astype(int)
-    frac = f - i0
-    out = np.zeros(pts.shape[0])
-    for dx_ in (0, 1):
-        for dy_ in (0, 1):
-            wx = frac[:, 0] if dx_ else 1.0 - frac[:, 0]
-            wy = frac[:, 1] if dy_ else 1.0 - frac[:, 1]
-            out += field[(i0[:, 0] + dx_) % grid.m, (i0[:, 1] + dy_) % grid.m] * wx * wy
-    return out
+    flat = field.ravel()
+    return functools.reduce(
+        np.add, (flat[node] * wgt for node, wgt in _cic_corners(positions, grid))
+    )
 
 
 def interaction_force(
@@ -272,27 +245,22 @@ def interaction_force(
         raise ValueError("grid backend needs grid_m")
     grid = Grid(box=ens.box, m=grid_m, dim=ens.dim)
     _require_resolved(family, ens.count, grid, which="phi")
-    dens = deposit_cic(ens.positions, grid)
+    axes = tuple(range(ens.dim))
+    dk = np.fft.rfftn(deposit_cic(ens.positions, grid), axes=axes)
     cell = grid.cell_volume()
     # One CIC window factor for the deposit and one for the gather.
     win2 = _cic_transfer(grid) ** 2
     out = np.empty((ens.count, ens.dim))
     gk = periodic_kernel_samples(family, ens.count, ens.box, grid_m, "phi", derivative=True)
-    if ens.dim == 1:
-        conv = np.fft.irfft(np.fft.rfft(dens) * np.fft.rfft(gk) / win2, n=grid_m) * cell
-        out[:, 0] = -_gather_cic(conv, grid, ens.positions)
-    else:
-        dk = np.fft.fft2(dens)
-        for q in range(2):
-            conv = np.fft.ifft2(dk * np.fft.fft2(gk[..., q]) / win2).real * cell
-            out[:, q] = -_gather_cic(conv, grid, ens.positions)
+    for q in range(ens.dim):
+        gq = np.fft.rfftn(gk[..., q], axes=axes)
+        conv = np.fft.irfftn(dk * gq / win2, s=grid.shape, axes=axes) * cell
+        out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
 
 
 def _require_resolved(family: KernelFamily, n: int, grid: Grid, which: str) -> None:
-    width = family.bandwidth / family.scale(n)
-    if which == "phi":
-        width *= np.sqrt(2.0) if family.base == "gaussian" else 2.0
+    width = family.width(n, which)
     cells = width / grid.h
     if cells < 4.0:
         need = int(np.ceil(4.0 * grid.box / width))
@@ -342,10 +310,9 @@ def _deconvolved_deposit(
     positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
 ) -> np.ndarray:
     dep = deposit_cic(positions, grid, weights=weights)
-    win = _cic_transfer(grid)
-    if grid.dim == 1:
-        return np.fft.irfft(np.fft.rfft(dep) / win, n=grid.m)
-    return np.fft.ifft2(np.fft.fft2(dep) / win).real
+    axes = tuple(range(grid.dim))
+    spectrum = np.fft.rfftn(dep, axes=axes) / _cic_transfer(grid)
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
 
 
 def empirical_density(
@@ -362,7 +329,7 @@ def empirical_momentum(
 ) -> np.ndarray:
     """V^N * phi_N^r: velocity-weighted deposit, mollified per component."""
     _require_resolved(family, ens.count, grid, which="phi_r")
-    out = np.empty((ens.dim,) + (grid.m,) * grid.dim)
+    out = np.empty((ens.dim,) + grid.shape)
     for q in range(ens.dim):
         dep = _deconvolved_deposit(ens.positions, grid, weights=ens.velocities[:, q])
         out[q] = mollify(dep, grid.box, family, ens.count, which="phi_r")

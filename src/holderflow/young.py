@@ -118,11 +118,6 @@ def young_integral(
     return total
 
 
-def _vectorized_scalar_integral(xv, yv, i0, i1):
-    dy = yv[i0 + 1:i1 + 1] - yv[i0:i1]
-    return np.sum(xv[i0:i1] * dy, axis=0)
-
-
 def young_loeve_defect(
     x: IntegrandPath,
     y: SampledPath,

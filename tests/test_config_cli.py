@@ -63,6 +63,25 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eta > d/2"):
             parse_config_text("[analysis]\neta = 1.2\n")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[noise]\ndim = 3\n", "dim=3"),
+            ("[particles]\nforce_backend = gird\n", "force_backend"),
+            ("[particles]\ninit = sobol\n", "init"),
+            # The d=1 default meshes would be 16384^2 points in 2-d.
+            ("[noise]\ndim = 2\n[analysis]\neta = 2.5\n", "besov_grid=16384"),
+            ("[noise]\ndim = 2\n[analysis]\neta = 2.5\nbesov_grid = 64\n"
+             "fine_grid = 64\n[particles]\nforce_grid = 64\n[pde]\nresolution = 512\n",
+             "pde_resolution=512"),
+            ("[analysis]\nfine_grid = 262144\n", "fine_grid=262144"),
+        ],
+        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde", "d1_fine"],
+    )
+    def test_unrunnable_settings_refused_at_parse(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
     def test_seed_and_sweep_lists(self):
         cfg = parse_config_text("[noise]\nseeds = 3 5 7\n\n[particles]\nn_list = 16 32\n")
         assert cfg.seeds == (3, 5, 7)
@@ -110,6 +129,13 @@ class TestCli:
         cfg.write_text("[noise]\nhurst = 0.4\n")
         with pytest.raises(SystemExit) as exc:
             main(["pde", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_unknown_backend_usage_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(TINY_RUN.replace("n_list = 64", "n_list = 64\nforce_backend = gird"))
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
 
     def test_pde_runs_and_writes_field(self, tmp_path, capsys):

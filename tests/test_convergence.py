@@ -12,6 +12,7 @@ from holderflow.convergence import (
     EnergyRecord,
     ExperimentConfig,
     _auto_grid,
+    _fluid_trajectory,
     emit_report,
     energy_Q,
     fit_rate,
@@ -19,6 +20,7 @@ from holderflow.convergence import (
 )
 from holderflow.fields import FieldInterpolant, FluidState, Grid
 from holderflow.kernels import KernelFamily
+from holderflow.noise import sample_fbm
 from holderflow.particles import ParticleEnsemble, init_from_fields
 
 
@@ -151,6 +153,27 @@ class TestRunCoupled:
         flags = {r["n"]: r["flag"] for r in results}
         assert flags[2].startswith("aborted:")
         assert flags[64] == "ok"
+
+    def test_random_init_byte_deterministic(self):
+        cfg = _tiny_config(init_strategy="random")
+        a, b = io.StringIO(), io.StringIO()
+        run_coupled(cfg, csv_sink=a)
+        run_coupled(cfg, csv_sink=b)
+        assert a.getvalue() == b.getvalue()
+
+    def test_two_dimensional_sweep_runs(self):
+        cfg = ExperimentConfig(
+            dim=2, eta=2.5, n_sweep=(16, 64, 256), seeds=(0,), master_steps=32,
+            horizon=1 / 32, pde_resolution=32, besov_grid=64, force_grid=64,
+            fine_grid=64, checkpoints=4, kernel_bandwidth=0.12,
+        )
+        results = run_coupled(cfg)
+        assert [r["flag"] for r in results] == ["ok"] * 3
+        assert all(np.isfinite(rec.q) for r in results for rec in r["records"])
+        path = sample_fbm(cfg.noise_spec(0))
+        snaps = _fluid_trajectory(cfg, path, {0, cfg.master_steps})
+        mass = [st.mass() for st in snaps.values()]
+        assert abs(mass[1] - mass[0]) <= 1e-12 * mass[0]
 
     def test_fluid_failure_propagates(self):
         # The co-evolved field dying invalidates the whole seed.

@@ -179,6 +179,13 @@ class TestSpectralUtilities:
         fine = upsample(f, g, 128)
         assert np.max(np.abs(fine[::4] - f)) < 1e-12
 
+    def test_upsample_2d_matches_interpolant_at_fine_nodes(self):
+        g = Grid(box=1.0, m=16, dim=2)
+        f = dealias(np.random.default_rng(0).standard_normal(g.shape), g)
+        fine = Grid(box=1.0, m=32, dim=2)
+        want = FieldInterpolant(f, g)(fine.nodes().reshape(-1, 2)).reshape(fine.shape)
+        assert np.max(np.abs(upsample(f, g, 32) - want)) < 1e-12
+
     def test_upsample_refuses_downsampling(self):
         g = Grid(box=1.0, m=32, dim=1)
         with pytest.raises(ValueError):

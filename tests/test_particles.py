@@ -129,6 +129,26 @@ class TestForces:
         rel = np.max(np.abs(fd - fg)) / np.max(np.abs(fd))
         assert rel < 1e-3
 
+    def test_grid_matches_direct_2d(self):
+        # The 2^d-corner deposit/gather and the rfftn window deconvolution in
+        # d=2: the grid force converges to the exact pairwise sum at second
+        # order in h.  The auto mesh is capped at MAX_GRID points (M=256,
+        # about 8 cells per kernel width); 2M restores 16 cells per width.
+        from holderflow.convergence import _auto_grid
+
+        rng = np.random.default_rng(0)
+        fam = KernelFamily(beta=0.6, dim=2, bandwidth=0.12)
+        n = 256
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((n, 2)),
+                               velocities=np.zeros((n, 2)))
+        fd = interaction_force(ens, fam, "direct")
+        m = _auto_grid(fam, n, 1.0, 64, "phi")
+        rel = [np.max(np.abs(interaction_force(ens, fam, "grid", grid_m=mm) - fd))
+               / np.max(np.abs(fd)) for mm in (m, 2 * m)]
+        assert rel[0] < 4e-3
+        assert rel[1] < 2e-3
+        assert rel[1] < rel[0] / 3
+
     def test_grid_requires_resolution(self):
         fam = _family()
         ens = ParticleEnsemble(box=1.0, positions=[[0.2], [0.7]],
