@@ -277,17 +277,26 @@ def interpolate_state(state: FluidState, points: np.ndarray):
 
 
 def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
-    """Zero-padded spectral upsampling onto a finer grid of the same box."""
+    """Zero-padded spectral upsampling onto a finer grid of the same box.
+
+    Agrees with ``FieldInterpolant``: on an even grid the Nyquist mode of a
+    real field is the cosine cos(pi x / h), so its coefficient is split
+    evenly between frequencies +m/2 and -m/2 of the finer grid.
+    """
     if m_fine == grid.m:
         return values.copy()
     if m_fine < grid.m:
         raise ValueError("upsample: need m_fine >= m")
     m, axes = grid.m, tuple(range(grid.dim))
     fk = np.fft.rfftn(values, axes=axes)
+    if m % 2 == 0:
+        for q in axes:
+            fk[(slice(None),) * q + (m // 2,)] *= 0.5
     # Non-negative frequencies keep their index on every axis; on the full
-    # (all but last) axes the negative ones move to the end of the finer axis.
+    # (all but last) axes the negative ones move to the end of the finer
+    # axis, and the halved Nyquist row goes to both ends.
     j = np.arange(m)
-    lo, hi = j[: (m + 1) // 2], j[(m + 1) // 2 :]
+    lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
     src = [np.concatenate([lo, hi])] * (grid.dim - 1) + [j[: m // 2 + 1]]
     dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [j[: m // 2 + 1]]
     out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)

@@ -186,6 +186,23 @@ class TestSpectralUtilities:
         want = FieldInterpolant(f, g)(fine.nodes().reshape(-1, 2)).reshape(fine.shape)
         assert np.max(np.abs(upsample(f, g, 32) - want)) < 1e-12
 
+    def test_upsample_keeps_nyquist_cosine(self):
+        g = Grid(box=1.0, m=8, dim=1)
+        f = np.cos(np.pi * g.nodes() / g.h)
+        assert np.max(np.abs(upsample(f, g, 16)[::2] - f)) < 1e-12
+
+    def test_upsample_2d_nyquist_matches_interpolant(self):
+        # Nyquist modes along each axis: kept at the original nodes and equal
+        # to the trigonometric interpolant at the fine nodes.
+        g = Grid(box=1.0, m=8, dim=2)
+        x, y = g.coordinate(0), g.coordinate(1)
+        f = np.cos(np.pi * x / g.h) * (1.0 + 0.5 * np.cos(2 * np.pi * y)) + np.cos(np.pi * y / g.h)
+        up = upsample(f, g, 16)
+        assert np.max(np.abs(up[::2, ::2] - f)) < 1e-12
+        fine = Grid(box=1.0, m=16, dim=2)
+        want = FieldInterpolant(f, g)(fine.nodes().reshape(-1, 2)).reshape(fine.shape)
+        assert np.max(np.abs(up - want)) < 1e-12
+
     def test_upsample_refuses_downsampling(self):
         g = Grid(box=1.0, m=32, dim=1)
         with pytest.raises(ValueError):
