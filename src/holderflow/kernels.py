@@ -210,9 +210,8 @@ def periodic_kernel_samples(
     mass so FFT mollification preserves constants to rounding.
     """
     d = family.dim
-    coords = np.arange(m) * (box / m)
-    coords = np.where(coords > box / 2, coords - box, coords)
-    pts = np.stack(np.meshgrid(*[coords] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    x = np.moveaxis(np.indices((m,) * d), 0, -1) * (box / m)
+    pts = np.where(x > box / 2, x - box, x)
     fns = {
         ("phi", False): phi_N,
         ("phi", True): grad_phi_N,
@@ -220,7 +219,6 @@ def periodic_kernel_samples(
         ("phi_r", True): grad_phi_r_N,
     }
     vals = fns[(which, derivative)](family, n, pts)
-    vals = vals.reshape((m,) * d + vals.shape[1:])
     if normalize and not derivative:
         cell = (box / m) ** d
         vals = vals / (np.sum(vals) * cell)

@@ -180,9 +180,11 @@ def _cic_corners(positions: np.ndarray, grid: Grid):
     i0 = np.floor(f).astype(int)
     frac = f - i0
     for corner in itertools.product((0, 1), repeat=grid.dim):
-        nodes = tuple((i0[:, q] + s) % grid.m for q, s in enumerate(corner))
+        nodes = [(i0[:, q] + s) % grid.m for q, s in enumerate(corner)]
         weights = [frac[:, q] if s else 1.0 - frac[:, q] for q, s in enumerate(corner)]
-        yield np.ravel_multi_index(nodes, grid.shape), functools.reduce(np.multiply, weights)
+        # Row-major flat index; the node index itself in 1-d.
+        flat = functools.reduce(lambda a, b: a * grid.m + b, nodes)
+        yield flat, functools.reduce(np.multiply, weights)
 
 
 def deposit_cic(
