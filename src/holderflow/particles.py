@@ -247,13 +247,14 @@ def interaction_force(
         raise ValueError("grid backend needs grid_m")
     grid = Grid(box=ens.box, m=grid_m, dim=ens.dim)
     _require_resolved(family, ens.count, grid, which="phi")
-    axes = tuple(range(ens.dim))
-    dk = np.fft.rfftn(deposit_cic(ens.positions, grid), axes=axes)
+    dens = deposit_cic(ens.positions, grid)
     cell = grid.cell_volume()
     # One CIC window factor for the deposit and one for the gather.
     win2 = _cic_transfer(grid) ** 2
     out = np.empty((ens.count, ens.dim))
     gk = periodic_kernel_samples(family, ens.count, ens.box, grid_m, "phi", derivative=True)
+    axes = tuple(range(ens.dim))
+    dk = np.fft.rfftn(dens, axes=axes)
     for q in range(ens.dim):
         gq = np.fft.rfftn(gk[..., q], axes=axes)
         conv = np.fft.irfftn(dk * gq / win2, s=grid.shape, axes=axes) * cell
