@@ -159,12 +159,9 @@ def deposit_nearest(
     if weights is None:
         weights = np.ones(n)
     idx = np.round(pts / grid.h).astype(int) % grid.m
-    # Canonical accumulation order: sort by node index then weight, so the
-    # result is bitwise independent of particle labelling.
     flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
-    order = np.lexsort((weights, flat))
-    out = np.bincount(flat[order], weights=weights[order], minlength=grid.m**grid.dim)
-    return out.reshape(grid.shape) / (n * grid.cell_volume())
+    # Canonical accumulation order: bitwise independent of particle labelling.
+    return grid.accumulate(flat, weights) / (n * grid.cell_volume())
 
 
 def negative_distance(

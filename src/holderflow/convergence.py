@@ -28,6 +28,7 @@ from .fields import (
 from .kernels import KernelFamily
 from .noise import NoiseSpec, SampledPath, sample_fbm
 from .particles import (
+    ForceMesh,
     ParticleEnsemble,
     empirical_density,
     init_from_fields,
@@ -263,15 +264,18 @@ def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at:
         rho0, v0, n, config.pde_grid(), strategy=config.init_strategy, seed=[seed, n]
     )
     backend = config.force_backend
-    grid_m = None
+    grid_m = mesh = None
     if backend == "grid":
         grid_m = _auto_grid(family, n, config.box, config.force_grid, "phi")
-    accel = interaction_force(ens, family, backend, grid_m)
+        mesh = ForceMesh(family, n, Grid(box=config.box, m=grid_m, dim=config.dim))
+    accel = interaction_force(ens, family, backend, grid_m, mesh=mesh)
     if 0 in at:
         yield 0, ens
     for i in range(config.master_steps):
         dy = path.values[i + 1] - path.values[i]
-        ens, accel = step(ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel)
+        ens, accel = step(
+            ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel, mesh=mesh
+        )
         if i + 1 in at:
             yield i + 1, ens
 

@@ -72,6 +72,20 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.dim
 
+    def accumulate(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Sum ``values`` into the nodes of row-major flat index ``flat``.
+
+        The sums run in (node, value) order, so the mesh is bitwise
+        independent of the order of the inputs.  Two argsorts (unstable by
+        value, then stable by node) give that order faster than ``lexsort``;
+        entries equal in both keys, signed zeros included, add the same in
+        either order.
+        """
+        order = np.argsort(values)
+        order = order[np.argsort(flat[order], kind="stable")]
+        out = np.bincount(flat[order], weights=values[order], minlength=self.m**self.dim)
+        return out.reshape(self.shape)
+
 
 @dataclass(frozen=True)
 class FluidState:
@@ -187,12 +201,14 @@ def step_field(
 ) -> FluidState:
     """One step: SSP-RK3 on the deterministic drift, then the noise kick.
 
-    Refuses dt above the advective stability bound cfl * h / max(|v| + c).
+    Refuses dt above the advective stability bound cfl * h / max(|v| + c)
+    with ``FloatingPointError``: a CFL violation is a numerical failure, like
+    the vacuum guard, not a usage error.
     """
     g = state.grid
     limit = cfl * g.h / max(max_signal_speed(state), 1e-30)
     if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
+        raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
 
     def euler(rho, v):
         s = replace(state, rho=rho, v=v)
@@ -248,11 +264,19 @@ class FieldInterpolant:
             c = 1j * g.wavenumbers(derivative) * c
         # Contract one mesh axis at a time: a single matrix product over the
         # first, then a per-point product-sum over each further axis.
-        out = np.exp(1j * np.outer(pts[:, 0], self.k)) @ c.reshape(g.m, -1)
+        out = _phases(pts[:, 0], self.k) @ c.reshape(g.m, -1)
         for q in range(1, g.dim):
-            phase = np.exp(1j * np.outer(pts[:, q], self.k))
+            phase = _phases(pts[:, q], self.k)
             out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), g.m, -1))
         return out[:, 0].real
+
+
+def _phases(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(i x k) for every pair, in one complex array: the same values as
+    ``np.exp(1j * np.outer(x, k))`` without its two full-size temporaries."""
+    z = np.zeros((x.size, k.size), dtype=complex)
+    np.multiply(x[:, None], k, out=z.imag)
+    return np.exp(z, out=z)
 
 
 def interpolate_state(state: FluidState, points: np.ndarray):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .kernels import (
 
 __all__ = [
     "ParticleEnsemble",
+    "ForceMesh",
     "init_from_fields",
     "interaction_force",
     "step",
@@ -200,9 +201,7 @@ def deposit_cic(
     corners = list(_cic_corners(positions, grid))
     idx = np.concatenate([node for node, _ in corners])
     val = np.concatenate([w * wgt for _, wgt in corners])
-    order = np.lexsort((val, idx))
-    out = np.bincount(idx[order], weights=val[order], minlength=grid.m**grid.dim)
-    return out.reshape(grid.shape) / (n * grid.cell_volume())
+    return grid.accumulate(idx, val) / (n * grid.cell_volume())
 
 
 def _cic_transfer(grid: Grid) -> np.ndarray:
@@ -225,39 +224,80 @@ def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndar
     )
 
 
+def _require_support(family: KernelFamily, n: int, box: float) -> None:
+    if kernel_radius(family, n, "phi") > box / 2:
+        raise ValueError("kernel support exceeds half the box")
+
+
+@dataclass(frozen=True)
+class ForceMesh:
+    """Particle-mesh force operators for N particles on one mesh.
+
+    Holds what the grid force reuses at every step while N and the mesh stay
+    fixed: the squared CIC window (one factor for the deposit, one for the
+    gather) and the spectrum of each component of grad phi_N, i.e. the
+    precomputed influence function of Hockney & Eastwood, *Computer
+    Simulation Using Particles* (1988).  Construction refuses a kernel wider
+    than half the box or under-resolved by the mesh.
+    """
+
+    family: KernelFamily
+    n: int
+    grid: Grid
+    win2: np.ndarray = field(init=False, repr=False, compare=False)
+    spectra: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g = self.grid
+        _require_support(self.family, self.n, g.box)
+        _require_resolved(self.family, self.n, g, which="phi")
+        gk = periodic_kernel_samples(self.family, self.n, g.box, g.m, "phi", derivative=True)
+        axes = tuple(range(g.dim))
+        spectra = tuple(np.fft.rfftn(gk[..., q], axes=axes) for q in range(g.dim))
+        win2 = _cic_transfer(g) ** 2
+        for a in (win2,) + spectra:
+            a.flags.writeable = False
+        object.__setattr__(self, "win2", win2)
+        object.__setattr__(self, "spectra", spectra)
+
+
 def interaction_force(
     ens: ParticleEnsemble,
     family: KernelFamily,
     backend: str = "direct",
     grid_m: int | None = None,
+    mesh: ForceMesh | None = None,
 ) -> np.ndarray:
     """Accelerations -grad(S^N * phi_N)(X_k).
 
     ``direct``: exact O(N^2) pairwise sum with minimum-image displacements
     (the self term contributes exactly zero).  ``grid``: deposit S^N,
-    FFT-convolve with grad phi_N, gather back; O(M log M).
+    FFT-convolve with grad phi_N, gather back; O(M log M).  ``mesh`` is the
+    grid backend's plan for this family, N and ``grid_m``; without one it is
+    built for this call.
     """
-    if kernel_radius(family, ens.count, "phi") > ens.box / 2:
-        raise ValueError("kernel support exceeds half the box")
     if backend == "direct":
+        _require_support(family, ens.count, ens.box)
         return _force_direct(ens, family, ens.count)
     if backend != "grid":
         raise ValueError(f"unknown force backend {backend!r}")
     if grid_m is None:
         raise ValueError("grid backend needs grid_m")
     grid = Grid(box=ens.box, m=grid_m, dim=ens.dim)
-    _require_resolved(family, ens.count, grid, which="phi")
+    if mesh is None:
+        mesh = ForceMesh(family, ens.count, grid)
+    elif (mesh.family, mesh.n, mesh.grid) != (family, ens.count, grid):
+        raise ValueError(
+            f"force mesh built for N={mesh.n} on {mesh.grid}, "
+            f"called with N={ens.count} on {grid}"
+        )
     dens = deposit_cic(ens.positions, grid)
     cell = grid.cell_volume()
-    # One CIC window factor for the deposit and one for the gather.
-    win2 = _cic_transfer(grid) ** 2
     out = np.empty((ens.count, ens.dim))
-    gk = periodic_kernel_samples(family, ens.count, ens.box, grid_m, "phi", derivative=True)
     axes = tuple(range(ens.dim))
     dk = np.fft.rfftn(dens, axes=axes)
-    for q in range(ens.dim):
-        gq = np.fft.rfftn(gk[..., q], axes=axes)
-        conv = np.fft.irfftn(dk * gq / win2, s=grid.shape, axes=axes) * cell
+    for q, gq in enumerate(mesh.spectra):
+        conv = np.fft.irfftn(dk * gq / mesh.win2, s=grid.shape, axes=axes) * cell
         out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
 
@@ -282,21 +322,22 @@ def step(
     backend: str = "direct",
     grid_m: int | None = None,
     accel: np.ndarray | None = None,
+    mesh: ForceMesh | None = None,
 ) -> tuple[ParticleEnsemble, np.ndarray]:
     """One velocity-Verlet step plus the Young-Euler noise kick.
 
     Returns (new ensemble, accelerations at the new positions) so callers
     can avoid recomputing forces.  ``dy`` must be the master path increment
-    over [t, t + dt].
+    over [t, t + dt].  ``mesh`` is passed on to ``interaction_force``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if accel is None:
-        accel = interaction_force(ens, family, backend, grid_m)
+        accel = interaction_force(ens, family, backend, grid_m, mesh=mesh)
     v_half = ens.velocities + 0.5 * dt * accel
     pos_new = np.mod(ens.positions + dt * v_half, ens.box)
     moved = replace(ens, positions=pos_new)
-    accel_new = interaction_force(moved, family, backend, grid_m)
+    accel_new = interaction_force(moved, family, backend, grid_m, mesh=mesh)
     v_new = v_half + 0.5 * dt * accel_new
     if dy is not None and sigma is not None:
         kick = sigma.at(ens.time, pos_new, ens.box, ens.dim)

@@ -138,6 +138,12 @@ class TestCli:
             main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
 
+    def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "cfl.cfg"
+        cfg.write_text(TINY_RUN.replace("horizon = 0.05\nsteps = 64", "horizon = 0.125\nsteps = 4"))
+        assert main(["pde", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "violates CFL" in capsys.readouterr().err
+
     def test_pde_runs_and_writes_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_RUN)

@@ -17,6 +17,7 @@ from holderflow.convergence import (
     energy_Q,
     fit_rate,
     run_coupled,
+    simulate,
 )
 from holderflow.fields import FieldInterpolant, FluidState, Grid
 from holderflow.kernels import KernelFamily
@@ -144,6 +145,28 @@ class TestRunCoupled:
         buf = io.StringIO()
         run_coupled(cfg, csv_sink=buf)
         assert buf.getvalue() == text
+
+    def test_force_kernel_built_once_per_n(self, monkeypatch):
+        # The grid force plan is built once per N, not at every step.
+        import holderflow.kernels
+        import holderflow.particles
+
+        built = []
+        orig = holderflow.kernels.periodic_kernel_samples
+
+        def counting(family, n, box, m, which="phi_r", derivative=False, **kw):
+            if derivative:
+                built.append(n)
+            return orig(family, n, box, m, which, derivative, **kw)
+
+        for mod in (holderflow.kernels, holderflow.particles):
+            monkeypatch.setattr(mod, "periodic_kernel_samples", counting)
+        cfg = _tiny_config(master_steps=16, horizon=0.0125)
+        path = sample_fbm(cfg.noise_spec(0))
+        for n in cfg.n_sweep:
+            states = list(simulate(cfg, n, path, 0, {cfg.master_steps}))
+            assert states[-1][1].time == pytest.approx(cfg.horizon)
+        assert built == list(cfg.n_sweep)
 
     def test_particle_abort_recorded_not_raised(self):
         # A kernel too wide for the box at small N fails that run only;

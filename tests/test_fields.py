@@ -10,6 +10,7 @@ from holderflow.fields import (
     FluidState,
     Grid,
     SigmaField,
+    _phases,
     dealias,
     diagnostics,
     interpolate_state,
@@ -44,6 +45,24 @@ class TestGrid:
         assert g.h == pytest.approx(0.25)
         assert g.cell_volume() == pytest.approx(0.25)
         assert np.allclose(g.nodes(), np.arange(8) * 0.25)
+
+    @given(seed=st.integers(min_value=0, max_value=500))
+    def test_accumulate_matches_lexsort_order_bitwise(self, seed):
+        # Repeated (node, value) pairs, signed zeros and a dynamic range at
+        # which the order of the sums shows in the result.
+        rng = np.random.default_rng(seed)
+        g = Grid(box=1.0, m=4, dim=2)
+        pool = np.array([0.0, -0.0, 1e-17, 0.1, -0.3, 1.0, 1e16, -1e16])
+        flat = rng.integers(0, g.m**g.dim, 400)
+        values = rng.choice(pool, 400)
+        order = np.lexsort((values, flat))
+        want = np.bincount(flat[order], weights=values[order], minlength=g.m**g.dim)
+        got = g.accumulate(flat, values)
+        assert got.shape == g.shape
+        assert np.array_equal(got.ravel(), want)
+        assert not np.any(np.signbit(got[got == 0.0]))
+        perm = rng.permutation(400)
+        assert np.array_equal(g.accumulate(flat[perm], values[perm]), got)
 
 
 class TestRhs:
@@ -101,7 +120,7 @@ class TestStepping:
     def test_cfl_refusal(self):
         st_ = _smooth_state(m=256)
         limit = 0.5 * st_.grid.h / max_signal_speed(st_)
-        with pytest.raises(ValueError, match="CFL"):
+        with pytest.raises(FloatingPointError, match="CFL"):
             step_field(st_, 2.0 * limit)
 
     def test_dt_self_convergence_order_at_least_two(self):
@@ -161,6 +180,11 @@ class TestInterpolation:
         pts = np.array([[0.123], [0.777]])
         assert np.max(np.abs(itp(pts) - np.sin(k * pts[:, 0]))) < 1e-12
         assert np.max(np.abs(itp(pts, derivative=0) - k * np.cos(k * pts[:, 0]))) < 1e-10
+
+    def test_phases_bitwise_equal_to_exp_of_outer(self):
+        x = np.array([-0.75, -0.0, 0.0, 0.3, 0.999])
+        k = 2.0 * np.pi * np.fft.fftfreq(16, d=1.0 / 16)
+        assert np.array_equal(_phases(x, k), np.exp(1j * np.outer(x, k)))
 
     def test_interpolate_state_gradients(self):
         st_ = _smooth_state(m=128)

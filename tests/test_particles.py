@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
 from holderflow.kernels import KernelFamily, phi_N
 from holderflow.particles import (
+    ForceMesh,
     ParticleEnsemble,
     _dense_cdf_1d,
     deposit_cic,
@@ -163,6 +164,47 @@ class TestForces:
         ens = ParticleEnsemble(box=1.0, positions=[[0.2]], velocities=[[0.0]])
         with pytest.raises(ValueError, match="backend"):
             interaction_force(ens, fam, "tree")
+
+
+class TestForceMesh:
+    @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 128)])
+    def test_prebuilt_plan_matches_on_the_fly_bitwise(self, dim, m):
+        rng = np.random.default_rng(3)
+        fam = KernelFamily(beta=0.3, dim=dim, bandwidth=0.1)
+        n = 128
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((n, dim)),
+                               velocities=np.zeros((n, dim)))
+        mesh = ForceMesh(fam, n, Grid(box=1.0, m=m, dim=dim))
+        planned = interaction_force(ens, fam, "grid", grid_m=m, mesh=mesh)
+        assert np.array_equal(planned, interaction_force(ens, fam, "grid", grid_m=m))
+        assert np.array_equal(planned, interaction_force(ens, fam, "grid", grid_m=m, mesh=mesh))
+
+    def test_plan_for_other_n_or_mesh_refused(self):
+        fam = KernelFamily(beta=0.3, dim=1, bandwidth=0.1)
+        rng = np.random.default_rng(4)
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((128, 1)),
+                               velocities=np.zeros((128, 1)))
+        for n, m in ((256, 2048), (128, 1024)):
+            mesh = ForceMesh(fam, n, Grid(box=1.0, m=m, dim=1))
+            with pytest.raises(ValueError, match="force mesh built for"):
+                interaction_force(ens, fam, "grid", grid_m=2048, mesh=mesh)
+        other = KernelFamily(beta=0.3, dim=1, bandwidth=0.08)
+        mesh = ForceMesh(other, 128, Grid(box=1.0, m=2048, dim=1))
+        with pytest.raises(ValueError, match="force mesh built for"):
+            interaction_force(ens, fam, "grid", grid_m=2048, mesh=mesh)
+
+    def test_plan_construction_refuses(self):
+        with pytest.raises(ValueError, match="half the box"):
+            ForceMesh(_family(bandwidth=0.2), 2, Grid(box=1.0, m=1024, dim=1))
+        with pytest.raises(ValueError, match="under-resolves"):
+            ForceMesh(_family(), 2, Grid(box=1.0, m=16, dim=1))
+
+    def test_plan_arrays_read_only(self):
+        mesh = ForceMesh(_family(), 64, Grid(box=1.0, m=1024, dim=1))
+        with pytest.raises(ValueError):
+            mesh.win2[0] = 1.0
+        with pytest.raises(ValueError):
+            mesh.spectra[0][0] = 1.0
 
 
 class TestStep:
