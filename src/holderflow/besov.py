@@ -153,14 +153,14 @@ def deposit_nearest(
     positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Nearest-node deposition of point masses as a density (unit total mass
-    for unit total weight); exact mass conservation by construction."""
+    for unit total weight); exact mass conservation by construction, and
+    bitwise independent of particle labelling."""
     pts = np.atleast_2d(np.asarray(positions, dtype=float)) % grid.box
     n = pts.shape[0]
     if weights is None:
         weights = np.ones(n)
     idx = np.round(pts / grid.h).astype(int) % grid.m
     flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
-    # Canonical accumulation order: bitwise independent of particle labelling.
     return grid.accumulate(flat, weights) / (n * grid.cell_volume())
 
 
