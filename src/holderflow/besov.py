@@ -170,7 +170,6 @@ def negative_distance(
     eta: float,
     q_hat: float,
     part: DyadicPartition,
-    flavor: str = "besov",
 ) -> float:
     """Norm of (measure - target) at smoothness -eta, p = 2, index q_hat.
 
@@ -186,9 +185,7 @@ def negative_distance(
             "not in the space at this smoothness",
             stacklevel=2,
         )
-    diff = measure_field - target
-    fn = besov_norm if flavor == "besov" else triebel_norm
-    return fn(diff, -eta, 2.0, q_hat, part)
+    return besov_norm(measure_field - target, -eta, 2.0, q_hat, part)
 
 
 def sobolev_embedding_check(

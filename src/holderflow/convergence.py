@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .fields import (
     step_field,
     upsample,
 )
-from .kernels import KernelFamily
+from .kernels import KernelFamily, RegimeError
 from .noise import NoiseSpec, SampledPath, sample_fbm
 from .particles import (
     ForceMesh,
@@ -116,6 +117,9 @@ class ExperimentConfig:
     init_strategy: str = "quantile"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim={self.dim}: only d in {{1, 2}} is implemented")
         if not 0.5 < self.hurst < 1.0:
@@ -281,10 +285,12 @@ def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at:
 
 
 def run_coupled(config: ExperimentConfig, csv_sink=None):
-    """Run the full sweep; yields per-(seed, N) row dicts and streams CSV rows.
+    """Run the full sweep; returns per-(seed, N) row dicts and streams CSV rows.
 
-    Failures of a single N run (vacuum breach, CFL, non-finite state) are
-    recorded with a reason code and the sweep continues.
+    A particle run that fails numerically (``FloatingPointError``) or is out
+    of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``
+    and the sweep goes on; a fluid failure (vacuum, CFL, non-finite state)
+    invalidates the seed and propagates, as does any other error.
     """
     family = config.kernel()
     stride = max(1, config.master_steps // config.checkpoints)
@@ -320,7 +326,7 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
             try:
                 for i, ens in simulate(config, n, path, seed, checkpoint_idx):
                     rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
-            except (FloatingPointError, ValueError) as exc:
+            except (FloatingPointError, RegimeError) as exc:
                 flag = f"aborted:{type(exc).__name__}"
             for seed_row in rows:
                 line = _format_row(seed, n, *seed_row)

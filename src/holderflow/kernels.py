@@ -24,6 +24,9 @@ __all__ = [
     "phi_r_N",
     "grad_phi_r_N",
     "kernel_radius",
+    "RegimeError",
+    "require_support",
+    "require_resolved",
     "mollify",
     "periodic_kernel_samples",
     "check_hypotheses",
@@ -194,6 +197,31 @@ def kernel_radius(family: KernelFamily, n: int, which: str = "phi") -> float:
     return (5.0 if family.base == "gaussian" else 1.0) * family.width(n, which)
 
 
+class RegimeError(ValueError):
+    """Per-N refusal: the kernel at this N does not fit the box or the mesh."""
+
+
+def require_support(family: KernelFamily, n: int, box: float, which: str = "phi") -> None:
+    """Refuse a kernel wider than half the box (wrap-around would corrupt it)."""
+    radius = kernel_radius(family, n, which)
+    if radius > box / 2:
+        raise RegimeError(
+            f"kernel support radius {radius:.4g} exceeds half the box {box / 2:.4g}; "
+            f"increase N or the box"
+        )
+
+
+def require_resolved(family: KernelFamily, n: int, box: float, m: int, which: str) -> None:
+    """Refuse a mesh of ``m`` cells per side with fewer than 4 per kernel width."""
+    width = family.width(n, which)
+    cells = width / (box / m)
+    if cells < 4.0:
+        raise RegimeError(
+            f"grid under-resolves the kernel ({cells:.2f} cells per bandwidth); "
+            f"need at least M={int(np.ceil(4.0 * box / width))}"
+        )
+
+
 def periodic_kernel_samples(
     family: KernelFamily,
     n: int,
@@ -230,15 +258,9 @@ def mollify(
 ) -> np.ndarray:
     """Periodic FFT convolution of a gridded field with phi_N^r (or phi_N).
 
-    Refused when the kernel's effective support exceeds half the box
-    (wrap-around would corrupt the result).
+    Refused (``require_support``) when the kernel is wider than half the box.
     """
-    radius = kernel_radius(family, n, which)
-    if radius > box / 2:
-        raise ValueError(
-            f"kernel support radius {radius:.4g} exceeds half box {box / 2:.4g}; "
-            f"increase N or the box"
-        )
+    require_support(family, n, box, which)
     m = values.shape[0]
     kern = periodic_kernel_samples(family, n, box, m, which=which)
     cell = (box / m) ** family.dim

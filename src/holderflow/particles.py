@@ -20,9 +20,10 @@ from .fields import FieldInterpolant, Grid, SigmaField, upsample
 from .kernels import (
     KernelFamily,
     grad_phi_N,
-    kernel_radius,
     mollify,
     periodic_kernel_samples,
+    require_resolved,
+    require_support,
 )
 
 __all__ = [
@@ -59,7 +60,7 @@ class ParticleEnsemble:
         if pos.shape[0] < 1:
             raise ValueError("need at least one particle")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise ValueError("non-finite particle state")
+            raise FloatingPointError("non-finite particle state")
         if np.any(pos < 0) or np.any(pos >= self.box):
             pos = np.mod(pos, self.box)
         object.__setattr__(self, "positions", pos)
@@ -224,11 +225,6 @@ def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndar
     )
 
 
-def _require_support(family: KernelFamily, n: int, box: float) -> None:
-    if kernel_radius(family, n, "phi") > box / 2:
-        raise ValueError("kernel support exceeds half the box")
-
-
 @dataclass(frozen=True)
 class ForceMesh:
     """Particle-mesh force operators for N particles on one mesh.
@@ -238,7 +234,7 @@ class ForceMesh:
     gather) and the spectrum of each component of grad phi_N, i.e. the
     precomputed influence function of Hockney & Eastwood, *Computer
     Simulation Using Particles* (1988).  Construction refuses a kernel wider
-    than half the box or under-resolved by the mesh.
+    than half the box or under-resolved by the mesh (``RegimeError``).
     """
 
     family: KernelFamily
@@ -249,8 +245,8 @@ class ForceMesh:
 
     def __post_init__(self) -> None:
         g = self.grid
-        _require_support(self.family, self.n, g.box)
-        _require_resolved(self.family, self.n, g, which="phi")
+        require_support(self.family, self.n, g.box)
+        require_resolved(self.family, self.n, g.box, g.m, "phi")
         gk = periodic_kernel_samples(self.family, self.n, g.box, g.m, "phi", derivative=True)
         axes = tuple(range(g.dim))
         spectra = tuple(np.fft.rfftn(gk[..., q], axes=axes) for q in range(g.dim))
@@ -277,7 +273,7 @@ def interaction_force(
     built for this call.
     """
     if backend == "direct":
-        _require_support(family, ens.count, ens.box)
+        require_support(family, ens.count, ens.box)
         return _force_direct(ens, family, ens.count)
     if backend != "grid":
         raise ValueError(f"unknown force backend {backend!r}")
@@ -300,17 +296,6 @@ def interaction_force(
         conv = np.fft.irfftn(dk * gq / mesh.win2, s=grid.shape, axes=axes) * cell
         out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
-
-
-def _require_resolved(family: KernelFamily, n: int, grid: Grid, which: str) -> None:
-    width = family.width(n, which)
-    cells = width / grid.h
-    if cells < 4.0:
-        need = int(np.ceil(4.0 * grid.box / width))
-        raise ValueError(
-            f"grid under-resolves the kernel ({cells:.2f} cells per bandwidth); "
-            f"need at least M={need}"
-        )
 
 
 def step(
@@ -345,8 +330,6 @@ def step(
     out = ParticleEnsemble(
         box=ens.box, positions=pos_new, velocities=v_new, time=ens.time + dt
     )
-    if not (np.all(np.isfinite(out.positions)) and np.all(np.isfinite(out.velocities))):
-        raise FloatingPointError("non-finite particle state after step")
     return out, accel_new
 
 
@@ -363,7 +346,7 @@ def empirical_density(
     ens: ParticleEnsemble, family: KernelFamily, grid: Grid
 ) -> np.ndarray:
     """S^N * phi_N^r on the grid: CIC deposit then FFT mollification."""
-    _require_resolved(family, ens.count, grid, which="phi_r")
+    require_resolved(family, ens.count, grid.box, grid.m, "phi_r")
     dens = _deconvolved_deposit(ens.positions, grid)
     return mollify(dens, grid.box, family, ens.count, which="phi_r")
 
@@ -372,7 +355,7 @@ def empirical_momentum(
     ens: ParticleEnsemble, family: KernelFamily, grid: Grid
 ) -> np.ndarray:
     """V^N * phi_N^r: velocity-weighted deposit, mollified per component."""
-    _require_resolved(family, ens.count, grid, which="phi_r")
+    require_resolved(family, ens.count, grid.box, grid.m, "phi_r")
     out = np.empty((ens.dim,) + grid.shape)
     for q in range(ens.dim):
         dep = _deconvolved_deposit(ens.positions, grid, weights=ens.velocities[:, q])

@@ -189,18 +189,16 @@ def _spectral_derivative(g: np.ndarray, box: float) -> np.ndarray:
 
 def _trig_interp(values: np.ndarray, box: float, pts: np.ndarray) -> np.ndarray:
     """Trigonometric interpolation of a periodic sample at scalar points."""
+    if values.ndim != 1:
+        raise ValueError("expected 1-d sample array")
     m = values.shape[-1]
     coeff = np.fft.rfft(values, axis=-1) / m
     k = 2.0 * np.pi * np.fft.rfftfreq(m, d=box / m)
     phases = np.exp(1j * np.outer(np.atleast_1d(pts), k))
     weights = np.where(np.arange(k.shape[0]) == 0, 1.0, 2.0)
     if m % 2 == 0:
-        weights = weights.copy()
         weights[-1] = 1.0
-    out = (phases * weights * coeff).real.sum(axis=-1) if values.ndim == 1 else None
-    if out is None:
-        raise ValueError("expected 1-d sample array")
-    return out
+    return (phases * weights * coeff).real.sum(axis=-1)
 
 
 def check_ito_wentzell(

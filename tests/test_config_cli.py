@@ -82,6 +82,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "text", ["[pde]\ncfl = nan\n", "[pde]\nvacuum_floor = nan\n", "[domain]\nbox = inf\n"]
+    )
+    def test_non_finite_floats_refused_at_parse(self, text):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config_text(text)
+
     def test_seed_and_sweep_lists(self):
         cfg = parse_config_text("[noise]\nseeds = 3 5 7\n\n[particles]\nn_list = 16 32\n")
         assert cfg.seeds == (3, 5, 7)
@@ -143,6 +150,21 @@ class TestCli:
         cfg.write_text(TINY_RUN.replace("horizon = 0.05\nsteps = 64", "horizon = 0.125\nsteps = 4"))
         assert main(["pde", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "violates CFL" in capsys.readouterr().err
+
+    def test_non_finite_cfl_usage_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TINY_RUN.replace("resolution = 128", "resolution = 128\ncfl = nan"))
+        with pytest.raises(SystemExit) as exc:
+            main(["pde", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert "cfl must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_particle_state_numerical_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(TINY_RUN + "\n[sigma]\namplitude = 1.5e308\n")
+        assert main(["simulate", "--config", str(cfg), "--n", "32"]) == EXIT_NUMERICAL
+        assert "numerical failure: non-finite particle state" in capsys.readouterr().err
 
     def test_pde_runs_and_writes_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

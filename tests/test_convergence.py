@@ -174,7 +174,7 @@ class TestRunCoupled:
         cfg = _tiny_config(kernel_bandwidth=0.2, n_sweep=(2, 64))
         results = run_coupled(cfg)
         flags = {r["n"]: r["flag"] for r in results}
-        assert flags[2].startswith("aborted:")
+        assert flags[2] == "aborted:RegimeError"
         assert flags[64] == "ok"
 
     def test_random_init_byte_deterministic(self):
@@ -197,6 +197,17 @@ class TestRunCoupled:
         snaps = _fluid_trajectory(cfg, path, {0, cfg.master_steps})
         mass = [st.mass() for st in snaps.values()]
         assert abs(mass[1] - mass[0]) <= 1e-12 * mass[0]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # Only numerical failures and regime refusals become aborted rows.
+        import holderflow.convergence
+
+        def broken(*args):
+            raise ValueError("broken checkpoint")
+
+        monkeypatch.setattr(holderflow.convergence, "_checkpoint_row", broken)
+        with pytest.raises(ValueError, match="broken checkpoint"):
+            run_coupled(_tiny_config(n_sweep=(64,)))
 
     def test_fluid_failure_propagates(self):
         # The co-evolved field dying invalidates the whole seed.

@@ -123,6 +123,10 @@ class TestStepping:
         with pytest.raises(FloatingPointError, match="CFL"):
             step_field(st_, 2.0 * limit)
 
+    def test_non_finite_step_is_numerical_failure(self):
+        with pytest.raises(FloatingPointError, match="non-finite fluid state"):
+            step_field(_smooth_state(), 1e-3, dy=np.array([np.inf]), sigma=SigmaField())
+
     def test_dt_self_convergence_order_at_least_two(self):
         horizon = 0.02
         errs = []

@@ -10,11 +10,13 @@ from holderflow.kernels import (
     check_hypotheses,
     grad_phi_N,
     grad_phi_r_N,
+    RegimeError,
     kernel_radius,
     mollify,
     periodic_kernel_samples,
     phi_N,
     phi_r_N,
+    require_resolved,
 )
 
 
@@ -109,8 +111,16 @@ class TestMollify:
 
     def test_refuses_wide_kernel(self):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.3)
-        with pytest.raises(ValueError, match="half box"):
+        with pytest.raises(ValueError, match="half the box"):
             mollify(np.ones(64), 1.0, fam, 2)
+
+    def test_regime_refusals_are_regime_errors(self):
+        with pytest.raises(RegimeError, match="half the box"):
+            mollify(np.ones(64), 1.0, KernelFamily(beta=0.6, dim=1, bandwidth=0.3), 2)
+        fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
+        with pytest.raises(RegimeError, match="need at least M=86"):
+            require_resolved(fam, 2, 1.0, 16, "phi")
+        require_resolved(fam, 2, 1.0, 128, "phi")
 
     def test_damps_high_frequencies(self):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)

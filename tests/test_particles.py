@@ -48,7 +48,7 @@ class TestEnsemble:
             ParticleEnsemble(box=1.0, positions=np.zeros((3, 1)), velocities=np.zeros((2, 1)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             ParticleEnsemble(box=1.0, positions=[[np.nan]], velocities=[[0.0]])
 
 
@@ -257,6 +257,14 @@ class TestStep:
         new, _ = step(ens, 1e-3, fam, dy=dy, sigma=sigma)
         want = sigma.at(0.0, new.positions, 1.0, 1)[:, 0] * dy[0]
         assert np.max(np.abs(new.velocities[:, 0] - want)) < 1e-9
+
+    def test_non_finite_step_is_numerical_failure(self):
+        rng = np.random.default_rng(5)
+        n = 64
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((n, 1)),
+                               velocities=np.zeros((n, 1)))
+        with pytest.raises(FloatingPointError, match="non-finite particle state"):
+            step(ens, 1e-3, _family(), dy=np.array([np.inf]), sigma=SigmaField())
 
     def test_rejects_nonpositive_dt(self):
         fam = _family()
