@@ -39,8 +39,9 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 class DyadicPartition:
     """Tabulated multiplier profiles phi_j on the Fourier lattice of a grid.
 
-    ``profiles`` has shape (J + 2, lattice shape); index 0 is j = -1 (the
-    low-pass chi).  The profiles sum to one at every resolved frequency.
+    ``profiles`` has shape (J + 2,) + the shape of ``Grid.rfft``; index 0 is
+    j = -1 (the low-pass chi).  The profiles sum to one at every resolved
+    frequency.
     """
 
     grid: Grid
@@ -56,22 +57,17 @@ class DyadicPartition:
         return range(-1, self.levels - 1)
 
 
-def _lattice_radii(grid: Grid) -> np.ndarray:
-    return np.sqrt(sum(grid.wavenumbers(q) ** 2 for q in range(grid.dim)))
-
-
-def build_partition(grid: Grid, lam: float = 1.35, r0: float | None = None) -> DyadicPartition:
+def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     """Dyadic partition of unity on the discrete frequency lattice.
 
     lambda must lie in (1, sqrt 2), which makes blocks two apart exactly
-    disjoint.  r0 defaults to the smallest nonzero lattice frequency so the
-    j = -1 block carries exactly the mean mode.
+    disjoint.  r0 is the smallest nonzero lattice frequency, so the j = -1
+    block carries exactly the mean mode.
     """
     if not 1.0 < lam < np.sqrt(2.0):
         raise ValueError(f"lambda must lie in (1, sqrt 2), got {lam}")
-    if r0 is None:
-        r0 = 2.0 * np.pi / grid.box
-    radii = _lattice_radii(grid)
+    r0 = 2.0 * np.pi / grid.box
+    radii = np.sqrt(sum(grid.wavenumbers(q) ** 2 for q in range(grid.dim)))
     r_lo, r_hi = r0 / lam, r0 * lam
 
     def chi(r):
@@ -103,10 +99,7 @@ class DyadicDecomposition:
 
 
 def dyadic_blocks(values: np.ndarray, part: DyadicPartition) -> DyadicDecomposition:
-    fk = np.fft.fftn(values)
-    blocks = np.empty_like(part.profiles)
-    for i in range(part.levels):
-        blocks[i] = np.fft.ifftn(part.profiles[i] * fk).real
+    blocks = part.grid.irfft(part.profiles * part.grid.rfft(values))
     return DyadicDecomposition(partition=part, blocks=blocks)
 
 

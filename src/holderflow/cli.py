@@ -137,8 +137,6 @@ def _cmd_converge(args) -> int:
 
 def _cmd_check(args) -> int:
     """Fast oracle suite: core identities of every module."""
-    import numpy as np
-
     from .besov import build_partition
     from .fields import FluidState, Grid, rhs_deterministic
     from .kernels import KernelFamily, mollify, phi_N

@@ -122,10 +122,11 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim={self.dim}: only d in {{1, 2}} is implemented")
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError("hypothesis violated: alpha > 1/2 requires hurst in (1/2, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("hypothesis violated: beta must lie in (0, 1)")
+        if not self.seeds:
+            raise ValueError("seeds must list at least one fBm seed")
+        # NoiseSpec and KernelFamily check their own bounds.
+        self.noise_spec(self.seeds[0])
+        self.kernel()
         if self.eta <= self.dim / 2 + 1:
             raise ValueError(
                 f"hypothesis violated: eta > d/2 + 1 = {self.dim / 2 + 1} required"
@@ -136,6 +137,12 @@ class ExperimentConfig:
             raise ValueError(f"force_backend must be grid or direct, got {self.force_backend!r}")
         if self.init_strategy not in ("quantile", "random"):
             raise ValueError(f"init must be quantile or random, got {self.init_strategy!r}")
+        if self.checkpoints < 1:
+            raise ValueError(f"checkpoints={self.checkpoints}: need at least 1")
+        if self.cfl <= 0:
+            raise ValueError(f"cfl={self.cfl}: the CFL number must be positive")
+        if self.q_hat < 1:
+            raise ValueError(f"q_hat={self.q_hat}: the Besov index must be at least 1")
         for name in ("pde_resolution", "besov_grid", "force_grid", "fine_grid"):
             m = getattr(self, name)
             if m**self.dim > MAX_GRID:

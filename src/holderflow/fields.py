@@ -34,7 +34,9 @@ VACUUM_FLOOR_DEFAULT = 1e-3
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic box [0, L)^d discretized with M nodes per side."""
+    """Periodic box [0, L)^d discretized with M nodes per side; the owner of
+    the spectral layout of every mesh field (``rfftn``: full on the leading
+    mesh axes, non-negative frequencies on the last)."""
 
     box: float
     m: int
@@ -66,8 +68,30 @@ class Grid:
         """Node coordinates, shape (m,) * d + (d,); squeezed to (m,) in 1-d."""
         return np.stack([self.coordinate(q) for q in range(self.dim)], axis=-1).squeeze()
 
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum over the mesh axes, the trailing d axes of ``f``: the
+        steps of ``rfftn``, without its per-call cost of argument handling."""
+        fk = np.fft.rfft(f)
+        for axis in range(-2, -self.dim - 1, -1):
+            fk = np.fft.fft(fk, axis=axis)
+        return fk
+
+    def irfft(self, fk: np.ndarray) -> np.ndarray:
+        """Mesh field of a half spectrum laid out like ``rfft``."""
+        for axis in range(-self.dim, -1):
+            fk = np.fft.ifft(fk, axis=axis)
+        return np.fft.irfft(fk, n=self.m)
+
+    def frequencies(self, axis: int = 0) -> np.ndarray:
+        """Frequencies along ``axis`` in cycles per cell, laid out like ``rfft``."""
+        return self.along(self._fftfreq(axis)(self.m), axis)
+
     def wavenumbers(self, axis: int = 0) -> np.ndarray:
-        return self.along(2.0 * np.pi * np.fft.fftfreq(self.m, d=self.h), axis)
+        """Wavenumbers along ``axis`` in rad per length, laid out like ``rfft``."""
+        return self.along(2.0 * np.pi * self._fftfreq(axis)(self.m, d=self.h), axis)
+
+    def _fftfreq(self, axis: int):
+        return np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
 
     def cell_volume(self) -> float:
         return self.h**self.dim
@@ -140,23 +164,32 @@ class SigmaField:
         return np.repeat(base[:, None], dim, axis=1)
 
 
-def _deriv(f: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
-    fk = np.fft.fftn(f)
-    return np.fft.ifftn(1j * grid.wavenumbers(axis) * fk).real
+def _ik(grid: Grid, axis: int) -> np.ndarray:
+    """Multiplier i k of d/dx_axis, without the Nyquist mode of an even mesh,
+    whose derivative vanishes at every node (Trefethen, *Spectral Methods in
+    MATLAB*, 2000, ch. 3)."""
+    k = grid.wavenumbers(axis).copy()
+    if grid.m % 2 == 0:
+        k.flat[grid.m // 2] = 0.0
+    return 1j * k
+
+
+def _two_thirds(grid: Grid) -> np.ndarray:
+    """Spectral mask of the 2/3 rule: |frequency| <= m // 3 on every axis."""
+    mask = True
+    for q in range(grid.dim):
+        mask = mask & (np.abs(grid.frequencies(q) * grid.m) <= grid.m // 3)
+    return mask
 
 
 def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule spectral truncation (idempotent)."""
-    fk = np.fft.fftn(f)
-    keep = np.abs(np.fft.fftfreq(grid.m) * grid.m) <= grid.m // 3
-    mask = True
-    for q in range(grid.dim):
-        mask = mask & grid.along(keep, q)
-    return np.fft.ifftn(fk * mask).real
+    return grid.irfft(grid.rfft(f) * _two_thirds(grid))
 
 
 def rhs_deterministic(state: FluidState) -> tuple[np.ndarray, np.ndarray]:
-    """Drift (d rho, d v); aborts if the density reaches the vacuum floor."""
+    """Drift (d rho, d v) = (-sum_q ik_q D(rho v_q), -D(v . grad v_q) - ik_q rho)
+    with the 2/3 mask D; aborts if the density reaches the vacuum floor."""
     g = state.grid
     rho, v = state.rho, state.v
     if float(np.min(rho)) <= state.vacuum_floor:
@@ -164,15 +197,13 @@ def rhs_deterministic(state: FluidState) -> tuple[np.ndarray, np.ndarray]:
             f"density {np.min(rho):.3e} at or below vacuum floor "
             f"{state.vacuum_floor:.1e} (1/rho singular)"
         )
-    drho = np.zeros_like(rho)
-    for q in range(g.dim):
-        drho -= _deriv(dealias(rho * v[q], g), g, axis=q)
-    dv = np.zeros_like(v)
-    for q in range(g.dim):
-        adv = np.zeros_like(rho)
-        for r in range(g.dim):
-            adv += v[r] * _deriv(v[q], g, axis=r)
-        dv[q] = -dealias(adv, g) - _deriv(rho, g, axis=q)
+    ik = [_ik(g, q) for q in range(g.dim)]
+    mask = _two_thirds(g)
+    flux = mask * g.rfft(rho * v)
+    drho = g.irfft(-sum(ik[q] * flux[q] for q in range(g.dim)))
+    vk, rho_k = g.rfft(v), g.rfft(rho)
+    adv = sum(v[r] * g.irfft(ik[r] * vk) for r in range(g.dim))  # adv[q] = v . grad v_q
+    dv = g.irfft(-(mask * g.rfft(adv)) - np.stack([ik[q] * rho_k for q in range(g.dim)]))
     return drho, dv
 
 
@@ -181,8 +212,8 @@ def pressure_forms_gap(state: FluidState) -> float:
     g = state.grid
     gap = 0.0
     for q in range(g.dim):
-        a = _deriv(0.5 * state.rho**2, g, axis=q) / state.rho
-        b = _deriv(state.rho, g, axis=q)
+        a = g.irfft(_ik(g, q) * g.rfft(0.5 * state.rho**2)) / state.rho
+        b = g.irfft(_ik(g, q) * g.rfft(state.rho))
         gap = max(gap, float(np.max(np.abs(a - b))))
     return gap
 
@@ -246,26 +277,33 @@ class FieldInterpolant:
     """Trigonometric interpolation of a periodic gridded field and its gradient.
 
     Exact for band-limited fields; built once per field, then evaluated at
-    arbitrary point sets.
+    arbitrary (n, d) point sets.  ``coeff`` is the half spectrum, weighted 2 on
+    the interior modes of the last axis; a Nyquist mode is the cosine
+    cos(pi x / h), as in ``upsample``, and the derivative drops it.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
-        self.coeff = np.fft.fftn(values) / values.size
-        self.k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.h)
+        self.coeff = grid.rfft(values) / values.size
+        self.coeff[..., 1 : (grid.m + 1) // 2] *= 2.0
 
     def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
         g = self.grid
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         c = self.coeff
         if derivative is not None:
-            c = 1j * g.wavenumbers(derivative) * c
+            c = _ik(g, derivative) * c
         # Contract one mesh axis at a time: a single matrix product over the
         # first, then a per-point product-sum over each further axis.
-        out = _phases(pts[:, 0], self.k) @ c.reshape(g.m, -1)
-        for q in range(1, g.dim):
-            phase = _phases(pts[:, q], self.k)
-            out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), g.m, -1))
+        out = c.reshape(c.shape[0], -1)
+        for q in range(g.dim):
+            phase = _phases(pts[:, q], g.wavenumbers(q).ravel())
+            if q < g.dim - 1 and g.m % 2 == 0:
+                phase[:, g.m // 2].imag = 0.0  # a Nyquist row of a full axis is the cosine
+            if q == 0:
+                out = phase @ out
+            else:
+                out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), c.shape[q], -1))
         return out[:, 0].real
 
 
@@ -309,10 +347,10 @@ def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
         return values.copy()
     if m_fine < grid.m:
         raise ValueError("upsample: need m_fine >= m")
-    m, axes = grid.m, tuple(range(grid.dim))
-    fk = np.fft.rfftn(values, axes=axes)
+    m = grid.m
+    fk = grid.rfft(values)
     if m % 2 == 0:
-        for q in axes:
+        for q in range(grid.dim):
             fk[(slice(None),) * q + (m // 2,)] *= 0.5
     # Non-negative frequencies keep their index on every axis; on the full
     # (all but last) axes the negative ones move to the end of the finer
@@ -323,7 +361,8 @@ def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
     dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [j[: m // 2 + 1]]
     out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)
     out[np.ix_(*dst)] = fk[np.ix_(*src)]
-    return np.fft.irfftn(out, s=(m_fine,) * grid.dim, axes=axes) * (m_fine / m) ** grid.dim
+    fine = Grid(box=grid.box, m=m_fine, dim=grid.dim)
+    return fine.irfft(out) * (m_fine / m) ** grid.dim
 
 
 def diagnostics(state: FluidState) -> dict:

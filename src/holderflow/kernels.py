@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import Grid
+
 __all__ = [
     "KernelFamily",
     "HypothesisReport",
@@ -55,12 +57,14 @@ class KernelFamily:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+            raise ValueError(f"hypothesis violated: beta must lie in (0, 1), got {self.beta}")
         if self.base not in ("gaussian", "bump"):
             raise ValueError(f"unknown base density {self.base!r}")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if self.base == "bump":
+            if self.dim != 1:
+                raise ValueError(f"bump base tabulated for d=1 only, got d={self.dim}")
             object.__setattr__(self, "_bump_tables", _build_bump_tables(self))
 
     # --- base density phi_1^r and its gradient ---
@@ -131,32 +135,22 @@ class KernelFamily:
 
 
 def _build_bump_tables(family: KernelFamily) -> dict:
-    # Normalization and (for d=1) a tabulated self-convolution for the
-    # compact bump; higher dimensions only need radial quadrature for mass.
+    # Normalization and a tabulated self-convolution for the compact bump (d=1).
     h = family.bandwidth
-    if family.dim == 1:
-        r = np.linspace(-1.0, 1.0, 4001)
-        prof = _bump_profile(r)
-        mass = np.trapezoid(prof, r) * h
-        norm = 1.0 / mass
-        m = 8192
-        span = 4.0 * h
-        xs = (np.arange(m) - m // 2) * (2.0 * span / m)
-        f = norm * _bump_profile(xs / h)
-        conv = np.fft.ifft(np.fft.fft(f) * np.fft.fft(f)).real * (2.0 * span / m)
-        conv = np.roll(conv, m // 2)
-        return {"norm": norm, "conv_x": xs, "conv_f": conv}
-    if family.dim == 2:
-        r = np.linspace(0.0, 1.0, 4001)
-        prof = _bump_profile(r)
-        mass = 2.0 * np.pi * np.trapezoid(prof * r, r) * h * h
-        return {"norm": 1.0 / mass}
-    raise ValueError("bump base implemented for d in {1, 2}")
+    r = np.linspace(-1.0, 1.0, 4001)
+    prof = _bump_profile(r)
+    mass = np.trapezoid(prof, r) * h
+    norm = 1.0 / mass
+    m = 8192
+    span = 4.0 * h
+    xs = (np.arange(m) - m // 2) * (2.0 * span / m)
+    f = norm * _bump_profile(xs / h)
+    conv = np.fft.ifft(np.fft.fft(f) * np.fft.fft(f)).real * (2.0 * span / m)
+    conv = np.roll(conv, m // 2)
+    return {"norm": norm, "conv_x": xs, "conv_f": conv}
 
 
 def _bump_conv_eval(family: KernelFamily, x: np.ndarray, grad: bool):
-    if family.dim != 1:
-        raise ValueError("bump self-convolution tabulated for d=1 only")
     tab = family._bump_tables
     xi = x[..., 0]
     f = np.interp(xi, tab["conv_x"], tab["conv_f"], left=0.0, right=0.0)
@@ -261,12 +255,9 @@ def mollify(
     Refused (``require_support``) when the kernel is wider than half the box.
     """
     require_support(family, n, box, which)
-    m = values.shape[0]
-    kern = periodic_kernel_samples(family, n, box, m, which=which)
-    cell = (box / m) ** family.dim
-    axes = tuple(range(family.dim))
-    spectrum = np.fft.rfftn(values, axes=axes) * np.fft.rfftn(kern, axes=axes)
-    return np.fft.irfftn(spectrum, s=values.shape, axes=axes) * cell
+    grid = Grid(box=box, m=values.shape[0], dim=family.dim)
+    kern = periodic_kernel_samples(family, n, box, grid.m, which=which)
+    return grid.irfft(grid.rfft(values) * grid.rfft(kern)) * grid.cell_volume()
 
 
 # --- technical hypothesis checks (report-only) ---

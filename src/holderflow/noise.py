@@ -47,7 +47,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
+            raise ValueError(
+                f"hypothesis violated: alpha > 1/2 requires hurst in (1/2, 1), got {self.hurst}"
+            )
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.horizon <= 0:

@@ -77,18 +77,17 @@ class ParticleEnsemble:
 
 def _dense_cdf_1d(rho: np.ndarray, grid: Grid, m_fine: int = 1 << 14):
     dense = upsample(rho, grid, m_fine) if m_fine > grid.m else rho.copy()
-    m = dense.shape[0]
-    h = grid.box / m
-    x = np.arange(m + 1) * h
+    fine = Grid(box=grid.box, m=dense.shape[0])
+    x = np.arange(fine.m + 1) * fine.h
     # Spectral antiderivative of the mean-free part: exact for band-limited
     # densities, unlike a rectangle-rule cumsum whose O(h) bias would leak
     # into every quantile position.
     mean = float(np.mean(dense))
-    fk = np.fft.rfft(dense - mean)
-    k = 2.0 * np.pi * np.fft.rfftfreq(m, d=h)
+    fk = fine.rfft(dense - mean)
+    k = fine.wavenumbers()
     anti = np.zeros_like(fk)
     anti[1:] = fk[1:] / (1j * k[1:])
-    osc = np.fft.irfft(anti, n=m)
+    osc = fine.irfft(anti)
     cdf = mean * x + np.concatenate([osc, osc[:1]]) - osc[0]
     cdf /= cdf[-1]
     return x, cdf
@@ -134,21 +133,19 @@ def init_from_fields(
         pos = np.interp(u[:, 0], cdf, x_cdf)[:, None]
     else:
         # Marginal in x, then conditional in y per sampled x-column.
-        h = grid.box / grid.m
-        marg_x = np.sum(rho0, axis=1) * h
-        cdf_x = np.concatenate([[0.0], np.cumsum(marg_x) * h])
+        edges = np.arange(grid.m + 1) * grid.h
+        marg_x = np.sum(rho0, axis=1) * grid.h
+        cdf_x = np.concatenate([[0.0], np.cumsum(marg_x) * grid.h])
         cdf_x /= cdf_x[-1]
-        xe = np.arange(grid.m + 1) * h
-        px = np.interp(u[:, 0], cdf_x, xe)
-        cols = np.minimum((px / h).astype(int), grid.m - 1)
+        px = np.interp(u[:, 0], cdf_x, edges)
+        cols = np.minimum((px / grid.h).astype(int), grid.m - 1)
         pos = np.empty((n, 2))
         pos[:, 0] = px
-        ye = np.arange(grid.m + 1) * h
         for c in np.unique(cols):
             sel = cols == c
-            cdf_y = np.concatenate([[0.0], np.cumsum(rho0[c]) * h])
+            cdf_y = np.concatenate([[0.0], np.cumsum(rho0[c]) * grid.h])
             cdf_y /= cdf_y[-1]
-            pos[sel, 1] = np.interp(u[sel, 1], cdf_y, ye)
+            pos[sel, 1] = np.interp(u[sel, 1], cdf_y, edges)
     pos = np.mod(pos, grid.box)
 
     v0 = np.asarray(v0, dtype=float)
@@ -213,8 +210,7 @@ def _cic_transfer(grid: Grid) -> np.ndarray:
     smoothing error of the linear window; safe here because all kernels are
     well resolved so the Nyquist region carries no signal.
     """
-    freqs = [np.fft.fftfreq(grid.m) for _ in range(grid.dim - 1)] + [np.fft.rfftfreq(grid.m)]
-    sincs = [grid.along(np.sinc(k), q) for q, k in enumerate(freqs)]
+    sincs = [np.sinc(grid.frequencies(q)) for q in range(grid.dim)]
     return functools.reduce(np.multiply, sincs) ** 2
 
 
@@ -248,8 +244,7 @@ class ForceMesh:
         require_support(self.family, self.n, g.box)
         require_resolved(self.family, self.n, g.box, g.m, "phi")
         gk = periodic_kernel_samples(self.family, self.n, g.box, g.m, "phi", derivative=True)
-        axes = tuple(range(g.dim))
-        spectra = tuple(np.fft.rfftn(gk[..., q], axes=axes) for q in range(g.dim))
+        spectra = tuple(g.rfft(gk[..., q]) for q in range(g.dim))
         win2 = _cic_transfer(g) ** 2
         for a in (win2,) + spectra:
             a.flags.writeable = False
@@ -290,10 +285,9 @@ def interaction_force(
     dens = deposit_cic(ens.positions, grid)
     cell = grid.cell_volume()
     out = np.empty((ens.count, ens.dim))
-    axes = tuple(range(ens.dim))
-    dk = np.fft.rfftn(dens, axes=axes)
+    dk = grid.rfft(dens)
     for q, gq in enumerate(mesh.spectra):
-        conv = np.fft.irfftn(dk * gq / mesh.win2, s=grid.shape, axes=axes) * cell
+        conv = grid.irfft(dk * gq / mesh.win2) * cell
         out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
 
@@ -337,9 +331,7 @@ def _deconvolved_deposit(
     positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
 ) -> np.ndarray:
     dep = deposit_cic(positions, grid, weights=weights)
-    axes = tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(dep, axes=axes) / _cic_transfer(grid)
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    return grid.irfft(grid.rfft(dep) / _cic_transfer(grid))
 
 
 def empirical_density(

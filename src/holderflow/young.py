@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import FieldInterpolant, Grid
 from .noise import SampledPath, holder_seminorm
 
 __all__ = [
@@ -147,11 +148,6 @@ def young_loeve_defect(
     return defect, defect / envelope
 
 
-def _as_integrand(path: SampledPath) -> IntegrandPath:
-    vals = path.values[:, 0] if path.dim == 1 else path.values
-    return IntegrandPath(path.times, vals, beta=path.alpha)
-
-
 def check_integration_by_parts(x: SampledPath, y: SampledPath) -> float:
     """|X_T Y_T - X_0 Y_0 - int X dY - int Y dX| at the working mesh (scalar paths)."""
     if x.alpha + y.alpha <= 1.0:
@@ -182,25 +178,6 @@ def check_chain_rule(
     return float(abs(f(vals[-1]) - f(vals[0]) - integral))
 
 
-def _spectral_derivative(g: np.ndarray, box: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.rfftfreq(g.shape[-1], d=box / g.shape[-1])
-    return np.fft.irfft(1j * k * np.fft.rfft(g, axis=-1), n=g.shape[-1], axis=-1)
-
-
-def _trig_interp(values: np.ndarray, box: float, pts: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of a periodic sample at scalar points."""
-    if values.ndim != 1:
-        raise ValueError("expected 1-d sample array")
-    m = values.shape[-1]
-    coeff = np.fft.rfft(values, axis=-1) / m
-    k = 2.0 * np.pi * np.fft.rfftfreq(m, d=box / m)
-    phases = np.exp(1j * np.outer(np.atleast_1d(pts), k))
-    weights = np.where(np.arange(k.shape[0]) == 0, 1.0, 2.0)
-    if m % 2 == 0:
-        weights[-1] = 1.0
-    return (phases * weights * coeff).real.sum(axis=-1)
-
-
 def check_ito_wentzell(
     g0: Callable[[np.ndarray], np.ndarray],
     h: Callable[[float, np.ndarray], np.ndarray],
@@ -219,25 +196,25 @@ def check_ito_wentzell(
         raise ValueError("scalar driver and state path expected")
     if x.times.shape != y.times.shape or not np.allclose(x.times, y.times):
         raise ValueError("paths must share the time grid")
-    grid = np.arange(space_points) * (box / space_points)
-    g = np.asarray(g0(grid), dtype=float)
-    xs = np.mod(x.values[:, 0], box)
+    grid = Grid(box=box, m=space_points)
+    nodes = grid.nodes()
+    g = np.asarray(g0(nodes), dtype=float)
+    xs = np.mod(x.values, box)
     yv = y.values[:, 0]
     n = y.steps
 
     total_h = 0.0
     total_dg = 0.0
-    g_start = _trig_interp(g, box, xs[0])[0]
+    g_start = FieldInterpolant(g, grid)(xs[:1])[0]
     for i in range(n):
         dy = yv[i + 1] - yv[i]
         dx = x.values[i + 1, 0] - x.values[i, 0]
-        h_i = np.asarray(h(float(y.times[i]), grid), dtype=float)
-        total_h += _trig_interp(h_i, box, xs[i])[0] * dy
+        h_i = np.asarray(h(float(y.times[i]), nodes), dtype=float)
+        total_h += FieldInterpolant(h_i, grid)(xs[i : i + 1])[0] * dy
         # Midpoint evaluation in space for the dX integral (valid choice of
         # partition point; kills the second-order drift of the left sum).
-        dgx = _spectral_derivative(g, box)
-        dg_pair = _trig_interp(dgx, box, np.array([xs[i], xs[i + 1]]))
+        dg_pair = FieldInterpolant(g, grid)(xs[i : i + 2], derivative=0)
         total_dg += 0.5 * (dg_pair[0] + dg_pair[1]) * dx
         g = g + h_i * dy
-    g_end = _trig_interp(g, box, xs[n])[0]
+    g_end = FieldInterpolant(g, grid)(xs[n:])[0]
     return float(abs(g_end - g_start - total_h - total_dg))

@@ -75,8 +75,18 @@ class TestParsing:
              "fine_grid = 64\n[particles]\nforce_grid = 64\n[pde]\nresolution = 512\n",
              "pde_resolution=512"),
             ("[analysis]\nfine_grid = 262144\n", "fine_grid=262144"),
+            ("[analysis]\ncheckpoints = 0\n", "checkpoints=0"),
+            ("[analysis]\ncheckpoints = -2\n", "checkpoints=-2"),
+            ("[noise]\nseeds =\n", "seeds"),
+            ("[pde]\ncfl = 0\n", "cfl=0"),
+            ("[pde]\ncfl = -0.5\n", "cfl=-0.5"),
+            ("[analysis]\nq_hat = 0\n", "q_hat=0"),
+            ("[kernel]\nbase = cauchy\n", "unknown base density"),
+            ("[noise]\ndim = 2\n[kernel]\nbase = bump\n[analysis]\neta = 2.5\n", "d=1 only"),
         ],
-        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde", "d1_fine"],
+        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde", "d1_fine",
+             "checkpoints_zero", "checkpoints_negative", "seeds_empty", "cfl_zero",
+             "cfl_negative", "q_hat_zero", "unknown_base", "bump_d2"],
     )
     def test_unrunnable_settings_refused_at_parse(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -144,6 +154,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
+
+    def test_bump_in_d2_refused_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "bump.cfg"
+        cfg.write_text(
+            "[noise]\ndim = 2\nhorizon = 0.05\nsteps = 8\nseeds = 0\n"
+            "[kernel]\nbase = bump\nbandwidth = 0.2\n[particles]\nn_list = 64\nforce_grid = 32\n"
+            "[pde]\nresolution = 32\n[analysis]\neta = 2.5\nbesov_grid = 32\nfine_grid = 32\n"
+        )
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "d=1 only" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
     def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfl.cfg"

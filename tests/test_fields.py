@@ -10,6 +10,7 @@ from holderflow.fields import (
     FluidState,
     Grid,
     SigmaField,
+    _ik,
     _phases,
     dealias,
     diagnostics,
@@ -63,6 +64,73 @@ class TestGrid:
         assert not np.any(np.signbit(got[got == 0.0]))
         perm = rng.permutation(400)
         assert np.array_equal(g.accumulate(flat[perm], values[perm]), got)
+
+
+def _deriv(f, g, axis):
+    return g.irfft(_ik(g, axis) * g.rfft(f))
+
+
+def _full_spectrum_interp(values, g, pts, derivative=None):
+    """Reference: Re sum_k c_k exp(i k.x) over the full complex spectrum."""
+    c = np.fft.fftn(values) / values.size
+    k = 2.0 * np.pi * np.fft.fftfreq(g.m, d=g.h)
+    if derivative is not None:
+        c = 1j * g.along(k, derivative) * c
+    out = np.exp(1j * np.outer(pts[:, 0], k)) @ c.reshape(g.m, -1)
+    for q in range(1, g.dim):
+        phase = np.exp(1j * np.outer(pts[:, q], k))
+        out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), g.m, -1))
+    return out[:, 0].real
+
+
+class TestSpectralLayout:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_layout_is_rfftn(self, dim):
+        # Transforms over the trailing mesh axes; frequency arrays computed as
+        # fftfreq(m) and 2 pi fftfreq(m, d=h), halved (rfftfreq) on the last axis.
+        g = Grid(box=2.0, m=12, dim=dim)
+        f = np.random.default_rng(dim).standard_normal((3,) + g.shape)
+        fk = g.rfft(f)
+        assert np.array_equal(fk, np.fft.rfftn(f, axes=tuple(range(1, dim + 1))))
+        assert np.max(np.abs(g.irfft(fk) - f)) < 1e-14
+        full, half = np.fft.fftfreq(12), np.fft.rfftfreq(12)
+        for q in range(dim):
+            last = q == dim - 1
+            assert np.array_equal(g.frequencies(q), g.along(half if last else full, q))
+            k = 2.0 * np.pi * (np.fft.rfftfreq if last else np.fft.fftfreq)(12, d=g.h)
+            assert np.array_equal(g.wavenumbers(q), g.along(k, q))
+            assert g.wavenumbers(q).shape[q] == fk.shape[1 + q]
+
+    def test_derivative_exact_on_modes(self):
+        a, b = 2 * np.pi * 3, 2 * np.pi * 5
+        g = Grid(box=1.0, m=32, dim=1)
+        x = g.coordinate(0)
+        assert np.max(np.abs(_deriv(np.sin(a * x), g, 0) - a * np.cos(a * x))) < 1e-12
+        g = Grid(box=1.0, m=32, dim=2)
+        x, y = g.coordinate(0), g.coordinate(1)
+        f = np.sin(a * x) * np.cos(b * y)
+        assert np.max(np.abs(_deriv(f, g, 0) - a * np.cos(a * x) * np.cos(b * y))) < 1e-12
+        assert np.max(np.abs(_deriv(f, g, 1) + b * np.sin(a * x) * np.sin(b * y))) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nyquist_mode_has_zero_derivative_at_nodes(self, dim):
+        g = Grid(box=1.0, m=16, dim=dim)
+        f = sum(np.cos(np.pi * g.coordinate(q) / g.h) for q in range(dim))
+        for q in range(dim):
+            assert np.max(np.abs(_deriv(f, g, q))) < 1e-12
+
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+    def test_interpolant_matches_full_spectrum_formula(self, dim, m):
+        g = Grid(box=1.3, m=m, dim=dim)
+        rng = np.random.default_rng(10 + dim)
+        f = dealias(rng.standard_normal(g.shape), g)
+        pts = rng.random((50, dim)) * g.box
+        itp = FieldInterpolant(f, g)
+        assert np.max(np.abs(itp(pts) - _full_spectrum_interp(f, g, pts))) < 1e-12
+        for q in range(dim):
+            got = itp(pts, derivative=q)
+            want = _full_spectrum_interp(f, g, pts, derivative=q)
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestRhs:

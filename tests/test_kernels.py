@@ -26,6 +26,10 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="beta"):
             KernelFamily(beta=beta)
 
+    def test_bump_refused_outside_d1(self):
+        with pytest.raises(ValueError, match="d=1 only"):
+            KernelFamily(beta=0.6, dim=2, base="bump", bandwidth=0.05)
+
     def test_rejects_unknown_base(self):
         with pytest.raises(ValueError):
             KernelFamily(beta=0.5, base="tophat")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow.fields import FieldInterpolant, Grid
 from holderflow.noise import NoiseSpec, SampledPath, restrict, sample_fbm
 from holderflow.young import (
     IntegrandPath,
@@ -167,6 +168,35 @@ class TestItoWentzell:
             np.sin, lambda t, grid: 0.5 * np.cos(grid + t), y, x
         )
         assert res < 1e-3
+
+
+def _trig_interp(values, box, pts):
+    """Reference: 1-d trigonometric interpolation on the real half spectrum."""
+    m = values.shape[-1]
+    coeff = np.fft.rfft(values) / m
+    k = 2.0 * np.pi * np.fft.rfftfreq(m, d=box / m)
+    phases = np.exp(1j * np.outer(np.atleast_1d(pts), k))
+    weights = np.where(np.arange(k.shape[0]) == 0, 1.0, 2.0)
+    if m % 2 == 0:
+        weights[-1] = 1.0
+    return (phases * weights * coeff).real.sum(axis=-1)
+
+
+def _spectral_derivative(values, box):
+    k = 2.0 * np.pi * np.fft.rfftfreq(values.shape[-1], d=box / values.shape[-1])
+    return np.fft.irfft(1j * k * np.fft.rfft(values), n=values.shape[-1])
+
+
+@pytest.mark.parametrize("m", [64, 65])
+def test_field_interpolant_matches_trig_interp(m):
+    box = 2.0 * np.pi
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal(m)
+    pts = rng.random(40) * box
+    itp = FieldInterpolant(values, Grid(box=box, m=m))
+    assert np.max(np.abs(itp(pts[:, None]) - _trig_interp(values, box, pts))) < 1e-12
+    want = _trig_interp(_spectral_derivative(values, box), box, pts)
+    assert np.max(np.abs(itp(pts[:, None], derivative=0) - want)) < 1e-12
 
 
 class TestYoungLoeve:
