@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, as_points
 
 __all__ = [
     "DyadicPartition",
@@ -148,7 +148,7 @@ def deposit_nearest(
     """Nearest-node deposition of point masses as a density (unit total mass
     for unit total weight); exact mass conservation by construction, and
     bitwise independent of particle labelling."""
-    pts = np.atleast_2d(np.asarray(positions, dtype=float)) % grid.box
+    pts = as_points(positions, grid.dim, "positions")
     n = pts.shape[0]
     if weights is None:
         weights = np.ones(n)

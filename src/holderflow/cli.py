@@ -88,15 +88,15 @@ def _cmd_simulate(args) -> int:
     from .convergence import simulate
     from .noise import sample_fbm
 
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be a positive particle count, got {args.n}")
     config = _load_config(args.config)
     seed = config.seeds[0]
     path = sample_fbm(config.noise_spec(seed))
     n = args.n or config.n_sweep[0]
     _, ens = next(simulate(config, n, path, seed, {config.master_steps}))
     if args.out:
-        data = np.column_stack(
-            [np.arange(n), ens.positions.reshape(n, -1), ens.velocities.reshape(n, -1)]
-        )
+        data = np.column_stack([np.arange(n), ens.positions, ens.velocities])
         np.savetxt(args.out, data, fmt="%.17g", delimiter=",",
                    header="k,X...,V...", comments="# ")
     vbar = np.mean(ens.velocities, axis=0)

@@ -254,7 +254,11 @@ def _fluid_trajectory(
     snaps = {0: state}
     for i in range(config.master_steps):
         dy = path.values[i + 1] - path.values[i]
-        state = step_field(state, dt, dy, sigma, cfl=config.cfl)
+        try:
+            state = step_field(state, dt, dy, sigma, cfl=config.cfl)
+        except FloatingPointError as exc:
+            msg = f"fluid at master step {i + 1} of {config.master_steps}: {exc}"
+            raise FloatingPointError(msg) from exc
         if i + 1 in checkpoint_idx:
             snaps[i + 1] = state
     return snaps
@@ -297,7 +301,8 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     A particle run that fails numerically (``FloatingPointError``) or is out
     of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``
     and the sweep goes on; a fluid failure (vacuum, CFL, non-finite state)
-    invalidates the seed and propagates, as does any other error.
+    invalidates the seed and propagates with the seed and master step in its
+    message; any other error propagates too.
     """
     family = config.kernel()
     stride = max(1, config.master_steps // config.checkpoints)
@@ -314,7 +319,10 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 
     for seed in config.seeds:
         path = sample_fbm(config.noise_spec(seed))
-        snaps = _fluid_trajectory(config, path, checkpoint_idx)
+        try:
+            snaps = _fluid_trajectory(config, path, checkpoint_idx)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"seed {seed}, {exc}") from exc
         # Cache fluid fields on the comparison grids per checkpoint.
         cache = {}
         for idx, st in snaps.items():

@@ -11,11 +11,11 @@ each deterministic stage.  Pre-shock smooth regime only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "as_points",
     "Grid",
     "FluidState",
     "SigmaField",
@@ -23,13 +23,30 @@ __all__ = [
     "pressure_forms_gap",
     "step_field",
     "noise_kick",
-    "interpolate_state",
     "diagnostics",
     "dealias",
     "upsample",
 ]
 
 VACUUM_FLOOR_DEFAULT = 1e-3
+
+
+def as_points(
+    x, dim: int | None = None, name: str = "points", batch: bool = False
+) -> np.ndarray:
+    """``x`` as a float array of points in R^dim, the one check of the point layout.
+
+    A point set is an (n, dim) array; with ``batch``, a kernel's displacement
+    argument is any (..., dim) array.  ``dim=None`` takes dim from ``x``.  Any
+    other layout is refused with a ``ValueError`` naming the expected shape,
+    so an (n,) array in d=1 is never read as one point in n dimensions.
+    """
+    a = np.asarray(x, dtype=float)
+    d = a.shape[-1] if dim is None and a.ndim else dim
+    if (a.ndim >= 1 if batch else a.ndim == 2) and a.shape[-1] == d:
+        return a
+    layout = f"({'...' if batch else 'n'}, {'d' if dim is None else dim})"
+    raise ValueError(f"{name} must be an array of shape {layout}, got shape {a.shape}")
 
 
 @dataclass(frozen=True)
@@ -137,31 +154,22 @@ class FluidState:
 
 @dataclass(frozen=True)
 class SigmaField:
-    """Noise coefficient sigma(t, x): component q multiplies dY^q.
-
-    ``fn(t, x_nodes)`` returns an array shaped like one velocity component
-    set (dim, M, ...); the default is the constant field of ``amplitude``.
-    """
+    """Noise coefficient sigma(t, x): component q multiplies dY^q, with
+    sigma_q(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)) for every q."""
 
     amplitude: float = 1.0
     modulation: float = 0.0
-    fn: Callable | None = None
 
     def __call__(self, t: float, grid: Grid) -> np.ndarray:
-        if self.fn is not None:
-            return np.asarray(self.fn(t, grid.nodes()), dtype=float)
-        r = grid.coordinate(0)
-        base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * r / grid.box))
-        return np.stack([base] * grid.dim, axis=0)
+        """``at`` on the grid nodes, laid out like a velocity: (d,) + grid.shape."""
+        sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
+        return sig.T.reshape((grid.dim,) + grid.shape)
 
-    def at(self, t: float, points: np.ndarray, box: float, dim: int) -> np.ndarray:
-        """Pointwise evaluation at particle positions, shape (n, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.fn is not None:
-            # Pointwise closures must accept raw coordinates.
-            return np.asarray(self.fn(t, pts), dtype=float)
+    def at(self, t: float, points: np.ndarray, box: float) -> np.ndarray:
+        """Pointwise evaluation at an (n, d) point set, shape (n, d)."""
+        pts = as_points(points)
         base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * pts[:, 0] / box))
-        return np.repeat(base[:, None], dim, axis=1)
+        return np.repeat(base[:, None], pts.shape[1], axis=1)
 
 
 def _ik(grid: Grid, axis: int) -> np.ndarray:
@@ -289,7 +297,7 @@ class FieldInterpolant:
 
     def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
         g = self.grid
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = as_points(pts, g.dim)
         c = self.coeff
         if derivative is not None:
             c = _ik(g, derivative) * c
@@ -313,27 +321,6 @@ def _phases(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     z = np.zeros((x.size, k.size), dtype=complex)
     np.multiply(x[:, None], k, out=z.imag)
     return np.exp(z, out=z)
-
-
-def interpolate_state(state: FluidState, points: np.ndarray):
-    """(rho, v, grad_rho, grad_v) at arbitrary points by spectral interpolation.
-
-    grad_v[p, q, r] = d_r v_q at point p.
-    """
-    g = state.grid
-    pts = np.atleast_2d(np.asarray(points, dtype=float)) % g.box
-    n = pts.shape[0]
-    rho_i = FieldInterpolant(state.rho, g)
-    rho = rho_i(pts)
-    grad_rho = np.stack([rho_i(pts, derivative=r) for r in range(g.dim)], axis=-1)
-    v = np.empty((n, g.dim))
-    grad_v = np.empty((n, g.dim, g.dim))
-    for q in range(g.dim):
-        vi = FieldInterpolant(state.v[q], g)
-        v[:, q] = vi(pts)
-        for r in range(g.dim):
-            grad_v[:, q, r] = vi(pts, derivative=r)
-    return rho, v, grad_rho, grad_v
 
 
 def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, as_points
 
 __all__ = [
     "KernelFamily",
@@ -47,7 +47,8 @@ class KernelFamily:
     """Base density, moderate-interaction exponent beta and dimension.
 
     ``bandwidth`` is the length scale of the base density (std deviation of
-    the Gaussian base, support radius of the bump base).
+    the Gaussian base, support radius of the bump base).  The evaluators take
+    displacements as a (..., dim) array and drop its last axis.
     """
 
     beta: float
@@ -70,7 +71,7 @@ class KernelFamily:
     # --- base density phi_1^r and its gradient ---
 
     def base_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_points(x, self.dim, "displacements", batch=True)
         r2 = np.sum(x * x, axis=-1)
         h = self.bandwidth
         if self.base == "gaussian":
@@ -81,7 +82,7 @@ class KernelFamily:
         return c * _bump_profile(r)
 
     def base_density_grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
         if self.base == "gaussian":
             return -x / (h * h) * self.base_density(x)[..., None]
@@ -103,7 +104,7 @@ class KernelFamily:
     # --- self-convolution phi_1 = phi_1^r * phi_1^r ---
 
     def potential_base(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
         if self.base == "gaussian":
             norm = (4.0 * np.pi * h * h) ** (-self.dim / 2.0)
@@ -112,7 +113,7 @@ class KernelFamily:
         return _bump_conv_eval(self, x, grad=False)
 
     def potential_base_grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
         if self.base == "gaussian":
             return -x / (2.0 * h * h) * self.potential_base(x)[..., None]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import FieldInterpolant, Grid, SigmaField, upsample
+from .fields import FieldInterpolant, Grid, SigmaField, as_points, upsample
 from .kernels import (
     KernelFamily,
     grad_phi_N,
@@ -45,7 +45,8 @@ def sorted_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """N positions in [0, L)^d and velocities in R^d at one time."""
+    """N positions in [0, L)^d, wrapped here and only here, and velocities in
+    R^d at one time; both (N, d)."""
 
     box: float
     positions: np.ndarray
@@ -53,8 +54,8 @@ class ParticleEnsemble:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        vel = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+        pos = as_points(self.positions, name="positions")
+        vel = as_points(self.velocities, pos.shape[1], name="velocities")
         if pos.shape != vel.shape:
             raise ValueError("positions and velocities shape mismatch")
         if pos.shape[0] < 1:
@@ -63,6 +64,8 @@ class ParticleEnsemble:
             raise FloatingPointError("non-finite particle state")
         if np.any(pos < 0) or np.any(pos >= self.box):
             pos = np.mod(pos, self.box)
+            # A tiny negative coordinate rounds up to the box itself.
+            pos[pos == self.box] = 0.0
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
 
@@ -146,13 +149,13 @@ def init_from_fields(
             cdf_y = np.concatenate([[0.0], np.cumsum(rho0[c]) * grid.h])
             cdf_y /= cdf_y[-1]
             pos[sel, 1] = np.interp(u[sel, 1], cdf_y, edges)
-    pos = np.mod(pos, grid.box)
+    ens = ParticleEnsemble(box=grid.box, positions=pos, velocities=np.zeros_like(pos))
 
     v0 = np.asarray(v0, dtype=float)
     vel = np.empty((n, d))
     for q in range(d):
-        vel[:, q] = FieldInterpolant(v0[q], grid)(pos)
-    return ParticleEnsemble(box=grid.box, positions=pos, velocities=vel)
+        vel[:, q] = FieldInterpolant(v0[q], grid)(ens.positions)
+    return replace(ens, velocities=vel)
 
 
 def _min_image(diff: np.ndarray, box: float) -> np.ndarray:
@@ -167,15 +170,14 @@ def _force_direct(ens: ParticleEnsemble, family: KernelFamily, n_scale: int) -> 
     for start in range(0, n, block):
         stop = min(start + block, n)
         diff = _min_image(pos[start:stop, None, :] - pos[None, :, :], ens.box)
-        g = grad_phi_N(family, n_scale, diff.reshape(-1, d)).reshape(stop - start, n, d)
-        out[start:stop] = -np.mean(g, axis=1)
+        out[start:stop] = -np.mean(grad_phi_N(family, n_scale, diff), axis=1)
     return out
 
 
 def _cic_corners(positions: np.ndarray, grid: Grid):
     """Flat node index and linear weight of each particle at each of the
     2^d cloud-in-cell corners, in a fixed corner order."""
-    f = (np.atleast_2d(np.asarray(positions, dtype=float)) % grid.box) / grid.h
+    f = as_points(positions, grid.dim, "positions") / grid.h
     i0 = np.floor(f).astype(int)
     frac = f - i0
     for corner in itertools.product((0, 1), repeat=grid.dim):
@@ -194,9 +196,9 @@ def deposit_cic(
     Accumulation runs in a canonical sorted order so the result is bitwise
     independent of particle labelling.
     """
-    n = np.atleast_2d(positions).shape[0]
+    corners = list(_cic_corners(positions, grid))  # refuses a layout other than (n, d)
+    n = len(positions)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    corners = list(_cic_corners(positions, grid))
     idx = np.concatenate([node for node, _ in corners])
     val = np.concatenate([w * wgt for _, wgt in corners])
     return grid.accumulate(idx, val) / (n * grid.cell_volume())
@@ -314,17 +316,13 @@ def step(
     if accel is None:
         accel = interaction_force(ens, family, backend, grid_m, mesh=mesh)
     v_half = ens.velocities + 0.5 * dt * accel
-    pos_new = np.mod(ens.positions + dt * v_half, ens.box)
-    moved = replace(ens, positions=pos_new)
+    moved = replace(ens, positions=ens.positions + dt * v_half)
     accel_new = interaction_force(moved, family, backend, grid_m, mesh=mesh)
     v_new = v_half + 0.5 * dt * accel_new
     if dy is not None and sigma is not None:
-        kick = sigma.at(ens.time, pos_new, ens.box, ens.dim)
+        kick = sigma.at(ens.time, moved.positions, ens.box)
         v_new = v_new + kick * np.atleast_1d(np.asarray(dy, dtype=float))[None, :]
-    out = ParticleEnsemble(
-        box=ens.box, positions=pos_new, velocities=v_new, time=ens.time + dt
-    )
-    return out, accel_new
+    return replace(moved, velocities=v_new, time=ens.time + dt), accel_new
 
 
 def _deconvolved_deposit(

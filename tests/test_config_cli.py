@@ -183,6 +183,23 @@ class TestCli:
         assert exc.value.code == EXIT_USAGE
         assert "cfl must be finite" in capsys.readouterr().err
 
+    def test_fluid_failure_names_seed_and_step(self, tmp_path, capsys):
+        cfg = tmp_path / "vacuum.cfg"
+        cfg.write_text(TINY_RUN.replace("resolution = 128", "resolution = 128\nvacuum_floor = 2.0"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: seed 0, fluid at master step 1 of 64: density" in err
+        assert main(["pde", "--config", str(cfg)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: fluid at master step 1 of 64: density" in err
+
+    def test_simulate_refuses_non_positive_n(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        assert main(["simulate", "--config", str(cfg), "--n", "0"]) == EXIT_USAGE
+        assert "--n must be a positive particle count" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_particle_state_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "overflow.cfg"

@@ -14,7 +14,6 @@ from holderflow.fields import (
     _phases,
     dealias,
     diagnostics,
-    interpolate_state,
     max_signal_speed,
     noise_kick,
     pressure_forms_gap,
@@ -223,16 +222,15 @@ class TestStepping:
 class TestSigmaField:
     def test_grid_and_pointwise_agree(self):
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
-        g = Grid(box=1.0, m=64, dim=1)
-        on_grid = sigma(0.0, g)[0]
-        pts = g.nodes()[:, None]
-        at_pts = sigma.at(0.0, pts, g.box, 1)[:, 0]
-        assert np.max(np.abs(on_grid - at_pts)) < 1e-15
-
-    def test_custom_callable(self):
-        sigma = SigmaField(fn=lambda t, x: np.zeros((1,) + np.shape(x)[:1]))
-        g = Grid(box=1.0, m=16, dim=1)
-        assert np.all(sigma(0.0, g) == 0.0)
+        for dim in (1, 2):
+            g = Grid(box=1.0, m=64, dim=dim)
+            on_grid = sigma(0.0, g)
+            assert on_grid.shape == (dim,) + g.shape
+            # Closed form at the nodes, written out independently of ``at``.
+            base = 0.2 * (1.0 + 0.5 * np.cos(2.0 * np.pi * g.coordinate(0) / g.box))
+            assert np.array_equal(on_grid, np.stack([base] * dim))
+            at_pts = sigma.at(0.0, g.nodes().reshape(-1, dim), g.box)
+            assert np.array_equal(on_grid, at_pts.T.reshape(on_grid.shape))
 
 
 class TestInterpolation:
@@ -257,15 +255,6 @@ class TestInterpolation:
         x = np.array([-0.75, -0.0, 0.0, 0.3, 0.999])
         k = 2.0 * np.pi * np.fft.fftfreq(16, d=1.0 / 16)
         assert np.array_equal(_phases(x, k), np.exp(1j * np.outer(x, k)))
-
-    def test_interpolate_state_gradients(self):
-        st_ = _smooth_state(m=128)
-        pts = np.array([[0.3], [0.61]])
-        rho, v, grad_rho, grad_v = interpolate_state(st_, pts)
-        k = 2 * np.pi
-        assert np.allclose(rho, 1 + 0.2 * np.sin(k * pts[:, 0]), atol=1e-11)
-        assert np.allclose(grad_rho[:, 0], 0.2 * k * np.cos(k * pts[:, 0]), atol=1e-9)
-        assert np.allclose(grad_v[:, 0, 0], -0.1 * k * np.sin(k * pts[:, 0]), atol=1e-9)
 
 
 class TestSpectralUtilities:

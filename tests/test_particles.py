@@ -43,6 +43,11 @@ class TestEnsemble:
         ens = ParticleEnsemble(box=1.0, positions=[[1.25]], velocities=[[0.0]])
         assert ens.positions[0, 0] == pytest.approx(0.25)
 
+    def test_tiny_negative_coordinate_stays_below_the_box(self):
+        # np.mod(-1e-18, 1.0) rounds up to 1.0, which is outside [0, L).
+        ens = ParticleEnsemble(box=1.0, positions=[[-1e-18], [0.5]], velocities=[[0.0], [0.0]])
+        assert np.all(ens.positions >= 0.0) and np.all(ens.positions < 1.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ParticleEnsemble(box=1.0, positions=np.zeros((3, 1)), velocities=np.zeros((2, 1)))
@@ -255,7 +260,7 @@ class TestStep:
         ens = ParticleEnsemble(box=1.0, positions=pos, velocities=np.zeros((n, 1)))
         dy = np.array([0.3])
         new, _ = step(ens, 1e-3, fam, dy=dy, sigma=sigma)
-        want = sigma.at(0.0, new.positions, 1.0, 1)[:, 0] * dy[0]
+        want = sigma.at(0.0, new.positions, 1.0)[:, 0] * dy[0]
         assert np.max(np.abs(new.velocities[:, 0] - want)) < 1e-9
 
     def test_non_finite_step_is_numerical_failure(self):
