@@ -450,18 +450,7 @@ def fit_rate(results: list, config: ExperimentConfig) -> RateReport:
 
 def emit_report(report: RateReport, json_path) -> None:
     """JSON summary with the run manifest; byte-deterministic given inputs."""
-    payload = {
-        "slope_q": report.slope_q,
-        "slope_q_stderr": report.slope_q_stderr,
-        "slope_besov_s_sq": report.slope_besov_s_sq,
-        "slope_besov_v_sq": report.slope_besov_v_sq,
-        "sup_q": report.sup_q,
-        "q0": report.q0,
-        "floor_flags": report.floor_flags,
-        "floor_limited": report.floor_limited,
-        "manifest": report.manifest,
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2)
     if hasattr(json_path, "write"):
         json_path.write(text)
     else:

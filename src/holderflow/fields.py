@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "as_points",
+    "as_increment",
     "Grid",
     "FluidState",
     "SigmaField",
@@ -47,6 +48,15 @@ def as_points(
         return a
     layout = f"({'...' if batch else 'n'}, {'d' if dim is None else dim})"
     raise ValueError(f"{name} must be an array of shape {layout}, got shape {a.shape}")
+
+
+def as_increment(dy, dim: int) -> np.ndarray:
+    """``dy`` as a (dim,) float array of driver increments, the one check of
+    the increment layout: a scalar or any other shape is a ``ValueError``."""
+    a = np.asarray(dy, dtype=float)
+    if a.shape != (dim,):
+        raise ValueError(f"dy must be an array of shape ({dim},), got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -274,7 +284,7 @@ def noise_kick(
     """v_q += sigma_q(t, x) dY^q; density untouched (additive Young-Euler kick)."""
     t = state.time if at_time is None else at_time
     sig = sigma(t, state.grid)
-    dy = np.atleast_1d(np.asarray(dy, dtype=float))
+    dy = as_increment(dy, state.grid.dim)
     v_new = state.v.copy()
     for q in range(state.grid.dim):
         v_new[q] = v_new[q] + sig[q] * dy[q]

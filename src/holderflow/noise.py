@@ -62,7 +62,8 @@ class NoiseSpec:
 class SampledPath:
     """A d-vector path on a uniform time grid with a nominal Hölder exponent.
 
-    ``values`` has shape (M+1, d) and starts at the origin.
+    ``values`` has shape (M+1, d) with M >= 1 and starts at the origin; any
+    other shape is refused where the path is built.
     """
 
     times: np.ndarray
@@ -71,9 +72,12 @@ class SampledPath:
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("times and values length mismatch")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] < 2 or times.shape != values.shape[:1]:
+            raise ValueError(
+                "path values must be an array of shape (M+1, d) with M >= 1 on "
+                f"M+1 times, got values {values.shape} on times {times.shape}"
+            )
         if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         if not np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10):
@@ -217,6 +221,11 @@ def estimate_holder_exponent(path: SampledPath, max_lag_fraction: int = 64) -> f
         sups.append(sup)
         lags.append(lag * path.dt)
         lag *= 2
+    if len(lags) < 2:
+        raise ValueError(
+            f"need at least 2 dyadic lags, i.e. M >= 2 * max_lag_fraction = "
+            f"{2 * max_lag_fraction} steps, got M = {m}"
+        )
     slope, _ = np.polyfit(np.log(lags), np.log(sups), 1)
     return float(slope)
 
@@ -274,6 +283,5 @@ def load_path(file) -> SampledPath:
     if not lines or not lines[0].startswith("# holderflow-path"):
         raise ValueError("not a holderflow path file")
     meta = dict(item.split("=") for item in lines[0].split(",")[1:])
-    data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",")
-    data = np.atleast_2d(data)
+    data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",", ndmin=2)
     return SampledPath(times=data[:, 0], values=data[:, 1:], alpha=float(meta["alpha"]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import FieldInterpolant, Grid, SigmaField, as_points, upsample
+from .fields import FieldInterpolant, Grid, SigmaField, as_increment, as_points, upsample
 from .kernels import (
     KernelFamily,
     grad_phi_N,
@@ -33,7 +33,6 @@ __all__ = [
     "interaction_force",
     "step",
     "empirical_density",
-    "empirical_momentum",
     "sorted_sum",
 ]
 
@@ -321,15 +320,8 @@ def step(
     v_new = v_half + 0.5 * dt * accel_new
     if dy is not None and sigma is not None:
         kick = sigma.at(ens.time, moved.positions, ens.box)
-        v_new = v_new + kick * np.atleast_1d(np.asarray(dy, dtype=float))[None, :]
+        v_new = v_new + kick * as_increment(dy, ens.dim)
     return replace(moved, velocities=v_new, time=ens.time + dt), accel_new
-
-
-def _deconvolved_deposit(
-    positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
-) -> np.ndarray:
-    dep = deposit_cic(positions, grid, weights=weights)
-    return grid.irfft(grid.rfft(dep) / _cic_transfer(grid))
 
 
 def empirical_density(
@@ -337,17 +329,6 @@ def empirical_density(
 ) -> np.ndarray:
     """S^N * phi_N^r on the grid: CIC deposit then FFT mollification."""
     require_resolved(family, ens.count, grid.box, grid.m, "phi_r")
-    dens = _deconvolved_deposit(ens.positions, grid)
+    dep = deposit_cic(ens.positions, grid)
+    dens = grid.irfft(grid.rfft(dep) / _cic_transfer(grid))
     return mollify(dens, grid.box, family, ens.count, which="phi_r")
-
-
-def empirical_momentum(
-    ens: ParticleEnsemble, family: KernelFamily, grid: Grid
-) -> np.ndarray:
-    """V^N * phi_N^r: velocity-weighted deposit, mollified per component."""
-    require_resolved(family, ens.count, grid.box, grid.m, "phi_r")
-    out = np.empty((ens.dim,) + grid.shape)
-    for q in range(ens.dim):
-        dep = _deconvolved_deposit(ens.positions, grid, weights=ens.velocities[:, q])
-        out[q] = mollify(dep, grid.box, family, ens.count, which="phi_r")
-    return out

@@ -1,10 +1,11 @@
 """Young integration on sampled paths and calculus-identity residual oracles.
 
-Integrals are left-point Riemann sums on the stored grid; convergence claims
-are always dyadic-refinement comparisons, never assertions about the true
-limit.  The residual functions (integration by parts, chain rule,
-Itô-Wentzell) return exact zeros on their degenerate cases and are used as
-oracles throughout the test suite.
+Integrals are Riemann-Young sums on the stored grid, written once in
+``young_integral``; convergence claims are always dyadic-refinement
+comparisons, never assertions about the true limit.  The residual functions
+(integration by parts, chain rule, Itô-Wentzell) sum through
+``young_integral``, return exact zeros on their degenerate cases and are used
+as oracles throughout the test suite.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ __all__ = [
 class IntegrandPath:
     """Samples of an integrand X_t on a uniform grid with nominal exponent beta.
 
-    ``values[i]`` may be a scalar, a vector matching the driver's dimension
-    (contracted by dot product) or a matrix acting on increments by
-    matrix-vector product.
+    ``values`` has shape (M+1, ..., d): the last axis of each sample is
+    contracted with the driver's (d,) increment, so a scalar integrand
+    against a scalar driver is (M+1, 1) and a matrix integrand is (M+1, k, d).
+    Fewer than two axes is refused where the path is built.
     """
 
     times: np.ndarray
@@ -43,8 +45,11 @@ class IntegrandPath:
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("times and values length mismatch")
+        if values.ndim < 2 or times.shape != values.shape[:1]:
+            raise ValueError(
+                "integrand values must be an array of shape (M+1, ..., d) on M+1 "
+                f"times, got values {values.shape} on times {times.shape}"
+            )
         if not np.all(np.isfinite(values)):
             raise ValueError("integrand values must be finite")
         object.__setattr__(self, "times", times)
@@ -55,18 +60,6 @@ class IntegrandPath:
         flat = self.values.reshape(self.values.shape[0], -1)
         path = SampledPath(self.times, flat - flat[0], alpha=self.beta)
         return holder_seminorm(path, self.beta)
-
-
-def _apply(x, dy: np.ndarray):
-    """Action of one integrand sample on one driver increment."""
-    x = np.asarray(x)
-    if x.ndim == 0:
-        return x * dy
-    if x.ndim == 1:
-        if x.shape != dy.shape:
-            raise ValueError(f"integrand shape {x.shape} vs increment {dy.shape}")
-        return float(x @ dy)
-    return x @ dy
 
 
 def _grid_index(times: np.ndarray, t: float, what: str) -> int:
@@ -87,8 +80,10 @@ def young_integral(
 
     Requires the nominal exponent condition alpha + beta > 1; outside that
     regime the integral has no meaning here and the call is refused.
-    ``rule`` selects left-point or mid-point evaluation of X (both converge
-    to the same limit under refinement; tested, not assumed).
+    ``rule`` selects left-point (X_i) or mid-point ((X_i + X_{i+1}) / 2)
+    evaluation of X; both converge to the same limit under refinement
+    (tested, not assumed).  A scalar-valued integral is returned as a float,
+    any other as an array of shape ``x.values.shape[1:-1]``.
     """
     if x.beta + y.alpha <= 1.0:
         raise ValueError(
@@ -96,27 +91,28 @@ def young_integral(
         )
     if x.times.shape != y.times.shape or not np.allclose(x.times, y.times):
         raise ValueError("integrand and driver must share the time grid")
+    if x.values.shape[-1] != y.dim:
+        raise ValueError(
+            f"integrand last axis {x.values.shape[-1]} does not match the "
+            f"driver dimension {y.dim}"
+        )
+    if rule not in ("left", "mid"):
+        raise ValueError(f"unknown rule {rule!r}")
     if t is None:
         t = y.horizon
     i0 = _grid_index(y.times, s, "s")
     i1 = _grid_index(y.times, t, "t")
     if i1 < i0:
         raise ValueError("need s <= t")
-    total = None
-    for i in range(i0, i1):
-        dy = y.values[i + 1] - y.values[i]
-        if rule == "left":
-            xi = x.values[i]
-        elif rule == "mid":
-            xi = 0.5 * (np.asarray(x.values[i]) + np.asarray(x.values[i + 1]))
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
-        term = _apply(xi, dy)
-        total = term if total is None else total + term
-    if total is None:
-        z = _apply(x.values[i0], np.zeros(y.dim))
-        return z
-    return total
+    xs = x.values[i0:i1]
+    if rule == "mid":
+        xs = 0.5 * (xs + x.values[i0 + 1 : i1 + 1])
+    dy = np.diff(y.values[i0 : i1 + 1], axis=0)
+    # Align each (d,) increment with its sample's last axis; np.sum then
+    # reduces over the steps pairwise, which keeps the rounding error small.
+    dy = dy.reshape(dy.shape[:1] + (1,) * (xs.ndim - 2) + dy.shape[1:])
+    total = np.sum(xs * dy, axis=(0, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def young_loeve_defect(
@@ -137,7 +133,7 @@ def young_loeve_defect(
     i0 = _grid_index(y.times, s, "s")
     i1 = _grid_index(y.times, t, "t")
     y_st = y.values[i1] - y.values[i0]
-    defect = float(np.linalg.norm(np.atleast_1d(integral - _apply(x.values[i0], y_st))))
+    defect = float(np.linalg.norm(integral - x.values[i0] @ y_st))
     if norm_y is None:
         norm_y = holder_seminorm(y, y.alpha)
     if norm_x is None:
@@ -150,12 +146,11 @@ def young_loeve_defect(
 
 def check_integration_by_parts(x: SampledPath, y: SampledPath) -> float:
     """|X_T Y_T - X_0 Y_0 - int X dY - int Y dX| at the working mesh (scalar paths)."""
-    if x.alpha + y.alpha <= 1.0:
-        raise ValueError("Young condition alpha_X + alpha_Y > 1 violated")
+    if x.dim != 1 or y.dim != 1:
+        raise ValueError("scalar paths expected")
+    int_x_dy = young_integral(IntegrandPath(x.times, x.values, beta=x.alpha), y)
+    int_y_dx = young_integral(IntegrandPath(y.times, y.values, beta=y.alpha), x)
     xv, yv = x.values[:, 0], y.values[:, 0]
-    dx, dy = np.diff(xv), np.diff(yv)
-    int_x_dy = np.sum(xv[:-1] * dy)
-    int_y_dx = np.sum(yv[:-1] * dx)
     return float(abs(xv[-1] * yv[-1] - xv[0] * yv[0] - int_x_dy - int_y_dx))
 
 
@@ -165,17 +160,18 @@ def check_chain_rule(
     x: SampledPath,
     gamma: float = 1.0,
 ) -> float:
-    """|f(X_T) - f(X_0) - int Df(X) dX| for caller-declared Df Hölder index gamma."""
-    if x.alpha * (1.0 + gamma) <= 1.0:
-        raise ValueError("chain-rule condition alpha(1+gamma) > 1 violated")
-    vals = x.values
+    """|f(X_T) - f(X_0) - int Df(X) dX| for caller-declared Df Hölder index gamma.
+
+    ``df`` maps a (d,) sample to its (d,) gradient.  Df(X) has exponent
+    alpha * gamma, so the Young condition is alpha (1 + gamma) > 1.
+    """
+    grads = np.array([df(v) for v in x.values], dtype=float)
     # Midpoint evaluation: the Young integral admits any evaluation point in
     # each partition interval, and the symmetric choice converges faster.
-    grads = np.array([np.atleast_1d(df(v)) for v in vals], dtype=float)
-    mid = 0.5 * (grads[:-1] + grads[1:])
-    incs = np.diff(vals, axis=0)
-    integral = float(np.sum(mid * incs))
-    return float(abs(f(vals[-1]) - f(vals[0]) - integral))
+    integral = young_integral(
+        IntegrandPath(x.times, grads, beta=x.alpha * gamma), x, rule="mid"
+    )
+    return float(abs(f(x.values[-1]) - f(x.values[0]) - integral))
 
 
 def check_ito_wentzell(
@@ -203,18 +199,22 @@ def check_ito_wentzell(
     yv = y.values[:, 0]
     n = y.steps
 
-    total_h = 0.0
-    total_dg = 0.0
+    # Samples of h_s(X_s) and D_x g_s(X_s), one row per grid time.
+    h_x = np.empty((n + 1, 1))
+    dg_x = np.empty((n + 1, 1))
     g_start = FieldInterpolant(g, grid)(xs[:1])[0]
-    for i in range(n):
-        dy = yv[i + 1] - yv[i]
-        dx = x.values[i + 1, 0] - x.values[i, 0]
+    for i in range(n + 1):
         h_i = np.asarray(h(float(y.times[i]), nodes), dtype=float)
-        total_h += FieldInterpolant(h_i, grid)(xs[i : i + 1])[0] * dy
+        h_x[i] = FieldInterpolant(h_i, grid)(xs[i : i + 1])
         # Midpoint evaluation in space for the dX integral (valid choice of
         # partition point; kills the second-order drift of the left sum).
-        dg_pair = FieldInterpolant(g, grid)(xs[i : i + 2], derivative=0)
-        total_dg += 0.5 * (dg_pair[0] + dg_pair[1]) * dx
-        g = g + h_i * dy
-    g_end = FieldInterpolant(g, grid)(xs[n:])[0]
+        g_itp = FieldInterpolant(g, grid)
+        dg_x[i] = np.mean(g_itp(xs[i : i + 2], derivative=0))
+        if i < n:
+            g = g + h_i * (yv[i + 1] - yv[i])
+    g_end = g_itp(xs[n:])[0]
+    # Both integrands inherit the rougher of the two paths' exponents.
+    beta = min(x.alpha, y.alpha)
+    total_h = young_integral(IntegrandPath(y.times, h_x, beta), y)
+    total_dg = young_integral(IntegrandPath(x.times, dg_x, beta), x)
     return float(abs(g_end - g_start - total_h - total_dg))

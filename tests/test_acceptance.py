@@ -156,7 +156,7 @@ def test_criterion_02_fbm_correctness():
 def test_criterion_03_young_loeve_scaling():
     x_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=20))
     y_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=21))
-    x = IntegrandPath(x_path.times, x_path.values[:, 0], beta=x_path.alpha)
+    x = IntegrandPath(x_path.times, x_path.values, beta=x_path.alpha)
     nx = x.seminorm
     ny = holder_seminorm(y_path, y_path.alpha)
     m = y_path.steps

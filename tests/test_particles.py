@@ -13,7 +13,6 @@ from holderflow.particles import (
     _dense_cdf_1d,
     deposit_cic,
     empirical_density,
-    empirical_momentum,
     init_from_fields,
     interaction_force,
     sorted_sum,
@@ -322,12 +321,3 @@ class TestDeposition:
             dens = empirical_density(ens, fam, fine)
             errs.append(np.sqrt(np.mean((dens - rho_fine) ** 2)))
         assert errs[1] < errs[0]
-
-    def test_empirical_momentum_shape_and_mean(self):
-        rho, v, g = _sine_fields()
-        fam = _family()
-        ens = init_from_fields(rho, v, 256, g)
-        mom = empirical_momentum(ens, fam, Grid(box=1.0, m=4096, dim=1))
-        assert mom.shape == (1, 4096)
-        want = np.mean(ens.velocities[:, 0])
-        assert np.mean(mom[0]) == pytest.approx(want, rel=1e-10)

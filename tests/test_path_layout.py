@@ -1,0 +1,105 @@
+"""Path layout: a sampled path is an (M+1, d) array with M >= 1, an integrand
+an (M+1, ..., d) array and a driver increment a (d,) array; every entry point
+refuses anything else, and no module reshapes a path to guess its layout."""
+
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import holderflow
+from holderflow.fields import FluidState, Grid, SigmaField, noise_kick
+from holderflow.kernels import KernelFamily
+from holderflow.noise import (
+    NoiseSpec,
+    SampledPath,
+    estimate_holder_exponent,
+    load_path,
+    sample_fbm,
+)
+from holderflow.particles import ParticleEnsemble, step
+from holderflow.young import IntegrandPath, young_integral
+
+
+def test_no_layout_guessing_in_package():
+    src = Path(holderflow.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if "np.atleast_" in line:
+                stray.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not stray, "layout guessed with np.atleast_*:\n" + "\n".join(stray)
+
+
+def _times(n):
+    return np.linspace(0.0, 1.0, n)
+
+
+def _one_row_file():
+    text = "# holderflow-path,alpha=0.74,T=1.0,M=0,d=1\nt,y0\n0,0\n"
+    return load_path(io.StringIO(text))
+
+
+def _step(d, dy):
+    rng = np.random.default_rng(0)
+    ens = ParticleEnsemble(box=1.0, positions=rng.random((256, d)),
+                           velocities=np.zeros((256, d)))
+    fam = KernelFamily(beta=0.6, dim=d, bandwidth=0.05 if d == 1 else 0.12)
+    return step(ens, 1e-3, fam, dy=dy, sigma=SigmaField(0.2, 0.5))
+
+
+def _noise_kick(d, dy):
+    g = Grid(box=1.0, m=8, dim=d)
+    state = FluidState(grid=g, rho=np.ones(g.shape), v=np.zeros((d,) + g.shape))
+    return noise_kick(state, dy, SigmaField(0.2, 0.5))
+
+
+# Case -> (call, text the ValueError must contain).
+REFUSALS = {
+    "SampledPath-1d-values": (lambda: SampledPath(_times(5), np.zeros(5), 0.7), "(M+1, d)"),
+    "SampledPath-single-time": (lambda: SampledPath(_times(1), np.zeros((1, 1)), 0.7),
+                                "M >= 1"),
+    "load_path-one-row": (_one_row_file, "M >= 1"),
+    "estimate_holder_exponent-short": (
+        lambda: estimate_holder_exponent(sample_fbm(NoiseSpec(hurst=0.75, resolution=32))),
+        "M >= 2 * max_lag_fraction = 128",
+    ),
+    "IntegrandPath-1d-values": (lambda: IntegrandPath(_times(5), np.zeros(5), 1.0),
+                                "(M+1, ..., d)"),
+    "young_integral-last-axis": (
+        lambda: young_integral(
+            IntegrandPath(_times(5), np.zeros((5, 2)), 1.0),
+            SampledPath(_times(5), np.zeros((5, 1)), 1.0),
+        ),
+        "driver dimension 1",
+    ),
+}
+for _name, _call in (("step", _step), ("noise_kick", _noise_kick)):
+    for _d in (1, 2):
+        REFUSALS[f"{_name}-scalar-dy-d{_d}"] = (
+            lambda call=_call, d=_d: call(d, 0.3), f"dy must be an array of shape ({_d},)"
+        )
+
+
+@pytest.mark.parametrize("call, text", REFUSALS.values(), ids=REFUSALS.keys())
+def test_wrong_path_layout_refused(call, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        call()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_increment_kicks_each_component(d):
+    dy = np.array([0.3, -0.2][:d])
+    kicked = _noise_kick(d, dy)
+    sig = SigmaField(0.2, 0.5)(0.0, Grid(box=1.0, m=8, dim=d))
+    assert np.array_equal(kicked.v, sig * dy.reshape((d,) + (1,) * d))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_scalar_integral_is_a_float(d):
+    path = sample_fbm(NoiseSpec(hurst=0.75, dim=d, resolution=16, seed=1))
+    got = young_integral(IntegrandPath(path.times, np.ones((17, d)), 1.0), path)
+    assert isinstance(got, float)
+    assert got == pytest.approx(np.sum(path.values[-1]), abs=1e-14)

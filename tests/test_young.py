@@ -25,7 +25,7 @@ def _smooth_path(m=512, horizon=1.0):
 class TestYoungIntegral:
     def test_refuses_subcritical_exponents(self):
         t = np.linspace(0.0, 1.0, 17)
-        x = IntegrandPath(t, np.zeros(17), beta=0.4)
+        x = IntegrandPath(t, np.zeros((17, 1)), beta=0.4)
         y = SampledPath(t, t[:, None], alpha=0.5)
         with pytest.raises(ValueError, match="Young condition"):
             young_integral(x, y)
@@ -33,7 +33,7 @@ class TestYoungIntegral:
     def test_refuses_mismatched_grids(self):
         t1 = np.linspace(0.0, 1.0, 17)
         t2 = np.linspace(0.0, 1.0, 33)
-        x = IntegrandPath(t1, np.ones(17), beta=1.0)
+        x = IntegrandPath(t1, np.ones((17, 1)), beta=1.0)
         y = SampledPath(t2, t2[:, None], alpha=1.0)
         with pytest.raises(ValueError, match="grid"):
             young_integral(x, y)
@@ -41,13 +41,13 @@ class TestYoungIntegral:
     def test_constant_integrand_exact(self):
         # ∫ c dY = c (Y_T - Y_0) with zero quadrature error.
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=128, seed=1))
-        x = IntegrandPath(path.times, np.full(129, 2.5), beta=1.0)
+        x = IntegrandPath(path.times, np.full((129, 1), 2.5), beta=1.0)
         got = young_integral(x, path)
         assert got == pytest.approx(2.5 * path.values[-1, 0], abs=1e-14)
 
     def test_subinterval_additivity(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=4))
-        x = IntegrandPath(path.times, np.cos(path.times), beta=1.0)
+        x = IntegrandPath(path.times, np.cos(path.times)[:, None], beta=1.0)
         mid = path.times[32]
         whole = young_integral(x, path)
         split = young_integral(x, path, 0.0, mid) + young_integral(x, path, mid, path.horizon)
@@ -63,8 +63,8 @@ class TestYoungIntegral:
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity_in_integrand(self, a, b):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=2))
-        f = np.sin(path.times)
-        g = path.times**2
+        f = np.sin(path.times)[:, None]
+        g = (path.times**2)[:, None]
         xa = IntegrandPath(path.times, f, beta=1.0)
         xb = IntegrandPath(path.times, g, beta=1.0)
         xc = IntegrandPath(path.times, a * f + b * g, beta=1.0)
@@ -78,7 +78,7 @@ class TestYoungIntegral:
         gaps = []
         for stride in (16, 4, 1):
             p = restrict(path, stride)
-            x = IntegrandPath(p.times, p.values[:, 0], beta=p.alpha)
+            x = IntegrandPath(p.times, p.values, beta=p.alpha)
             gaps.append(abs(young_integral(x, p, rule="left") - young_integral(x, p, rule="mid")))
         assert gaps[2] < gaps[1] < gaps[0]
 
@@ -102,6 +102,13 @@ class TestIntegrationByParts:
         p = SampledPath(t, t[:, None], alpha=0.45)
         with pytest.raises(ValueError):
             check_integration_by_parts(p, p)
+
+    def test_refuses_vector_paths(self):
+        # A 2-d pair must not be read through its first component.
+        x = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32, seed=5))
+        y = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32, seed=6))
+        with pytest.raises(ValueError, match="scalar"):
+            check_integration_by_parts(x, y)
 
     def test_decreases_under_refinement(self):
         x = sample_fbm(NoiseSpec(hurst=0.75, resolution=4096, seed=5))
@@ -202,7 +209,7 @@ def test_field_interpolant_matches_trig_interp(m):
 class TestYoungLoeve:
     def test_constant_integrand_zero_defect(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=9))
-        x = IntegrandPath(path.times, np.ones(65), beta=1.0)
+        x = IntegrandPath(path.times, np.ones((65, 1)), beta=1.0)
         defect, factor = young_loeve_defect(x, path, 0.0, path.horizon)
         assert defect < 1e-15
         assert factor < 1e-12
@@ -212,7 +219,7 @@ class TestYoungLoeve:
         # it must stay O(1) across windows.
         x_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=512, seed=10))
         y_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=512, seed=11))
-        x = IntegrandPath(x_path.times, x_path.values[:, 0], beta=x_path.alpha)
+        x = IntegrandPath(x_path.times, x_path.values, beta=x_path.alpha)
         nx = x.seminorm
         from holderflow.noise import holder_seminorm
 
