@@ -1,15 +1,19 @@
 """Exact fractional Brownian motion sampling and Hölder-path utilities.
 
 Paths are sampled on a uniform grid and are exact in distribution at the
-grid points.  Two samplers are available: dense Cholesky factorization of
-the covariance (small grids) and Davies-Harte circulant embedding of the
-increment process (large grids).  Both are exact; they are cross-validated
-against each other in the test suite.
+grid points.  Two samplers are available.  ``"cholesky"`` (small grids)
+returns L z with L the Cholesky factor of the fBm covariance, applied
+without forming it: the Durbin-Levinson (Hosking) recursion on the
+fractional Gaussian noise autocovariance, in O(M^2) time and O(M) memory.
+``"davies-harte"`` (large grids) is circulant embedding of the increment
+process, in O(M log M).  Both are exact; they are cross-validated against
+each other in the test suite.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +30,9 @@ __all__ = [
     "load_path",
 ]
 
-# Dense factorization is O(M^3); switch to the FFT sampler above this.
+# The recursion is O(M^2); switch to the FFT sampler above this.  The two
+# samplers give different realizations of one seed, so moving this bound
+# changes which path a seed gives.
 CHOLESKY_MAX_STEPS = 4096
 
 # fBm paths are a-Hölder for every a < H but not a = H; a fixed offset
@@ -114,26 +120,53 @@ def fbm_covariance(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
     return 0.5 * (t**h2 + s**h2 - np.abs(t - s) ** h2)
 
 
+def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
+    """gamma(k) = E X_0 X_k of unit-step fractional Gaussian noise, k = 0..n."""
+    k = np.arange(n + 1, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * k**h2)
+
+
 def _sample_cholesky(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    t = np.linspace(0.0, spec.horizon, spec.resolution + 1)[1:]
-    cov = fbm_covariance(t[:, None], t[None, :], spec.hurst)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:  # numerical degeneracy, not expected
-        raise RuntimeError(
-            f"fBm covariance factorization failed for H={spec.hurst}, "
-            f"M={spec.resolution}: {exc}"
-        ) from exc
-    z = rng.standard_normal((spec.dim, spec.resolution))
-    out = np.zeros((spec.resolution + 1, spec.dim))
-    out[1:] = (z @ chol.T).T
+    """L z with L = chol(fBm covariance), by the Durbin-Levinson recursion.
+
+    The fBm covariance is C G C^T with C the cumulative-sum matrix and G the
+    Toeplitz covariance of the increments, so its Cholesky factor is C
+    chol(G).  The recursion applies chol(G) row by row: increment x_j is its
+    best linear prediction from x_{j-1}, ..., x_0 with coefficients
+    phi_{j,1}, ..., phi_{j,j}, plus sqrt(v_j) z_j, where v_j is the
+    prediction-error variance.  The sums run in ``einsum``, not BLAS, so the
+    bytes do not depend on the BLAS thread count.
+    """
+    n = spec.resolution
+    gamma = _fgn_autocovariance(n, spec.hurst)
+    # fgn[:, j] holds z_j until it is replaced by x_j.  weights[n-j:] holds
+    # phi_{j,j}, ..., phi_{j,1}, sqrt(v_j), the weights of x_0, ..., x_{j-1}, z_j,
+    # so both sums below read contiguous arrays.
+    fgn = rng.standard_normal((spec.dim, n))
+    weights = np.empty(n + 1)
+    var = gamma[0]
+    fgn[:, 0] *= math.sqrt(var)
+    for j in range(1, n):
+        prev = weights[n - j + 1:n]
+        kappa = (gamma[j] - np.einsum("i,i", prev, gamma[1:j])) / var
+        prev -= kappa * prev[::-1]
+        weights[n - j] = kappa
+        var *= 1.0 - kappa * kappa
+        if not (var > 0.0 and math.isfinite(var)):  # numerical degeneracy, not expected
+            raise RuntimeError(
+                f"fBm covariance factorization failed for H={spec.hurst}, "
+                f"M={spec.resolution}: innovation variance {var:.3e} at step {j}"
+            )
+        weights[n] = math.sqrt(var)
+        fgn[:, j] = np.einsum("qi,i->q", fgn[:, :j + 1], weights[n - j:])
+    out = np.zeros((n + 1, spec.dim))
+    out[1:] = np.cumsum(fgn, axis=1).T * (spec.horizon / n) ** spec.hurst
     return out
 
 
 def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    h2 = 2.0 * hurst
-    gamma = 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * k**h2)
+    gamma = _fgn_autocovariance(n, hurst)
     row = np.concatenate([gamma[: n], gamma[n:n + 1], gamma[n - 1:0:-1]])
     eigs = np.fft.fft(row).real
     if np.min(eigs) < 0:
@@ -167,7 +200,7 @@ def sample_fbm(spec: NoiseSpec, method: str | None = None) -> SampledPath:
 
     Exact in distribution at grid points; deterministic given the seed.
     ``method`` forces ``"cholesky"`` or ``"davies-harte"``; by default the
-    dense factorization is used up to ``CHOLESKY_MAX_STEPS`` steps.
+    Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps.
     """
     rng = np.random.default_rng(spec.seed)
     if method is None:

@@ -1,12 +1,18 @@
 """Fractional Brownian motion sampling and Hölder-path utilities."""
 
 import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import holderflow.noise as noise
 from holderflow.noise import (
     NoiseSpec,
     SampledPath,
@@ -112,6 +118,68 @@ class TestSampling:
             for s in range(400)
         ]
         assert abs(np.mean(prods)) < 5 * np.std(prods) / np.sqrt(400)
+
+
+def _dense_cholesky_fbm(spec: NoiseSpec) -> np.ndarray:
+    """Reference sampler: L z with L the dense Cholesky factor of the fBm
+    covariance, from the same standard normal draws as ``sample_fbm``."""
+    rng = np.random.default_rng(spec.seed)
+    t = np.linspace(0.0, spec.horizon, spec.resolution + 1)[1:]
+    chol = np.linalg.cholesky(fbm_covariance(t[:, None], t[None, :], spec.hurst))
+    z = rng.standard_normal((spec.dim, spec.resolution))
+    out = np.zeros((spec.resolution + 1, spec.dim))
+    out[1:] = (z @ chol.T).T
+    return out
+
+
+class TestCholeskyRecursion:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("steps", [16, 256, 1024])
+    def test_matches_dense_cholesky(self, steps, hurst, dim):
+        # Same draws, same factor: equal up to rounding (worst seen 3e-10).
+        spec = NoiseSpec(hurst=hurst, dim=dim, horizon=0.5, resolution=steps, seed=7)
+        got = sample_fbm(spec, method="cholesky").values
+        want = _dense_cholesky_fbm(spec)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+
+    def test_memory_is_linear_in_steps(self):
+        # A dense 4096 x 4096 covariance alone is 128 MB.
+        spec = NoiseSpec(hurst=0.75, resolution=4096, seed=0)
+        tracemalloc.start()
+        try:
+            sample_fbm(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_bytes_independent_of_blas_threads(self):
+        code = (
+            "import hashlib\n"
+            "from holderflow.noise import NoiseSpec, sample_fbm\n"
+            "p = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=4096, seed=3))\n"
+            "print(hashlib.sha256(p.values.tobytes()).hexdigest())\n"
+        )
+        path = [str(Path(noise.__file__).resolve().parents[1])]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_degenerate_covariance_refused(self, monkeypatch):
+        # A constant autocovariance makes every increment equal: the
+        # covariance is singular and the first innovation variance is 0.
+        monkeypatch.setattr(noise, "_fgn_autocovariance",
+                            lambda n, hurst: np.ones(n + 1))
+        with pytest.raises(RuntimeError, match=r"H=0\.75, M=16"):
+            sample_fbm(NoiseSpec(hurst=0.75, resolution=16), method="cholesky")
 
 
 class TestHolderSeminorm:
