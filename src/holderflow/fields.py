@@ -5,12 +5,13 @@ d v_q = -(v . grad v_q + (1/rho) d_q p) dt with pressure p = rho^2 / 2, so
 the velocity drift reduces to -(v . grad) v_q - d_q rho; both pressure forms
 are evaluated and their gap is tracked as a consistency diagnostic.  The
 noise enters as an additive velocity kick v_q += sigma_q(t, x) dY^q after
-each deterministic stage.  Pre-shock smooth regime only.
+each SSP-RK3 step.  Pre-shock smooth regime only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,17 @@ def as_increment(dy, dim: int) -> np.ndarray:
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic box [0, L)^d discretized with M nodes per side; the owner of
     the spectral layout of every mesh field (``rfftn``: full on the leading
-    mesh axes, non-negative frequencies on the last)."""
+    mesh axes, non-negative frequencies on the last) and of the solver's
+    spectral operators, built once per grid and read-only."""
 
     box: float
     m: int
@@ -120,6 +127,28 @@ class Grid:
     def _fftfreq(self, axis: int):
         return np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
 
+    @cached_property
+    def ik(self) -> tuple[np.ndarray, ...]:
+        """Multipliers i k_q of d/dx_q, one per axis, laid out like
+        ``wavenumbers``, without the Nyquist mode of an even mesh, whose
+        derivative vanishes at every node (Trefethen, *Spectral Methods in
+        MATLAB*, 2000, ch. 3)."""
+        out = []
+        for axis in range(self.dim):
+            k = self.wavenumbers(axis).copy()
+            if self.m % 2 == 0:
+                k.flat[self.m // 2] = 0.0
+            out.append(_read_only(1j * k))
+        return tuple(out)
+
+    @cached_property
+    def two_thirds(self) -> np.ndarray:
+        """Spectral mask of the 2/3 rule: |frequency| <= m // 3 on every axis."""
+        mask = True
+        for q in range(self.dim):
+            mask = mask & (np.abs(self.frequencies(q) * self.m) <= self.m // 3)
+        return _read_only(mask)
+
     def cell_volume(self) -> float:
         return self.h**self.dim
 
@@ -138,9 +167,16 @@ class Grid:
         return out.reshape(self.shape)
 
 
+def _check_finite(rho: np.ndarray, v: np.ndarray) -> None:
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
+        raise FloatingPointError("non-finite fluid state")
+
+
 @dataclass(frozen=True)
 class FluidState:
-    """Gridded (rho, v) at one time.  v has a leading component axis."""
+    """Gridded (rho, v) at one time: rho of shape grid.shape, v of shape
+    (d,) + grid.shape (a leading component axis); any other layout is a
+    ``ValueError`` naming the expected shape."""
 
     grid: Grid
     rho: np.ndarray
@@ -149,12 +185,13 @@ class FluidState:
     vacuum_floor: float = VACUUM_FLOOR_DEFAULT
 
     def __post_init__(self) -> None:
+        g = self.grid
         rho = np.asarray(self.rho, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if v.shape[0] != self.grid.dim:
-            raise ValueError("velocity must have a leading component axis")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
-            raise FloatingPointError("non-finite fluid state")
+        for name, a, shape in (("rho", rho, g.shape), ("v", v, (g.dim,) + g.shape)):
+            if a.shape != shape:
+                raise ValueError(f"{name} must be an array of shape {shape}, got shape {a.shape}")
+        _check_finite(rho, v)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "v", v)
 
@@ -165,15 +202,27 @@ class FluidState:
 @dataclass(frozen=True)
 class SigmaField:
     """Noise coefficient sigma(t, x): component q multiplies dY^q, with
-    sigma_q(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)) for every q."""
+    sigma_q(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)) for every q.
+
+    sigma does not depend on t: ``t`` is accepted for the model's
+    sigma(t, x) and ignored, so the node values are computed once per grid.
+    """
 
     amplitude: float = 1.0
     modulation: float = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_on_grid", {})
+
     def __call__(self, t: float, grid: Grid) -> np.ndarray:
-        """``at`` on the grid nodes, laid out like a velocity: (d,) + grid.shape."""
-        sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
-        return sig.T.reshape((grid.dim,) + grid.shape)
+        """``at`` on the grid nodes, laid out like a velocity: (d,) + grid.shape;
+        computed on the first call for ``grid`` and read-only."""
+        sig = self._on_grid.get(grid)
+        if sig is None:
+            sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
+            sig = _read_only(sig.T.reshape((grid.dim,) + grid.shape))
+            self._on_grid[grid] = sig
+        return sig
 
     def at(self, t: float, points: np.ndarray, box: float) -> np.ndarray:
         """Pointwise evaluation at an (n, d) point set, shape (n, d)."""
@@ -182,47 +231,34 @@ class SigmaField:
         return np.repeat(base[:, None], pts.shape[1], axis=1)
 
 
-def _ik(grid: Grid, axis: int) -> np.ndarray:
-    """Multiplier i k of d/dx_axis, without the Nyquist mode of an even mesh,
-    whose derivative vanishes at every node (Trefethen, *Spectral Methods in
-    MATLAB*, 2000, ch. 3)."""
-    k = grid.wavenumbers(axis).copy()
-    if grid.m % 2 == 0:
-        k.flat[grid.m // 2] = 0.0
-    return 1j * k
-
-
-def _two_thirds(grid: Grid) -> np.ndarray:
-    """Spectral mask of the 2/3 rule: |frequency| <= m // 3 on every axis."""
-    mask = True
-    for q in range(grid.dim):
-        mask = mask & (np.abs(grid.frequencies(q) * grid.m) <= grid.m // 3)
-    return mask
-
-
 def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     """2/3-rule spectral truncation (idempotent)."""
-    return grid.irfft(grid.rfft(f) * _two_thirds(grid))
+    return grid.irfft(grid.rfft(f) * grid.two_thirds)
+
+
+def _drift(g: Grid, rho: np.ndarray, v: np.ndarray, floor: float) -> tuple:
+    """Drift of plain arrays in four batched transforms: forward
+    [rho v, v, rho], inverse [d rho, d_r v], forward v . grad v, inverse d v."""
+    if float(np.min(rho)) <= floor:
+        raise FloatingPointError(
+            f"density {np.min(rho):.3e} at or below vacuum floor "
+            f"{floor:.1e} (1/rho singular)"
+        )
+    d, ik, mask = g.dim, g.ik, g.two_thirds
+    fk = g.rfft(np.concatenate([rho * v, v, rho[None]]))
+    flux, vk, rho_k = mask * fk[:d], fk[d : 2 * d], fk[2 * d]
+    drho_k = -sum(ik[q] * flux[q] for q in range(d))
+    back = g.irfft(np.concatenate([drho_k[None]] + [ik[r] * vk for r in range(d)]))
+    grad_v = back[1:].reshape((d, d) + g.shape)  # grad_v[r, q] = d_r v_q
+    adv = sum(v[r] * grad_v[r] for r in range(d))  # adv[q] = v . grad v_q
+    dv = g.irfft(-(mask * g.rfft(adv)) - np.stack([ik[q] * rho_k for q in range(d)]))
+    return back[0], dv
 
 
 def rhs_deterministic(state: FluidState) -> tuple[np.ndarray, np.ndarray]:
     """Drift (d rho, d v) = (-sum_q ik_q D(rho v_q), -D(v . grad v_q) - ik_q rho)
     with the 2/3 mask D; aborts if the density reaches the vacuum floor."""
-    g = state.grid
-    rho, v = state.rho, state.v
-    if float(np.min(rho)) <= state.vacuum_floor:
-        raise FloatingPointError(
-            f"density {np.min(rho):.3e} at or below vacuum floor "
-            f"{state.vacuum_floor:.1e} (1/rho singular)"
-        )
-    ik = [_ik(g, q) for q in range(g.dim)]
-    mask = _two_thirds(g)
-    flux = mask * g.rfft(rho * v)
-    drho = g.irfft(-sum(ik[q] * flux[q] for q in range(g.dim)))
-    vk, rho_k = g.rfft(v), g.rfft(rho)
-    adv = sum(v[r] * g.irfft(ik[r] * vk) for r in range(g.dim))  # adv[q] = v . grad v_q
-    dv = g.irfft(-(mask * g.rfft(adv)) - np.stack([ik[q] * rho_k for q in range(g.dim)]))
-    return drho, dv
+    return _drift(state.grid, state.rho, state.v, state.vacuum_floor)
 
 
 def pressure_forms_gap(state: FluidState) -> float:
@@ -230,8 +266,8 @@ def pressure_forms_gap(state: FluidState) -> float:
     g = state.grid
     gap = 0.0
     for q in range(g.dim):
-        a = g.irfft(_ik(g, q) * g.rfft(0.5 * state.rho**2)) / state.rho
-        b = g.irfft(_ik(g, q) * g.rfft(state.rho))
+        a = g.irfft(g.ik[q] * g.rfft(0.5 * state.rho**2)) / state.rho
+        b = g.irfft(g.ik[q] * g.rfft(state.rho))
         gap = max(gap, float(np.max(np.abs(a - b))))
     return gap
 
@@ -252,43 +288,39 @@ def step_field(
 
     Refuses dt above the advective stability bound cfl * h / max(|v| + c)
     with ``FloatingPointError``: a CFL violation is a numerical failure, like
-    the vacuum guard, not a usage error.
+    the vacuum guard, not a usage error.  The stages run on plain arrays;
+    each refuses a non-finite input and a density at the vacuum floor, and
+    the one ``FluidState`` built per step checks the output.
     """
-    g = state.grid
+    g, floor = state.grid, state.vacuum_floor
     limit = cfl * g.h / max(max_signal_speed(state), 1e-30)
     if dt > limit * (1.0 + 1e-12):
         raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
 
     def euler(rho, v):
-        s = replace(state, rho=rho, v=v)
-        drho, dv = rhs_deterministic(s)
+        _check_finite(rho, v)
+        drho, dv = _drift(g, rho, v, floor)
         return rho + dt * drho, v + dt * dv
 
-    r1, v1 = euler(state.rho, state.v)
+    rho, v = state.rho, state.v
+    r1, v1 = euler(rho, v)
     r2, v2 = euler(r1, v1)
-    r2 = 0.75 * state.rho + 0.25 * r2
-    v2 = 0.75 * state.v + 0.25 * v2
-    r3, v3 = euler(r2, v2)
-    rho_new = state.rho / 3.0 + 2.0 / 3.0 * r3
-    v_new = state.v / 3.0 + 2.0 / 3.0 * v3
-    t_new = state.time + dt
-    out = replace(state, rho=rho_new, v=v_new, time=t_new)
+    r3, v3 = euler(0.75 * rho + 0.25 * r2, 0.75 * v + 0.25 * v2)
+    v_new = v / 3.0 + 2.0 / 3.0 * v3
     if dy is not None and sigma is not None:
-        out = noise_kick(out, dy, sigma, at_time=state.time)
-    return out
+        v_new = _kick(v_new, g, state.time, dy, sigma)
+    return FluidState(g, rho / 3.0 + 2.0 / 3.0 * r3, v_new, state.time + dt, floor)
 
 
-def noise_kick(
-    state: FluidState, dy: np.ndarray, sigma: SigmaField, at_time: float | None = None
-) -> FluidState:
+def _kick(v: np.ndarray, grid: Grid, t: float, dy, sigma: SigmaField) -> np.ndarray:
+    """v_q + sigma_q(t, x) dY^q for every component q."""
+    dy = as_increment(dy, grid.dim)
+    return v + sigma(t, grid) * dy.reshape((grid.dim,) + (1,) * grid.dim)
+
+
+def noise_kick(state: FluidState, dy: np.ndarray, sigma: SigmaField) -> FluidState:
     """v_q += sigma_q(t, x) dY^q; density untouched (additive Young-Euler kick)."""
-    t = state.time if at_time is None else at_time
-    sig = sigma(t, state.grid)
-    dy = as_increment(dy, state.grid.dim)
-    v_new = state.v.copy()
-    for q in range(state.grid.dim):
-        v_new[q] = v_new[q] + sig[q] * dy[q]
-    return replace(state, v=v_new)
+    return replace(state, v=_kick(state.v, state.grid, state.time, dy, sigma))
 
 
 class FieldInterpolant:
@@ -310,7 +342,7 @@ class FieldInterpolant:
         pts = as_points(pts, g.dim)
         c = self.coeff
         if derivative is not None:
-            c = _ik(g, derivative) * c
+            c = g.ik[derivative] * c
         # Contract one mesh axis at a time: a single matrix product over the
         # first, then a per-point product-sum over each further axis.
         out = c.reshape(c.shape[0], -1)

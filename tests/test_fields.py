@@ -1,5 +1,8 @@
 """Pseudo-spectral compressible solver: conservation, consistency, order."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +13,6 @@ from holderflow.fields import (
     FluidState,
     Grid,
     SigmaField,
-    _ik,
     _phases,
     dealias,
     diagnostics,
@@ -29,6 +31,68 @@ def _smooth_state(m=128, a=0.2, b=0.1, box=1.0):
     rho = 1.0 + a * np.sin(2 * np.pi * x / box)
     v = (b * np.cos(2 * np.pi * x / box))[None, :]
     return FluidState(grid=g, rho=rho, v=v)
+
+
+def _wavy_state(dim, m):
+    """A smooth state with a density and velocity mode along every axis."""
+    g = Grid(box=1.0, m=m, dim=dim)
+    waves = [2 * np.pi * g.coordinate(q) for q in range(dim)]
+    rho = 1.0 + 0.2 * np.sin(waves[0]) + 0.1 * np.cos(waves[-1] + 0.3)
+    v = np.stack([0.1 * np.cos(w) + 0.05 * np.sin(waves[0] + w) for w in waves])
+    return FluidState(grid=g, rho=rho, v=v)
+
+
+# The step as it was before the operators were cached per grid: per-call
+# i k and 2/3 builders, one transform per field, a FluidState per RK stage
+# and the kick re-evaluated on the nodes.  The solver must match it bit for
+# bit, because only the bookkeeping changed, not the arithmetic.
+
+
+def _reference_ik(g, axis):
+    k = g.wavenumbers(axis).copy()
+    if g.m % 2 == 0:
+        k.flat[g.m // 2] = 0.0
+    return 1j * k
+
+
+def _reference_two_thirds(g):
+    mask = True
+    for q in range(g.dim):
+        mask = mask & (np.abs(g.frequencies(q) * g.m) <= g.m // 3)
+    return mask
+
+
+def _reference_rhs(state):
+    g, rho, v = state.grid, state.rho, state.v
+    if float(np.min(rho)) <= state.vacuum_floor:
+        raise FloatingPointError("vacuum")
+    ik = [_reference_ik(g, q) for q in range(g.dim)]
+    mask = _reference_two_thirds(g)
+    flux = mask * g.rfft(rho * v)
+    drho = g.irfft(-sum(ik[q] * flux[q] for q in range(g.dim)))
+    vk, rho_k = g.rfft(v), g.rfft(rho)
+    adv = sum(v[r] * g.irfft(ik[r] * vk) for r in range(g.dim))
+    dv = g.irfft(-(mask * g.rfft(adv)) - np.stack([ik[q] * rho_k for q in range(g.dim)]))
+    return drho, dv
+
+
+def _reference_step(state, dt, dy, sigma):
+    def euler(rho, v):
+        drho, dv = _reference_rhs(replace(state, rho=rho, v=v))
+        return rho + dt * drho, v + dt * dv
+
+    r1, v1 = euler(state.rho, state.v)
+    r2, v2 = euler(r1, v1)
+    r2 = 0.75 * state.rho + 0.25 * r2
+    v2 = 0.75 * state.v + 0.25 * v2
+    r3, v3 = euler(r2, v2)
+    rho_new = state.rho / 3.0 + 2.0 / 3.0 * r3
+    v_new = state.v / 3.0 + 2.0 / 3.0 * v3
+    g = state.grid
+    sig = sigma.at(state.time, g.nodes().reshape(-1, g.dim), g.box).T.reshape(v_new.shape)
+    for q in range(g.dim):
+        v_new[q] = v_new[q] + sig[q] * dy[q]
+    return replace(state, rho=rho_new, v=v_new, time=state.time + dt)
 
 
 class TestGrid:
@@ -64,9 +128,41 @@ class TestGrid:
         perm = rng.permutation(400)
         assert np.array_equal(g.accumulate(flat[perm], values[perm]), got)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_operators_are_read_only(self, dim):
+        g = Grid(box=1.0, m=16, dim=dim)
+        sigma = SigmaField(amplitude=0.2, modulation=0.5)
+        assert g.ik is g.ik and g.two_thirds is g.two_thirds
+        assert sigma(0.0, g) is sigma(1.0, g)
+        for cached in (*g.ik, g.two_thirds, sigma(0.0, g)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[...] = 0
+        assert np.array_equal(g.ik[0], _reference_ik(g, 0))
+        assert np.array_equal(g.two_thirds, _reference_two_thirds(g))
+
+
+class TestFieldLayout:
+    @pytest.mark.parametrize(
+        "dim, rho_shape, v_shape, bad",
+        [
+            (1, (1, 64), (1, 64), "rho"),
+            (1, (32,), (1, 64), "rho"),
+            (1, (64,), (1,), "v"),
+            (1, (64,), (64,), "v"),
+            (2, (256,), (2, 16, 16), "rho"),
+            (2, (16, 16), (16, 16), "v"),
+            (2, (16, 16), (1, 16, 16), "v"),
+        ],
+    )
+    def test_wrong_field_layout_refused(self, dim, rho_shape, v_shape, bad):
+        g = Grid(box=1.0, m=64 if dim == 1 else 16, dim=dim)
+        want = g.shape if bad == "rho" else (dim,) + g.shape
+        with pytest.raises(ValueError, match=re.escape(f"{bad} must be an array of shape {want}")):
+            FluidState(grid=g, rho=np.ones(rho_shape), v=np.zeros(v_shape))
+
 
 def _deriv(f, g, axis):
-    return g.irfft(_ik(g, axis) * g.rfft(f))
+    return g.irfft(g.ik[axis] * g.rfft(f))
 
 
 def _full_spectrum_interp(values, g, pts, derivative=None):
@@ -167,6 +263,21 @@ class TestRhs:
     def test_pressure_forms_agree(self):
         assert pressure_forms_gap(_smooth_state()) < 1e-11
 
+    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
+    def test_matches_reference_step_bitwise(self, dim, m):
+        # 50 noisy steps of step_field against the reference step, and the
+        # drift of every state against the reference drift.
+        rng = np.random.default_rng(40 + dim)
+        sigma = SigmaField(amplitude=0.2, modulation=0.5)
+        st_ = ref = _wavy_state(dim, m)
+        for _ in range(50):
+            dy = 0.03 * rng.standard_normal(dim)
+            st_, ref = step_field(st_, 1e-3, dy, sigma), _reference_step(ref, 1e-3, dy, sigma)
+            assert np.array_equal(st_.rho, ref.rho) and np.array_equal(st_.v, ref.v)
+            assert st_.time == ref.time
+            for got, want in zip(rhs_deterministic(st_), _reference_rhs(ref)):
+                assert np.array_equal(got, want)
+
 
 class TestStepping:
     def test_mass_conserved_without_noise(self):
@@ -189,6 +300,16 @@ class TestStepping:
         limit = 0.5 * st_.grid.h / max_signal_speed(st_)
         with pytest.raises(FloatingPointError, match="CFL"):
             step_field(st_, 2.0 * limit)
+
+    def test_vacuum_inside_a_step_is_refused(self):
+        # The density starts above the floor, so the first RK stage passes,
+        # and sinks below it by the second stage's input.
+        st_ = _smooth_state(m=64)
+        st_ = replace(st_, vacuum_floor=float(np.min(st_.rho)) - 1e-6)
+        rhs_deterministic(st_)
+        dt = 0.5 * st_.grid.h / max_signal_speed(st_)
+        with pytest.raises(FloatingPointError, match="vacuum"):
+            step_field(st_, dt)
 
     def test_non_finite_step_is_numerical_failure(self):
         with pytest.raises(FloatingPointError, match="non-finite fluid state"):
