@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, as_points
+from .fields import Grid, _read_only, as_points
 
 __all__ = [
     "DyadicPartition",
@@ -41,13 +41,19 @@ class DyadicPartition:
 
     ``profiles`` has shape (J + 2,) + the shape of ``Grid.rfft``; index 0 is
     j = -1 (the low-pass chi).  The profiles sum to one at every resolved
-    frequency.
+    frequency.  ``energy`` is w * phi_j^2, with w the number of modes of the
+    full spectrum that a half-spectrum mode stands for: 2 on the interior
+    modes of the last axis, 1 on its zero mode and, for even m, on its
+    Nyquist plane.  Then ||Delta_j f||_{L^2}^2 is L^d m^{-2d} times the sum
+    of energy[j] |f_k|^2 over the half spectrum of f (Parseval).  Both
+    arrays are read-only, so they cannot drift apart.
     """
 
     grid: Grid
     lam: float
     r0: float
     profiles: np.ndarray
+    energy: np.ndarray
 
     @property
     def levels(self) -> int:
@@ -80,7 +86,12 @@ def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     for j in range(0, j_max + 1):
         scale = 0.5**j
         profiles[j + 1] = chi(radii * scale / 2.0) - chi(radii * scale)
-    return DyadicPartition(grid=grid, lam=lam, r0=r0, profiles=profiles)
+    w = np.full(grid.m // 2 + 1, 2.0)
+    w[0] = 1.0
+    if grid.m % 2 == 0:
+        w[-1] = 1.0
+    energy = _read_only(profiles**2 * grid.along(w, grid.dim - 1))
+    return DyadicPartition(grid, lam, r0, profiles=_read_only(profiles), energy=energy)
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,10 @@ def besov_norm(
             for i, j in enumerate(part.j_range())
         ]
     )
+    return _lq(terms, q)
+
+
+def _lq(terms: np.ndarray, q: float) -> float:
     if np.isinf(q):
         return float(np.max(terms))
     return float(np.sum(terms**q) ** (1.0 / q))
@@ -166,10 +181,22 @@ def negative_distance(
 ) -> float:
     """Norm of (measure - target) at smoothness -eta, p = 2, index q_hat.
 
-    Warns (without refusing) when eta <= d/2 + 1: point masses are then
-    outside the space and the distance has no continuum meaning.
+    Equal to ``besov_norm(measure_field - target, -eta, 2, q_hat, part)``,
+    from one transform: each block's L^2 norm is a weighted sum over the
+    spectrum (Parseval), with the weights ``part.energy``.  The sums run in
+    ``einsum``, not BLAS, so the result does not depend on the BLAS thread
+    count.  Both fields must be laid out on ``part.grid`` (shape
+    ``grid.shape``), or a ``ValueError`` names the expected shape.  Warns
+    (without refusing) when eta <= d/2 + 1: point masses are then outside the
+    space and the distance has no continuum meaning.
     """
-    d = part.grid.dim
+    g = part.grid
+    for name, a in (("measure_field", measure_field), ("target", target)):
+        if np.shape(a) != g.shape:
+            raise ValueError(
+                f"{name} must be an array of shape {g.shape}, got shape {np.shape(a)}"
+            )
+    d = g.dim
     if eta <= d / 2 + 1:
         import warnings
 
@@ -178,7 +205,12 @@ def negative_distance(
             "not in the space at this smoothness",
             stacklevel=2,
         )
-    return besov_norm(measure_field - target, -eta, 2.0, q_hat, part)
+    fk = g.rfft(measure_field - target)
+    power = (fk.real**2 + fk.imag**2).ravel()
+    block_sq = np.einsum("jk,k->j", part.energy.reshape(part.levels, -1), power)
+    j = np.arange(-1, part.levels - 1)
+    terms = 2.0 ** (-eta * j) * np.sqrt(block_sq * (g.box**d / g.m ** (2 * d)))
+    return _lq(terms, q_hat)
 
 
 def sobolev_embedding_check(

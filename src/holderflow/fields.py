@@ -323,6 +323,9 @@ def noise_kick(state: FluidState, dy: np.ndarray, sigma: SigmaField) -> FluidSta
     return replace(state, v=_kick(state.v, state.grid, state.time, dy, sigma))
 
 
+_PHASE_BLOCK = 1 << 16  # complex entries (1 MiB) per phase array of FieldInterpolant
+
+
 class FieldInterpolant:
     """Trigonometric interpolation of a periodic gridded field and its gradient.
 
@@ -344,25 +347,45 @@ class FieldInterpolant:
         if derivative is not None:
             c = g.ik[derivative] * c
         # Contract one mesh axis at a time: a single matrix product over the
-        # first, then a per-point product-sum over each further axis.
-        out = c.reshape(c.shape[0], -1)
-        for q in range(g.dim):
-            phase = _phases(pts[:, q], g.wavenumbers(q).ravel())
-            if q < g.dim - 1 and g.m % 2 == 0:
-                phase[:, g.m // 2].imag = 0.0  # a Nyquist row of a full axis is the cosine
-            if q == 0:
-                out = phase @ out
-            else:
-                out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), c.shape[q], -1))
-        return out[:, 0].real
+        # first, then a per-point product-sum over each further axis.  Points
+        # go in blocks that keep each phase array near _PHASE_BLOCK entries;
+        # at 4096 points on a 256-node mesh one array would take 8.5 MB.
+        out = np.empty(len(pts))
+        rows = max(1, _PHASE_BLOCK // g.m)
+        for start in range(0, len(pts), rows):
+            block = pts[start : start + rows]
+            acc = c.reshape(c.shape[0], -1)
+            for q in range(g.dim):
+                phase = _phases(block[:, q], g.m, g.box, full=q < g.dim - 1)
+                if q == 0:
+                    acc = phase @ acc
+                else:
+                    acc = np.einsum("pk,pkr->pr", phase, acc.reshape(len(block), c.shape[q], -1))
+            out[start : start + rows] = acc[:, 0].real
+        return out
 
 
-def _phases(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """exp(i x k) for every pair, in one complex array: the same values as
-    ``np.exp(1j * np.outer(x, k))`` without its two full-size temporaries."""
-    z = np.zeros((x.size, k.size), dtype=complex)
-    np.multiply(x[:, None], k, out=z.imag)
-    return np.exp(z, out=z)
+def _phases(x: np.ndarray, m: int, box: float, full: bool) -> np.ndarray:
+    """exp(i k x) for every point x and every wavenumber k of one mesh axis
+    laid out like ``Grid.rfft``: the m frequencies of a full axis or the
+    m // 2 + 1 of the half (last) axis.
+
+    The powers of exp(2 pi i x / L), one exponential per point and a running
+    product over the modes; the error grows like the mode index times the
+    rounding unit, about 4e-13 at m = 4096.  The negative modes of a full
+    axis are the conjugates, and its Nyquist column is the cosine.
+    """
+    half = m // 2 + 1
+    z = np.empty((x.size, m if full else half), dtype=complex)
+    z[:, 0] = 1.0
+    z[:, 1:half] = np.exp((2j * np.pi / box) * x)[:, None]
+    powers = z[:, :half] if full else z
+    np.multiply.accumulate(powers, axis=1, out=powers)  # np.cumprod, without its dispatch
+    if full:
+        if m % 2 == 0:
+            z[:, m // 2].imag = 0.0
+        z[:, half:] = z[:, m - half : 0 : -1].conj()
+    return z
 
 
 def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:

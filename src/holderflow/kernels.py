@@ -10,13 +10,14 @@ compactly supported bump is selectable for sensitivity studies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, as_points
+from .fields import Grid, _read_only, as_points
 
 __all__ = [
     "KernelFamily",
@@ -257,8 +258,16 @@ def mollify(
     """
     require_support(family, n, box, which)
     grid = Grid(box=box, m=values.shape[0], dim=family.dim)
-    kern = periodic_kernel_samples(family, n, box, grid.m, which=which)
-    return grid.irfft(grid.rfft(values) * grid.rfft(kern)) * grid.cell_volume()
+    spectrum = _kernel_spectrum(family, n, grid, which)
+    return grid.irfft(grid.rfft(values) * spectrum) * grid.cell_volume()
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(family: KernelFamily, n: int, grid: Grid, which: str) -> np.ndarray:
+    """``Grid.rfft`` of the kernel samples, read-only, for the few (N, mesh)
+    pairs of a sweep: a run mollifies at every checkpoint with the same ones."""
+    kern = periodic_kernel_samples(family, n, grid.box, grid.m, which=which)
+    return _read_only(grid.rfft(kern))
 
 
 # --- technical hypothesis checks (report-only) ---

@@ -1,10 +1,17 @@
 """Littlewood-Paley decomposition, Besov/Triebel norms, negative distances."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import holderflow
 from holderflow.besov import (
     besov_norm,
     build_partition,
@@ -165,6 +172,70 @@ class TestNegativeDistance:
             dep = deposit_nearest(pts, g)
             dists.append(negative_distance(dep, uniform, 2.0, 2.0, p))
         assert dists[2] < dists[1] < dists[0]
+
+
+class TestParsevalDistance:
+    """``negative_distance`` sums the spectrum; ``besov_norm`` at p = 2 sums
+    the inverse-transformed blocks and is its oracle."""
+
+    @pytest.mark.parametrize("q_hat", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("dim, m", [(1, 64), (1, 63), (2, 16), (2, 15)])
+    def test_matches_block_norm(self, dim, m, q_hat):
+        g = Grid(box=1.3, m=m, dim=dim)
+        p = build_partition(g)
+        measure, target = np.random.default_rng(m).standard_normal((2,) + g.shape)
+        eta = dim / 2 + 1.5
+        want = besov_norm(measure - target, -eta, 2.0, q_hat, p)
+        assert negative_distance(measure, target, eta, q_hat, p) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("dim, m", [(1, 63), (2, 16), (2, 15)])
+    def test_equal_fields_exactly_zero_and_warning_kept(self, dim, m):
+        g = Grid(box=1.0, m=m, dim=dim)
+        p = build_partition(g)
+        f = np.random.default_rng(m).random(g.shape)
+        assert negative_distance(f, f.copy(), dim / 2 + 1.5, 2.0, p) == 0.0
+        with pytest.warns(UserWarning, match="eta"):
+            assert negative_distance(f, f, dim / 2 + 1, 2.0, p) == 0.0
+
+    @pytest.mark.parametrize(
+        "dim, measure_shape, target_shape, bad",
+        [
+            (1, (64,), (64, 1), "target"),
+            (1, (64, 1), (64,), "measure_field"),
+            (1, (64,), (32,), "target"),
+            (2, (64,), (64, 64), "measure_field"),
+            (2, (64, 64), (64,), "target"),
+            (2, (64, 64), (64, 64, 1), "target"),
+        ],
+    )
+    def test_wrong_layout_refused(self, dim, measure_shape, target_shape, bad):
+        g = Grid(box=1.0, m=64, dim=dim)
+        p = build_partition(g)
+        want = re.escape(f"{bad} must be an array of shape {g.shape}")
+        with pytest.raises(ValueError, match=want):
+            negative_distance(np.ones(measure_shape), np.zeros(target_shape), 2.5, 2.0, p)
+
+    def test_bytes_independent_of_blas_threads(self):
+        code = (
+            "import numpy as np\n"
+            "from holderflow.besov import build_partition, deposit_nearest, negative_distance\n"
+            "from holderflow.fields import Grid\n"
+            "g = Grid(box=1.0, m=16384, dim=1)\n"
+            "dep = deposit_nearest(np.random.default_rng(3).random((4096, 1)), g)\n"
+            "target = 1.0 + 0.2 * np.sin(2 * np.pi * g.nodes())\n"
+            "print(negative_distance(dep, target, 2.0, 2.0, build_partition(g)).hex())\n"
+        )
+        path = [str(Path(holderflow.__file__).resolve().parents[1])]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            out.append(run.stdout.strip())
+        assert out[0] == out[1] and out[0].startswith("0x")
 
 
 class TestSobolevEmbedding:

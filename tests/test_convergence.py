@@ -168,6 +168,29 @@ class TestRunCoupled:
             assert states[-1][1].time == pytest.approx(cfg.horizon)
         assert built == list(cfg.n_sweep)
 
+    def test_mollifier_spectrum_built_once_per_n_and_mesh(self, monkeypatch):
+        # The checkpoint density mollifies with the same kernel at every
+        # checkpoint of an N; its samples are built once per (N, fine mesh).
+        import holderflow.kernels
+
+        built = []
+        orig = holderflow.kernels.periodic_kernel_samples
+
+        def counting(family, n, box, m, which="phi_r", derivative=False, **kw):
+            if not derivative:
+                built.append((n, m, which))
+            return orig(family, n, box, m, which, derivative, **kw)
+
+        monkeypatch.setattr(holderflow.kernels, "periodic_kernel_samples", counting)
+        holderflow.kernels._kernel_spectrum.cache_clear()
+        cfg = _tiny_config(master_steps=16, horizon=0.0125, seeds=(0, 1))
+        results = run_coupled(cfg)
+        assert all(len(r["records"]) == cfg.checkpoints + 1 for r in results)
+        family = cfg.kernel()
+        want = [(n, _auto_grid(family, n, cfg.box, cfg.fine_grid, "phi_r"), "phi_r")
+                for n in cfg.n_sweep]
+        assert built == want
+
     def test_particle_abort_recorded_not_raised(self):
         # A kernel too wide for the box at small N fails that run only;
         # the sweep records the reason and continues with larger N.

@@ -1,6 +1,7 @@
 """Pseudo-spectral compressible solver: conservation, consistency, order."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -214,7 +215,7 @@ class TestSpectralLayout:
         for q in range(dim):
             assert np.max(np.abs(_deriv(f, g, q))) < 1e-12
 
-    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (2, 15)])
     def test_interpolant_matches_full_spectrum_formula(self, dim, m):
         g = Grid(box=1.3, m=m, dim=dim)
         rng = np.random.default_rng(10 + dim)
@@ -372,10 +373,67 @@ class TestInterpolation:
         assert np.max(np.abs(itp(pts) - np.sin(k * pts[:, 0]))) < 1e-12
         assert np.max(np.abs(itp(pts, derivative=0) - k * np.cos(k * pts[:, 0]))) < 1e-10
 
-    def test_phases_bitwise_equal_to_exp_of_outer(self):
-        x = np.array([-0.75, -0.0, 0.0, 0.3, 0.999])
-        k = 2.0 * np.pi * np.fft.fftfreq(16, d=1.0 / 16)
-        assert np.array_equal(_phases(x, k), np.exp(1j * np.outer(x, k)))
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("m", [16, 17, 4095, 4096])
+    def test_phases_match_exp_of_outer(self, m, full):
+        box = 1.3
+        rng = np.random.default_rng(m)
+        x = np.concatenate([[-0.75, -0.0, 0.0, 0.3, 0.999 * box], rng.random(40) * box])
+        k = 2.0 * np.pi * (np.fft.fftfreq if full else np.fft.rfftfreq)(m, d=box / m)
+        want = np.exp(1j * np.outer(x, k))
+        if full and m % 2 == 0:
+            want[:, m // 2] = want[:, m // 2].real  # the Nyquist column of a full axis
+        got = _phases(x, m, box, full)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-11
+
+    @pytest.mark.parametrize("dim, m, n", [(1, 64, 2500), (2, 16, 9000)])
+    def test_point_blocks_match_full_spectrum_formula(self, dim, m, n):
+        # More points than one block of 2^16 phase entries holds.
+        g = Grid(box=1.3, m=m, dim=dim)
+        rng = np.random.default_rng(m)
+        f = dealias(rng.standard_normal(g.shape), g)
+        pts = rng.random((n, dim)) * g.box
+        itp = FieldInterpolant(f, g)
+        assert np.max(np.abs(itp(pts) - _full_spectrum_interp(f, g, pts))) < 1e-12
+        for q in range(dim):
+            got = itp(pts, derivative=q)
+            want = _full_spectrum_interp(f, g, pts, derivative=q)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_phase_memory_bounded(self):
+        # 4096 points on a 256-node mesh: one phase array of all points
+        # would take 8.5 MB.
+        g = Grid(box=1.0, m=256, dim=1)
+        itp = FieldInterpolant(np.random.default_rng(0).standard_normal(g.m), g)
+        pts = np.random.default_rng(1).random((4096, 1))
+        tracemalloc.start()
+        try:
+            itp(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_matches_long_double_sum_at_young_mesh(self):
+        # White noise on the 4096-node mesh of the Young study: every one of
+        # the 2049 modes carries weight, so the running-product phases are
+        # tested at their largest index.
+        g = Grid(box=1.0, m=4096, dim=1)
+        rng = np.random.default_rng(4096)
+        f = rng.standard_normal(g.m)
+        pts = rng.random((20, 1)) * g.box
+        c = np.fft.rfft(f.astype(np.longdouble)) / g.m
+        c[1 : (g.m + 1) // 2] *= 2
+        k = np.arange(c.size, dtype=np.longdouble) * (2 * np.pi / g.box)
+        cos, sin = np.cos(np.outer(pts[:, 0], k)), np.sin(np.outer(pts[:, 0], k))
+        value = cos @ c.real - sin @ c.imag
+        k[g.m // 2] = 0  # the derivative drops the Nyquist cosine
+        slope = -(sin @ (k * c.real) + cos @ (k * c.imag))
+        itp = FieldInterpolant(f, g)
+        for got, want in ((itp(pts), value), (itp(pts, derivative=0), slope)):
+            want = want.astype(float)
+            assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
 class TestSpectralUtilities:

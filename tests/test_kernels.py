@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow.fields import Grid
 from holderflow.kernels import (
     KernelFamily,
     check_hypotheses,
@@ -112,6 +113,18 @@ class TestMollify:
         f = rng.standard_normal(512)
         out = mollify(f, 1.0, fam, 128)
         assert np.mean(out) == pytest.approx(np.mean(f), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dim, m, which", [(1, 512, "phi_r"), (1, 256, "phi"), (2, 64, "phi_r")]
+    )
+    def test_cached_spectrum_bitwise_equal_to_uncached_formula(self, dim, m, which):
+        fam = KernelFamily(beta=0.6, dim=dim, bandwidth=0.1)
+        g = Grid(box=1.0, m=m, dim=dim)
+        f = np.random.default_rng(m).standard_normal(g.shape)
+        kern = periodic_kernel_samples(fam, 64, g.box, m, which=which)
+        want = g.irfft(g.rfft(f) * g.rfft(kern)) * g.cell_volume()
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert np.array_equal(mollify(f, g.box, fam, 64, which=which), want)
 
     def test_refuses_wide_kernel(self):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.3)
