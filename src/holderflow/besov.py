@@ -20,6 +20,7 @@ __all__ = [
     "DyadicPartition",
     "DyadicDecomposition",
     "build_partition",
+    "require_lambda",
     "dyadic_blocks",
     "besov_norm",
     "triebel_norm",
@@ -63,6 +64,12 @@ class DyadicPartition:
         return range(-1, self.levels - 1)
 
 
+def require_lambda(lam: float) -> None:
+    """Refuse a partition parameter outside (1, sqrt 2)."""
+    if not 1.0 < lam < np.sqrt(2.0):
+        raise ValueError(f"lambda must lie in (1, sqrt 2), got {lam}")
+
+
 def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     """Dyadic partition of unity on the discrete frequency lattice.
 
@@ -70,8 +77,7 @@ def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     disjoint.  r0 is the smallest nonzero lattice frequency, so the j = -1
     block carries exactly the mean mode.
     """
-    if not 1.0 < lam < np.sqrt(2.0):
-        raise ValueError(f"lambda must lie in (1, sqrt 2), got {lam}")
+    require_lambda(lam)
     r0 = 2.0 * np.pi / grid.box
     radii = np.sqrt(sum(grid.wavenumbers(q) ** 2 for q in range(grid.dim)))
     r_lo, r_hi = r0 / lam, r0 * lam

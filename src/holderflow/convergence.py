@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .besov import build_partition, deposit_nearest, negative_distance
+from .besov import build_partition, deposit_nearest, negative_distance, require_lambda
 from .fields import (
     FieldInterpolant,
     FluidState,
@@ -96,7 +96,7 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2)
     box: float = 1.0
     beta: float = 0.6
-    kernel_base: str = "gaussian"
+    kernel_base: str = "gaussian"  # the only base; kept as a key of configs and the hash
     kernel_bandwidth: float = 0.05
     n_sweep: tuple = (256, 512, 1024, 2048, 4096)
     force_backend: str = "grid"
@@ -122,11 +122,22 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim={self.dim}: only d in {{1, 2}} is implemented")
+        if self.kernel_base != "gaussian":
+            raise ValueError(
+                f"unknown base density {self.kernel_base!r}: the only base is gaussian "
+                f"(the compact bump base was removed)"
+            )
         if not self.seeds:
             raise ValueError("seeds must list at least one fBm seed")
-        # NoiseSpec and KernelFamily check their own bounds.
-        self.noise_spec(self.seeds[0])
+        for name in ("seeds", "n_sweep"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} = {values} repeats a value; each must be listed once")
+        # NoiseSpec, KernelFamily and the Besov lambda check their own bounds.
+        for seed in self.seeds:
+            self.noise_spec(seed)
         self.kernel()
+        require_lambda(self.besov_lambda)
         if self.eta <= self.dim / 2 + 1:
             raise ValueError(
                 f"hypothesis violated: eta > d/2 + 1 = {self.dim / 2 + 1} required"
@@ -150,6 +161,17 @@ class ExperimentConfig:
                     f"{name}={m}: a d={self.dim} mesh of {m}^{self.dim} points exceeds "
                     f"MAX_GRID={MAX_GRID}; set a smaller {name}"
                 )
+        for name in ("pde_resolution", "besov_grid"):
+            try:
+                Grid(box=self.box, m=getattr(self, name), dim=self.dim)
+            except ValueError as exc:
+                raise ValueError(f"{name}={getattr(self, name)}, box={self.box}: {exc}") from None
+        rho_min = (1.0 - abs(self.rho0_amplitude)) / self.box**self.dim
+        if rho_min <= self.vacuum_floor:
+            raise ValueError(
+                f"rho0_amplitude={self.rho0_amplitude}: the initial density falls to "
+                f"{rho_min:.3g}, at or below vacuum_floor={self.vacuum_floor}"
+            )
 
     def noise_spec(self, seed: int) -> NoiseSpec:
         return NoiseSpec(
@@ -164,7 +186,6 @@ class ExperimentConfig:
         return KernelFamily(
             beta=self.beta,
             dim=self.dim,
-            base=self.kernel_base,
             bandwidth=self.kernel_bandwidth,
         )
 

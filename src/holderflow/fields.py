@@ -78,7 +78,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.box <= 0 or self.m < 4 or self.dim not in (1, 2):
-            raise ValueError("invalid grid parameters")
+            raise ValueError("invalid grid parameters: need box > 0, m >= 4 and d in {1, 2}")
 
     @property
     def h(self) -> float:

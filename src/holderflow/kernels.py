@@ -1,11 +1,11 @@
 """Moderate-interaction mollifier family and its numerical hypothesis checks.
 
-The base density phi_1^r is a probability density whose self-convolution
-gives the interaction potential base phi_1; both are rescaled with the
-particle number as N^beta * base(N^{beta/d} x), so the kernel narrows at
-rate N^{beta/d} while keeping unit mass.  The default base is a Gaussian
-(closed-form convolution and Fourier transform, used by the oracles); a
-compactly supported bump is selectable for sensitivity studies.
+The base density phi_1^r is a Gaussian probability density whose
+self-convolution, the Gaussian of twice the variance, gives the interaction
+potential base phi_1; both are rescaled with the particle number as
+N^beta * base(N^{beta/d} x), so the kernel narrows at rate N^{beta/d} while
+keeping unit mass.  Every formula (convolution, gradient, Fourier transform)
+is closed-form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,38 +36,24 @@ __all__ = [
 ]
 
 
-def _bump_profile(r: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
 @dataclass(frozen=True)
 class KernelFamily:
-    """Base density, moderate-interaction exponent beta and dimension.
+    """Gaussian base density, moderate-interaction exponent beta and dimension.
 
-    ``bandwidth`` is the length scale of the base density (std deviation of
-    the Gaussian base, support radius of the bump base).  The evaluators take
-    displacements as a (..., dim) array and drop its last axis.
+    ``bandwidth`` is the standard deviation of the base density phi_1^r; the
+    potential base phi_1 is sqrt(2) wider.  The evaluators take displacements
+    as a (..., dim) array and drop its last axis.
     """
 
     beta: float
     dim: int = 1
-    base: str = "gaussian"
     bandwidth: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"hypothesis violated: beta must lie in (0, 1), got {self.beta}")
-        if self.base not in ("gaussian", "bump"):
-            raise ValueError(f"unknown base density {self.base!r}")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.base == "bump":
-            if self.dim != 1:
-                raise ValueError(f"bump base tabulated for d=1 only, got d={self.dim}")
-            object.__setattr__(self, "_bump_tables", _build_bump_tables(self))
 
     # --- base density phi_1^r and its gradient ---
 
@@ -75,92 +61,40 @@ class KernelFamily:
         x = as_points(x, self.dim, "displacements", batch=True)
         r2 = np.sum(x * x, axis=-1)
         h = self.bandwidth
-        if self.base == "gaussian":
-            norm = (2.0 * np.pi * h * h) ** (-self.dim / 2.0)
-            return norm * np.exp(-r2 / (2.0 * h * h))
-        r = np.sqrt(r2) / h
-        c = self._bump_tables["norm"]
-        return c * _bump_profile(r)
+        norm = (2.0 * np.pi * h * h) ** (-self.dim / 2.0)
+        return norm * np.exp(-r2 / (2.0 * h * h))
 
     def base_density_grad(self, x: np.ndarray) -> np.ndarray:
         x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
-        if self.base == "gaussian":
-            return -x / (h * h) * self.base_density(x)[..., None]
-        r2 = np.sum(x * x, axis=-1)
-        r = np.sqrt(r2) / h
-        c = self._bump_tables["norm"]
-        fac = np.zeros_like(r)
-        inside = r < 1.0
-        # d/dr exp(-1/(1-r^2)) = -2r/(1-r^2)^2 * exp(...)
-        fac[inside] = (
-            c
-            * _bump_profile(r[inside])
-            * (-2.0 * r[inside] / (1.0 - r[inside] ** 2) ** 2)
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[..., None] > 0, x / (r[..., None] * h), 0.0)
-        return fac[..., None] / h * unit
+        return -x / (h * h) * self.base_density(x)[..., None]
 
     # --- self-convolution phi_1 = phi_1^r * phi_1^r ---
 
     def potential_base(self, x: np.ndarray) -> np.ndarray:
         x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
-        if self.base == "gaussian":
-            norm = (4.0 * np.pi * h * h) ** (-self.dim / 2.0)
-            r2 = np.sum(x * x, axis=-1)
-            return norm * np.exp(-r2 / (4.0 * h * h))
-        return _bump_conv_eval(self, x, grad=False)
+        norm = (4.0 * np.pi * h * h) ** (-self.dim / 2.0)
+        r2 = np.sum(x * x, axis=-1)
+        return norm * np.exp(-r2 / (4.0 * h * h))
 
     def potential_base_grad(self, x: np.ndarray) -> np.ndarray:
         x = as_points(x, self.dim, "displacements", batch=True)
         h = self.bandwidth
-        if self.base == "gaussian":
-            return -x / (2.0 * h * h) * self.potential_base(x)[..., None]
-        return _bump_conv_eval(self, x, grad=True)
+        return -x / (2.0 * h * h) * self.potential_base(x)[..., None]
 
     def scale(self, n: int) -> float:
         """The concentration factor N^{beta/d}."""
         return float(n) ** (self.beta / self.dim)
 
     def width(self, n: int, which: str = "phi") -> float:
-        """Length scale of phi_N^r (``which="phi_r"``) or of phi_N at N particles.
-
-        The bandwidth shrinks by N^{beta/d}; the self-convolution phi_N is
-        sqrt(2) wider for the Gaussian base and twice as wide for the bump.
-        """
+        """Standard deviation of phi_N^r (``which="phi_r"``) or of phi_N at N
+        particles: the bandwidth shrinks by N^{beta/d}, and phi_N is sqrt(2)
+        wider."""
         width = self.bandwidth / self.scale(n)
         if which == "phi":
-            width *= np.sqrt(2.0) if self.base == "gaussian" else 2.0
+            width *= np.sqrt(2.0)
         return width
-
-
-def _build_bump_tables(family: KernelFamily) -> dict:
-    # Normalization and a tabulated self-convolution for the compact bump (d=1).
-    h = family.bandwidth
-    r = np.linspace(-1.0, 1.0, 4001)
-    prof = _bump_profile(r)
-    mass = np.trapezoid(prof, r) * h
-    norm = 1.0 / mass
-    m = 8192
-    span = 4.0 * h
-    xs = (np.arange(m) - m // 2) * (2.0 * span / m)
-    f = norm * _bump_profile(xs / h)
-    conv = np.fft.ifft(np.fft.fft(f) * np.fft.fft(f)).real * (2.0 * span / m)
-    conv = np.roll(conv, m // 2)
-    return {"norm": norm, "conv_x": xs, "conv_f": conv}
-
-
-def _bump_conv_eval(family: KernelFamily, x: np.ndarray, grad: bool):
-    tab = family._bump_tables
-    xi = x[..., 0]
-    f = np.interp(xi, tab["conv_x"], tab["conv_f"], left=0.0, right=0.0)
-    if not grad:
-        return f
-    dx = tab["conv_x"][1] - tab["conv_x"][0]
-    df = np.gradient(tab["conv_f"], dx)
-    return np.interp(xi, tab["conv_x"], df, left=0.0, right=0.0)[..., None]
 
 
 # --- N-scaled kernels ---
@@ -189,8 +123,9 @@ def grad_phi_r_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
 
 
 def kernel_radius(family: KernelFamily, n: int, which: str = "phi") -> float:
-    """Radius containing 99.99% of the kernel mass (conservative for Gaussian)."""
-    return (5.0 if family.base == "gaussian" else 1.0) * family.width(n, which)
+    """Five standard deviations: a ball holding more than 99.999% of the
+    kernel mass in d <= 2."""
+    return 5.0 * family.width(n, which)
 
 
 class RegimeError(ValueError):
@@ -225,13 +160,12 @@ def periodic_kernel_samples(
     m: int,
     which: str = "phi_r",
     derivative: bool = False,
-    normalize: bool = True,
 ) -> np.ndarray:
     """Kernel sampled on the periodic grid with minimum-image coordinates.
 
     The shape is (m,) * d, with a trailing component axis (d,) for gradients.
-    With ``normalize`` the scalar kernels are rescaled to exact unit discrete
-    mass so FFT mollification preserves constants to rounding.
+    The scalar kernels are rescaled to exact unit discrete mass so FFT
+    mollification preserves constants to rounding.
     """
     d = family.dim
     x = np.moveaxis(np.indices((m,) * d), 0, -1) * (box / m)
@@ -243,7 +177,7 @@ def periodic_kernel_samples(
         ("phi_r", True): grad_phi_r_N,
     }
     vals = fns[(which, derivative)](family, n, pts)
-    if normalize and not derivative:
+    if not derivative:
         cell = (box / m) ** d
         vals = vals / (np.sum(vals) * cell)
     return vals

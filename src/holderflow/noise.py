@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class NoiseSpec:
             raise ValueError("horizon must be positive")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed}: an fBm seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,26 @@ class TestParsing:
             ("[pde]\ncfl = -0.5\n", "cfl=-0.5"),
             ("[analysis]\nq_hat = 0\n", "q_hat=0"),
             ("[kernel]\nbase = cauchy\n", "unknown base density"),
-            ("[noise]\ndim = 2\n[kernel]\nbase = bump\n[analysis]\neta = 2.5\n", "d=1 only"),
+            ("[domain]\nbox = 0\n", "box=0.0: invalid grid parameters"),
+            ("[domain]\nbox = -1\n", "box=-1.0: invalid grid parameters"),
+            ("[pde]\nresolution = 2\n", "pde_resolution=2, box=1.0: invalid grid"),
+            ("[analysis]\nbesov_grid = 3\n", "besov_grid=3, box=1.0: invalid grid"),
+            # Every seed is checked, not only the first.
+            ("[noise]\nseeds = 0 -1\n", "seed=-1: an fBm seed must be a non-negative"),
+            ("[noise]\nseeds = 0 1 0\n", r"seeds = \(0, 1, 0\) repeats a value"),
+            ("[particles]\nn_list = 64 128 64\n", r"n_sweep = \(64, 128, 64\) repeats"),
+            ("[analysis]\nlambda = 1.0\n", r"lambda must lie in \(1, sqrt 2\)"),
+            ("[analysis]\nlambda = 1.5\n", r"lambda must lie in \(1, sqrt 2\)"),
+            ("[domain]\nrho0_amplitude = 1.5\n", "at or below vacuum_floor"),
+            # (1 - 0.2) / 2 equals the floor exactly.
+            ("[domain]\nbox = 2\n[pde]\nvacuum_floor = 0.4\n", "falls to 0.4, at or below"),
         ],
         ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde", "d1_fine",
              "checkpoints_zero", "checkpoints_negative", "seeds_empty", "cfl_zero",
-             "cfl_negative", "q_hat_zero", "unknown_base", "bump_d2"],
+             "cfl_negative", "q_hat_zero", "unknown_base", "box_zero", "box_negative",
+             "resolution_small", "besov_grid_small", "seed_negative", "seeds_repeated",
+             "n_repeated", "lambda_one", "lambda_above_sqrt2", "rho0_below_zero",
+             "rho0_at_floor"],
     )
     def test_unrunnable_settings_refused_at_parse(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -155,19 +170,15 @@ class TestCli:
             main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
 
-    def test_bump_in_d2_refused_before_any_output(self, tmp_path, capsys):
+    def test_bump_base_refused_before_any_output(self, tmp_path, capsys):
         cfg = tmp_path / "bump.cfg"
-        cfg.write_text(
-            "[noise]\ndim = 2\nhorizon = 0.05\nsteps = 8\nseeds = 0\n"
-            "[kernel]\nbase = bump\nbandwidth = 0.2\n[particles]\nn_list = 64\nforce_grid = 32\n"
-            "[pde]\nresolution = 32\n[analysis]\neta = 2.5\nbesov_grid = 32\nfine_grid = 32\n"
-        )
+        cfg.write_text(TINY_RUN + "\n[kernel]\nbase = bump\n")
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--config", str(cfg), "--out", str(out)])
         assert exc.value.code == EXIT_USAGE
-        assert "d=1 only" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert "the compact bump base was removed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfl.cfg"
@@ -184,8 +195,9 @@ class TestCli:
         assert "cfl must be finite" in capsys.readouterr().err
 
     def test_fluid_failure_names_seed_and_step(self, tmp_path, capsys):
+        # The initial density is 0.8 at its minimum and falls within the first step.
         cfg = tmp_path / "vacuum.cfg"
-        cfg.write_text(TINY_RUN.replace("resolution = 128", "resolution = 128\nvacuum_floor = 2.0"))
+        cfg.write_text(TINY_RUN.replace("resolution = 128", "resolution = 128\nvacuum_floor = 0.7999"))
         out = tmp_path / "out"
         assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err

@@ -234,7 +234,7 @@ class TestRunCoupled:
 
     def test_fluid_failure_propagates(self):
         # The co-evolved field dying invalidates the whole seed.
-        cfg = _tiny_config(vacuum_floor=2.0)
+        cfg = _tiny_config(vacuum_floor=0.7999)  # just below the initial minimum, 0.8
         with pytest.raises(FloatingPointError, match="vacuum"):
             run_coupled(cfg)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow.convergence import ExperimentConfig
 from holderflow.fields import Grid
 from holderflow.kernels import (
     KernelFamily,
@@ -27,13 +28,10 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="beta"):
             KernelFamily(beta=beta)
 
-    def test_bump_refused_outside_d1(self):
-        with pytest.raises(ValueError, match="d=1 only"):
-            KernelFamily(beta=0.6, dim=2, base="bump", bandwidth=0.05)
-
     def test_rejects_unknown_base(self):
-        with pytest.raises(ValueError):
-            KernelFamily(beta=0.5, base="tophat")
+        # The Gaussian is the only base; the config key refuses any other.
+        with pytest.raises(ValueError, match="unknown base density 'tophat'"):
+            ExperimentConfig(kernel_base="tophat")
 
     def test_scale_is_power_law(self):
         fam = KernelFamily(beta=0.6, dim=2)
@@ -41,9 +39,8 @@ class TestFamilyValidation:
 
 
 class TestUnitMass:
-    @pytest.mark.parametrize("base", ["gaussian", "bump"])
-    def test_base_density_unit_mass(self, base):
-        fam = KernelFamily(beta=0.6, dim=1, base=base, bandwidth=0.05)
+    def test_base_density_unit_mass(self):
+        fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
         x = np.linspace(-0.5, 0.5, 20001)[:, None]
         mass = np.trapezoid(fam.base_density(x), x[:, 0])
         assert mass == pytest.approx(1.0, abs=1e-6)
@@ -63,18 +60,11 @@ class TestSelfConvolution:
         # FFT oracle on a periodic grid: phi_N^r * phi_N^r = phi_N.
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
         n, m, box = 64, 4096, 1.0
-        pr = periodic_kernel_samples(fam, n, box, m, "phi_r", normalize=False)
-        p = periodic_kernel_samples(fam, n, box, m, "phi", normalize=False)
+        pr = periodic_kernel_samples(fam, n, box, m, "phi_r")
+        p = periodic_kernel_samples(fam, n, box, m, "phi")
         cell = box / m
         conv = np.fft.irfft(np.fft.rfft(pr) ** 2, n=m) * cell
         assert np.max(np.abs(conv - p)) < 1e-10 * np.max(p)
-
-    def test_bump_self_convolution_support_doubles(self):
-        fam = KernelFamily(beta=0.6, dim=1, base="bump", bandwidth=0.05)
-        x = np.array([[0.11], [0.09]])  # just outside / inside 2*bandwidth
-        vals = fam.potential_base(x)
-        assert vals[0] < 1e-12  # tabulated convolution: rounding-level leakage
-        assert vals[1] > 1e-6
 
 
 class TestGradients:
@@ -193,5 +183,4 @@ class TestHypothesisReport:
         assert rep.cotawildeu_status in ("pass", "fail", "inapplicable")
 
     def test_report_only_never_raises(self):
-        for base in ("gaussian", "bump"):
-            check_hypotheses(KernelFamily(beta=0.4, dim=1, base=base, bandwidth=0.05))
+        check_hypotheses(KernelFamily(beta=0.4, dim=1, bandwidth=0.05))

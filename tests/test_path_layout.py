@@ -2,6 +2,7 @@
 an (M+1, ..., d) array and a driver increment a (d,) array; every entry point
 refuses anything else, and no module reshapes a path to guess its layout."""
 
+import ast
 import io
 import re
 from pathlib import Path
@@ -31,6 +32,36 @@ def test_no_layout_guessing_in_package():
             if "np.atleast_" in line:
                 stray.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not stray, "layout guessed with np.atleast_*:\n" + "\n".join(stray)
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads; names listed in ``__all__``
+    count as read (they are re-exported)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [(line, name) for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_package():
+    src = Path(holderflow.__file__).parent
+    stray = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(src.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not stray, "imported but never used:\n" + "\n".join(stray)
 
 
 def _times(n):

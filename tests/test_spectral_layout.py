@@ -7,8 +7,8 @@ from pathlib import Path
 import holderflow
 
 # Mesh transforms and frequency arrays.  The 1-d complex ``np.fft.fft`` on
-# arrays that are not mesh fields (bump table, hypothesis report, circulant
-# embedding) is out of scope.
+# arrays that are not mesh fields (hypothesis report, circulant embedding) is
+# out of scope.
 PATTERN = re.compile(r"np\.fft\.(i?r?fftn|i?rfft)\b|fftfreq")
 
 
