@@ -159,7 +159,9 @@ class Grid:
         independent of the order of the inputs.  Two argsorts (unstable by
         value, then stable by node) give that order faster than ``lexsort``;
         entries equal in both keys, signed zeros included, add the same in
-        either order.
+        either order.  Its one caller is ``besov.deposit_nearest``: there
+        the entries are velocities, and coincident particles, which tie in
+        position order, can carry different ones.
         """
         order = np.argsort(values)
         order = order[np.argsort(flat[order], kind="stable")]

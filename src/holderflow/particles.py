@@ -187,20 +187,23 @@ def _cic_corners(positions: np.ndarray, grid: Grid):
         yield flat, functools.reduce(np.multiply, weights)
 
 
-def deposit_cic(
-    positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
-) -> np.ndarray:
+def deposit_cic(positions: np.ndarray, grid: Grid) -> np.ndarray:
     """Cloud-in-cell deposition as a density with exact mass conservation.
 
-    Accumulation runs in a canonical sorted order so the result is bitwise
-    independent of particle labelling.
+    The entries are summed in position order: the particles sorted by their
+    coordinates, then corner by corner.  Equal positions give equal entries,
+    so the result is bitwise independent of particle labelling.  A node that
+    receives at most two entries gets the bits of any other order, since
+    0 + a + b == 0 + b + a.  Its entries come from particles in the 2^d
+    cells around it, and the adaptive meshes have at least 16 cells per
+    mean particle spacing, so a third entry is rare.
     """
-    corners = list(_cic_corners(positions, grid))  # refuses a layout other than (n, d)
-    n = len(positions)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    idx = np.concatenate([node for node, _ in corners])
-    val = np.concatenate([w * wgt for _, wgt in corners])
-    return grid.accumulate(idx, val) / (n * grid.cell_volume())
+    pts = as_points(positions, grid.dim, "positions")
+    nodes, weights = zip(*_cic_corners(pts[np.lexsort(pts.T)], grid))
+    dep = np.bincount(
+        np.concatenate(nodes), np.concatenate(weights), minlength=grid.m**grid.dim
+    )
+    return dep.reshape(grid.shape) / (len(pts) * grid.cell_volume())
 
 
 def _cic_transfer(grid: Grid) -> np.ndarray:
@@ -227,17 +230,18 @@ class ForceMesh:
     """Particle-mesh force operators for N particles on one mesh.
 
     Holds what the grid force reuses at every step while N and the mesh stay
-    fixed: the squared CIC window (one factor for the deposit, one for the
-    gather) and the spectrum of each component of grad phi_N, i.e. the
-    precomputed influence function of Hockney & Eastwood, *Computer
-    Simulation Using Particles* (1988).  Construction refuses a kernel wider
-    than half the box or under-resolved by the mesh (``RegimeError``).
+    fixed: the reciprocal of the squared CIC window (one factor for the
+    deposit, one for the gather) and the spectrum of each component of
+    grad phi_N, i.e. the precomputed influence function of Hockney &
+    Eastwood, *Computer Simulation Using Particles* (1988).  Construction
+    refuses a kernel wider than half the box or under-resolved by the mesh
+    (``RegimeError``).
     """
 
     family: KernelFamily
     n: int
     grid: Grid
-    win2: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_win2: np.ndarray = field(init=False, repr=False, compare=False)
     spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -246,10 +250,12 @@ class ForceMesh:
         require_resolved(self.family, self.n, g.box, g.m, "phi")
         gk = periodic_kernel_samples(self.family, self.n, g.box, g.m, "phi", derivative=True)
         spectra = tuple(g.rfft(gk[..., q]) for q in range(g.dim))
-        win2 = _cic_transfer(g) ** 2
-        for a in (win2,) + spectra:
+        # numpy divides a complex array by a real one by multiplying with the
+        # reciprocal, so the product in the force has the quotient's bits.
+        inv_win2 = 1.0 / _cic_transfer(g) ** 2
+        for a in (inv_win2,) + spectra:
             a.flags.writeable = False
-        object.__setattr__(self, "win2", win2)
+        object.__setattr__(self, "inv_win2", inv_win2)
         object.__setattr__(self, "spectra", spectra)
 
 
@@ -288,7 +294,7 @@ def interaction_force(
     out = np.empty((ens.count, ens.dim))
     dk = grid.rfft(dens)
     for q, gq in enumerate(mesh.spectra):
-        conv = grid.irfft(dk * gq / mesh.win2) * cell
+        conv = grid.irfft(dk * gq * mesh.inv_win2) * cell
         out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
 

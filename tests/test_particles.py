@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow.convergence import _auto_grid
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
 from holderflow.kernels import KernelFamily, phi_N
 from holderflow.particles import (
     ForceMesh,
     ParticleEnsemble,
+    _cic_corners,
+    _cic_transfer,
     _dense_cdf_1d,
     deposit_cic,
     empirical_density,
@@ -203,10 +206,43 @@ class TestForceMesh:
         with pytest.raises(ValueError, match="under-resolves"):
             ForceMesh(_family(), 2, Grid(box=1.0, m=16, dim=1))
 
+    @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 96)])
+    def test_grid_force_label_equivariant_bitwise(self, dim, m):
+        # Over a hundred nodes receive three or more entries.  In d=2 their
+        # sums depend on the order, so a deposit not in a canonical order
+        # shows in the force; in d=1 the CIC weights of one node share an
+        # exponent range and usually add exactly.
+        rng = np.random.default_rng(13)
+        fam = KernelFamily(beta=0.3, dim=dim, bandwidth=0.1)
+        pos = rng.random((1024, dim))
+        pos[996:] = pos[:28]  # coincident particles
+        perm = rng.permutation(1024)
+
+        def force(p):
+            ens = ParticleEnsemble(box=1.0, positions=p, velocities=np.zeros_like(p))
+            return interaction_force(ens, fam, "grid", grid_m=m)
+
+        f = force(pos)
+        assert np.array_equal(force(pos[perm]), f[perm])
+        assert np.array_equal(f[996:], f[:28])
+
+    def test_reciprocal_window_product_bitwise_equal_to_quotient(self):
+        # The desk force mesh at N = 4096 (beta 0.6, bandwidth 0.05).
+        fam, n = _family(), 4096
+        m = _auto_grid(fam, n, 1.0, 8192, "phi")
+        assert m == 65536
+        g = Grid(box=1.0, m=m, dim=1)
+        mesh = ForceMesh(fam, n, g)
+        rho, v, pde = _sine_fields()
+        dk = g.rfft(deposit_cic(init_from_fields(rho, v, n, pde).positions, g))
+        win2 = _cic_transfer(g) ** 2
+        for gq in mesh.spectra:
+            assert np.array_equal(dk * gq * mesh.inv_win2, dk * gq / win2)
+
     def test_plan_arrays_read_only(self):
         mesh = ForceMesh(_family(), 64, Grid(box=1.0, m=1024, dim=1))
         with pytest.raises(ValueError):
-            mesh.win2[0] = 1.0
+            mesh.inv_win2[0] = 1.0
         with pytest.raises(ValueError):
             mesh.spectra[0][0] = 1.0
 
@@ -283,17 +319,58 @@ class TestStep:
         assert new.time == pytest.approx(0.25)
 
 
+def _accumulate_deposit(pts, grid):
+    """CIC deposit summed in (node, value) order by ``Grid.accumulate``, and
+    the number of entries each node receives."""
+    corners = list(_cic_corners(pts, grid))
+    idx = np.concatenate([node for node, _ in corners])
+    val = np.concatenate([wgt for _, wgt in corners])
+    dep = grid.accumulate(idx, val) / (len(pts) * grid.cell_volume())
+    return dep, np.bincount(idx, minlength=grid.m**grid.dim)
+
+
+def _paired_sites(dim, sites, m, rng):
+    """Two particles within 1.5 cells of each site of a lattice of
+    ``sites``^d points, shuffled: many nodes receive two entries, none three."""
+    axes = [np.arange(sites) / sites] * dim
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = np.concatenate([lattice, lattice]) + rng.random((2 * sites**dim, dim)) * 1.5 / m
+    return pts[rng.permutation(len(pts))]
+
+
 class TestDeposition:
     @given(seed=st.integers(min_value=0, max_value=500))
     def test_cic_label_permutation_bitwise_invariant(self, seed):
-        g = Grid(box=1.0, m=128, dim=1)
         rng = np.random.default_rng(5)
-        pts = rng.random((101, 1))
-        w = rng.standard_normal(101)
         perm = np.random.default_rng(seed).permutation(101)
-        a = deposit_cic(pts, g, weights=w)
-        b = deposit_cic(pts[perm], g, weights=w[perm])
-        assert np.array_equal(a, b)
+        for dim, m in ((1, 128), (2, 16)):
+            g = Grid(box=1.0, m=m, dim=dim)
+            pts = rng.random((101, dim))
+            # Coincident particles tie in the position order; in d=2 some
+            # also share only their first coordinate.
+            pts[70:] = pts[rng.integers(0, 70, 31)]
+            pts[60:70, 0] = pts[0, 0]
+            assert np.array_equal(deposit_cic(pts, g), deposit_cic(pts[perm], g))
+
+    @pytest.mark.parametrize("dim, sites, m", [(1, 128, 4096), (2, 8, 128)])
+    def test_position_order_matches_accumulate_order_bitwise(self, dim, sites, m):
+        # At most two entries per node: 0 + a + b == 0 + b + a.
+        g = Grid(box=1.0, m=m, dim=dim)
+        pts = _paired_sites(dim, sites, m, np.random.default_rng(11))
+        want, entries = _accumulate_deposit(pts, g)
+        assert entries.max() == 2
+        assert np.array_equal(deposit_cic(pts, g), want)
+
+    @pytest.mark.parametrize("dim, m", [(1, 60), (2, 16)])
+    def test_position_order_near_accumulate_order_when_crowded(self, dim, m):
+        # 16 to 33 entries per node on average.  (In d=1 a power-of-two mesh
+        # on the unit box would make every weight and partial sum exact.)
+        g = Grid(box=1.0, m=m, dim=dim)
+        pts = np.random.default_rng(12).random((1000, dim))
+        want, entries = _accumulate_deposit(pts, g)
+        assert entries.max() >= 3
+        got = deposit_cic(pts, g)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_cic_mass_conservation(self):
         g = Grid(box=1.0, m=128, dim=1)
