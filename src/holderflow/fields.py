@@ -27,6 +27,8 @@ __all__ = [
     "noise_kick",
     "diagnostics",
     "dealias",
+    "interpolation_coefficients",
+    "evaluate_rows",
     "upsample",
 ]
 
@@ -339,8 +341,7 @@ class FieldInterpolant:
 
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
-        self.coeff = grid.rfft(values) / values.size
-        self.coeff[..., 1 : (grid.m + 1) // 2] *= 2.0
+        self.coeff = interpolation_coefficients(values, grid)
 
     def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
         g = self.grid
@@ -365,6 +366,28 @@ class FieldInterpolant:
                     acc = np.einsum("pk,pkr->pr", phase, acc.reshape(len(block), c.shape[q], -1))
             out[start : start + rows] = acc[:, 0].real
         return out
+
+
+def interpolation_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of ``FieldInterpolant`` for mesh fields stacked on the
+    leading axes of ``values`` (the mesh axes trail): the half spectrum over
+    m^d, weighted 2 on the interior modes of the last axis."""
+    coeff = grid.rfft(values) / grid.m**grid.dim
+    coeff[..., 1 : (grid.m + 1) // 2] *= 2.0
+    return coeff
+
+
+def evaluate_rows(
+    coeff: np.ndarray, grid: Grid, x: np.ndarray, derivative: bool = False
+) -> np.ndarray:
+    """Row r of stacked 1-d ``interpolation_coefficients`` (rows, m // 2 + 1)
+    at the point x[r], or its derivative, shape (rows,).
+
+    A row-wise ``einsum``: no BLAS, so a row does not depend on the others.
+    """
+    if derivative:
+        coeff = grid.ik[0] * coeff
+    return np.einsum("rk,rk->r", _phases(x, grid.m, grid.box, full=False), coeff).real
 
 
 def _phases(x: np.ndarray, m: int, box: float, full: bool) -> np.ndarray:

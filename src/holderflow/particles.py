@@ -68,6 +68,16 @@ class ParticleEnsemble:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
 
+    def _advanced(self, velocities: np.ndarray, time: float) -> "ParticleEnsemble":
+        """These positions with new (N, d) velocities at ``time``, without
+        ``__post_init__``: only the velocities are checked, since the
+        positions already were."""
+        if not np.all(np.isfinite(velocities)):
+            raise FloatingPointError("non-finite particle state")
+        out = object.__new__(ParticleEnsemble)
+        out.__dict__.update(vars(self), velocities=velocities, time=time)
+        return out
+
     @property
     def count(self) -> int:
         return self.positions.shape[0]
@@ -206,16 +216,20 @@ def deposit_cic(positions: np.ndarray, grid: Grid) -> np.ndarray:
     return dep.reshape(grid.shape) / (len(pts) * grid.cell_volume())
 
 
+@functools.lru_cache(maxsize=16)
 def _cic_transfer(grid: Grid) -> np.ndarray:
     """Fourier transfer function of the CIC assignment window (one factor),
-    laid out like ``rfftn`` of a mesh field.
+    laid out like ``rfftn`` of a mesh field; read-only, built once per mesh
+    for the force and the checkpoint density meshes of a sweep.
 
     Dividing deposited/gathered spectra by this removes the leading
     smoothing error of the linear window; safe here because all kernels are
     well resolved so the Nyquist region carries no signal.
     """
     sincs = [np.sinc(grid.frequencies(q)) for q in range(grid.dim)]
-    return functools.reduce(np.multiply, sincs) ** 2
+    win = functools.reduce(np.multiply, sincs) ** 2
+    win.flags.writeable = False
+    return win
 
 
 def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndarray:
@@ -327,7 +341,7 @@ def step(
     if dy is not None and sigma is not None:
         kick = sigma.at(ens.time, moved.positions, ens.box)
         v_new = v_new + kick * as_increment(dy, ens.dim)
-    return replace(moved, velocities=v_new, time=ens.time + dt), accel_new
+    return moved._advanced(v_new, ens.time + dt), accel_new
 
 
 def empirical_density(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldInterpolant, Grid
+from .fields import Grid, evaluate_rows, interpolation_coefficients
 from .noise import SampledPath, holder_seminorm
 
 __all__ = [
@@ -174,6 +174,20 @@ def check_chain_rule(
     return float(abs(f(x.values[-1]) - f(x.values[0]) - integral))
 
 
+_IW_BLOCK = 64  # time steps per batched transform in check_ito_wentzell
+
+
+def _field_samples(f: Callable, name: str, args: tuple, m: int) -> np.ndarray:
+    """``f(*args)`` as a float array of shape (m,), or a ``ValueError``."""
+    a = np.asarray(f(*args), dtype=float)
+    if a.shape != (m,):
+        raise ValueError(
+            f"{name} must return an array of shape ({m},) on the {m} space points, "
+            f"got shape {a.shape}"
+        )
+    return a
+
+
 def check_ito_wentzell(
     g0: Callable[[np.ndarray], np.ndarray],
     h: Callable[[float, np.ndarray], np.ndarray],
@@ -186,7 +200,14 @@ def check_ito_wentzell(
     where g_t(x) := g_0(x) + int_0^t h_s(x) dY_s on a periodic spatial grid.
 
     Spatial derivatives are spectral and X is wrapped periodically into the
-    box; scalar driver and scalar state path.
+    box; scalar driver and scalar state path.  ``g0(nodes)`` and
+    ``h(t, nodes)`` must return arrays of shape (space_points,).
+
+    g is linear in h, so its spectrum at step i is that of g_0 plus the
+    running sum of the spectra of h_j dY_j, j < i.  The time steps go in
+    blocks of ``_IW_BLOCK``: one transform of the block's h samples, one
+    running sum carried from block to block, and row-wise evaluations at the
+    points X_i.
     """
     if y.dim != 1 or x.dim != 1:
         raise ValueError("scalar driver and state path expected")
@@ -194,25 +215,32 @@ def check_ito_wentzell(
         raise ValueError("paths must share the time grid")
     grid = Grid(box=box, m=space_points)
     nodes = grid.nodes()
-    g = np.asarray(g0(nodes), dtype=float)
-    xs = np.mod(x.values, box)
-    yv = y.values[:, 0]
+    g = interpolation_coefficients(_field_samples(g0, "g0", (nodes,), space_points), grid)
     n = y.steps
+    # X_{n+1} := X_n, so the spatial midpoint of the last row is X_n itself.
+    xs = np.mod(np.append(x.values[:, 0], x.values[-1, 0]), box)
+    # dY_n := 0: g is not advanced past the last step.
+    dy = np.append(np.diff(y.values[:, 0]), 0.0)
 
     # Samples of h_s(X_s) and D_x g_s(X_s), one row per grid time.
     h_x = np.empty((n + 1, 1))
     dg_x = np.empty((n + 1, 1))
-    g_start = FieldInterpolant(g, grid)(xs[:1])[0]
-    for i in range(n + 1):
-        h_i = np.asarray(h(float(y.times[i]), nodes), dtype=float)
-        h_x[i] = FieldInterpolant(h_i, grid)(xs[i : i + 1])
+    g_start = evaluate_rows(g[None], grid, xs[:1])[0]
+    for s in range(0, n + 1, _IW_BLOCK):
+        e = min(s + _IW_BLOCK, n + 1)
+        samples = [_field_samples(h, "h", (float(t), nodes), space_points) for t in y.times[s:e]]
+        ch = interpolation_coefficients(np.stack(samples), grid)
+        h_x[s:e, 0] = evaluate_rows(ch, grid, xs[s:e])
+        # Rows g_s .. g_{e-1}: g_s plus the running sum of h_j dY_j; g_e carries on.
+        terms = ch * dy[s:e, None]
+        gs = np.add.accumulate(np.concatenate([g[None], terms[:-1]]), axis=0)
+        g = gs[-1] + terms[-1]
         # Midpoint evaluation in space for the dX integral (valid choice of
         # partition point; kills the second-order drift of the left sum).
-        g_itp = FieldInterpolant(g, grid)
-        dg_x[i] = np.mean(g_itp(xs[i : i + 2], derivative=0))
-        if i < n:
-            g = g + h_i * (yv[i + 1] - yv[i])
-    g_end = g_itp(xs[n:])[0]
+        left = evaluate_rows(gs, grid, xs[s:e], derivative=True)
+        right = evaluate_rows(gs, grid, xs[s + 1 : e + 1], derivative=True)
+        dg_x[s:e, 0] = (left + right) / 2
+    g_end = evaluate_rows(gs[-1:], grid, xs[n : n + 1])[0]
     # Both integrands inherit the rougher of the two paths' exponents.
     beta = min(x.alpha, y.alpha)
     total_h = young_integral(IntegrandPath(y.times, h_x, beta), y)

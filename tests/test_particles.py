@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holderflow.convergence import _auto_grid
+from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
 from holderflow.kernels import KernelFamily, phi_N
 from holderflow.particles import (
@@ -142,7 +142,7 @@ class TestForces:
         # d=2: the grid force converges to the exact pairwise sum at second
         # order in h.  The auto mesh is capped at MAX_GRID points (M=256,
         # about 8 cells per kernel width); 2M restores 16 cells per width.
-        from holderflow.convergence import _auto_grid
+        from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 
         rng = np.random.default_rng(0)
         fam = KernelFamily(beta=0.6, dim=2, bandwidth=0.12)
@@ -239,6 +239,37 @@ class TestForceMesh:
         for gq in mesh.spectra:
             assert np.array_equal(dk * gq * mesh.inv_win2, dk * gq / win2)
 
+    @pytest.mark.parametrize("dim, m", [(1, 4096), (2, 64)])
+    def test_cic_window_cached_read_only_and_bitwise(self, dim, m):
+        g = Grid(box=1.0, m=m, dim=dim)
+        win = _cic_transfer(g)
+        assert win is _cic_transfer(Grid(box=1.0, m=m, dim=dim))
+        with pytest.raises(ValueError):
+            win.flat[0] = 1.0
+        formula = np.sinc(g.frequencies(0))
+        for q in range(1, dim):
+            formula = formula * np.sinc(g.frequencies(q))
+        assert np.array_equal(win, formula**2)
+
+    def test_cic_window_built_once_per_mesh_in_a_sweep(self):
+        cfg = ExperimentConfig(
+            horizon=0.05, master_steps=32, seeds=(0, 1), n_sweep=(64, 256),
+            checkpoints=4, pde_resolution=128, force_grid=1024, fine_grid=1024,
+            besov_grid=1024,
+        )
+        fam = cfg.kernel()
+        meshes = {
+            _auto_grid(fam, n, cfg.box, minimum, which)
+            for n in cfg.n_sweep
+            for minimum, which in ((cfg.force_grid, "phi"), (cfg.fine_grid, "phi_r"))
+        }
+        assert len(meshes) >= 2
+        _cic_transfer.cache_clear()
+        run_coupled(cfg)
+        info = _cic_transfer.cache_info()
+        assert (info.misses, info.currsize) == (len(meshes), len(meshes))
+        assert info.hits > 0
+
     def test_plan_arrays_read_only(self):
         mesh = ForceMesh(_family(), 64, Grid(box=1.0, m=1024, dim=1))
         with pytest.raises(ValueError):
@@ -305,6 +336,27 @@ class TestStep:
                                velocities=np.zeros((n, 1)))
         with pytest.raises(FloatingPointError, match="non-finite particle state"):
             step(ens, 1e-3, _family(), dy=np.array([np.inf]), sigma=SigmaField())
+
+    def test_kick_making_one_component_non_finite_is_refused(self):
+        # Positions stay finite; only the velocities of the second component
+        # become infinite, in the ensemble built from the moved one.
+        rng = np.random.default_rng(6)
+        fam = KernelFamily(beta=0.3, dim=2, bandwidth=0.1)
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((32, 2)),
+                               velocities=np.zeros((32, 2)))
+        with pytest.raises(FloatingPointError, match="non-finite particle state"):
+            step(ens, 1e-3, fam, dy=np.array([0.1, np.inf]), sigma=SigmaField())
+
+    def test_stepped_ensemble_equals_constructed_one(self):
+        rng = np.random.default_rng(7)
+        fam = _family()
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((64, 1)),
+                               velocities=rng.standard_normal((64, 1)))
+        new, _ = step(ens, 1e-2, fam, dy=np.array([0.3]), sigma=SigmaField(0.2, 0.5))
+        built = ParticleEnsemble(new.box, new.positions, new.velocities, new.time)
+        assert np.all((new.positions >= 0) & (new.positions < 1.0))
+        for name in ("box", "positions", "velocities", "time"):
+            assert np.array_equal(getattr(new, name), getattr(built, name))
 
     def test_rejects_nonpositive_dt(self):
         fam = _family()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from holderflow.fields import FieldInterpolant, Grid
 from holderflow.noise import NoiseSpec, SampledPath, restrict, sample_fbm
+from holderflow import young
 from holderflow.young import (
     IntegrandPath,
     check_chain_rule,
@@ -175,6 +176,89 @@ class TestItoWentzell:
             np.sin, lambda t, grid: 0.5 * np.cos(grid + t), y, x
         )
         assert res < 1e-3
+
+    @pytest.mark.parametrize(
+        "n, m, flat",
+        [
+            (32, 256, False),
+            (1000, 256, False),
+            (1024, 256, False),
+            (1000, 255, False),
+            (1024, 255, False),
+            (100, 64, False),
+            (200, 256, True),
+        ],
+    )
+    def test_spectral_check_matches_per_step_oracle(self, n, m, flat):
+        # 33 rows fit in one block; 101, 201, 1001 and 1025 leave a partial
+        # last block.  The flat field's residual must stay a rounding error.
+        y = sample_fbm(NoiseSpec(hurst=0.75, resolution=n, seed=3))
+        x = sample_fbm(NoiseSpec(hurst=0.75, resolution=n, seed=4))
+        if flat:
+            fields = (lambda g: np.full_like(g, 1.5), lambda t, g: np.full_like(g, 0.7))
+        else:
+            fields = (np.sin, lambda t, g: 0.5 * np.cos(g + t))
+        got = check_ito_wentzell(*fields, y, x, space_points=m)
+        assert abs(got - _ito_wentzell_per_step(*fields, y, x, space_points=m)) < 1e-12
+        if flat:
+            assert got < 1e-12
+
+    def test_one_transform_per_block(self, monkeypatch):
+        calls = []
+        rfft = Grid.rfft
+
+        def counted(self, f):
+            calls.append(np.shape(f))
+            return rfft(self, f)
+
+        monkeypatch.setattr(Grid, "rfft", counted)
+        y = sample_fbm(NoiseSpec(hurst=0.75, resolution=1024, seed=3))
+        x = sample_fbm(NoiseSpec(hurst=0.75, resolution=1024, seed=4))
+        check_ito_wentzell(np.sin, lambda t, grid: 0.5 * np.cos(grid + t), y, x)
+        assert len(calls) <= -(-1025 // young._IW_BLOCK) + 1
+
+    @pytest.mark.parametrize(
+        "g0, h, name, shape",
+        [
+            (np.sin, lambda t, g: 0.5, "h", "()"),
+            (lambda g: np.sin(g)[:, None], lambda t, g: np.cos(g), "g0", "(256, 1)"),
+            (np.sin, lambda t, g: np.cos(g[:-1]), "h", "(255,)"),
+        ],
+    )
+    def test_refuses_malformed_field_callables(self, g0, h, name, shape):
+        y = sample_fbm(NoiseSpec(hurst=0.75, resolution=32, seed=1))
+        x = sample_fbm(NoiseSpec(hurst=0.75, resolution=32, seed=2))
+        with pytest.raises(ValueError) as err:
+            check_ito_wentzell(g0, h, y, x)
+        msg = str(err.value)
+        assert msg.startswith(f"{name} must return an array of shape (256,)")
+        assert msg.endswith(f"got shape {shape}")
+
+
+def _ito_wentzell_per_step(g0, h, y, x, box=2.0 * np.pi, space_points=256):
+    """Reference: the Itô-Wentzell residual with the field advanced in space
+    and two ``FieldInterpolant``s built at every time step."""
+    grid = Grid(box=box, m=space_points)
+    nodes = grid.nodes()
+    g = np.asarray(g0(nodes), dtype=float)
+    xs = np.mod(x.values, box)
+    yv = y.values[:, 0]
+    n = y.steps
+    h_x = np.empty((n + 1, 1))
+    dg_x = np.empty((n + 1, 1))
+    g_start = FieldInterpolant(g, grid)(xs[:1])[0]
+    for i in range(n + 1):
+        h_i = np.asarray(h(float(y.times[i]), nodes), dtype=float)
+        h_x[i] = FieldInterpolant(h_i, grid)(xs[i : i + 1])
+        g_itp = FieldInterpolant(g, grid)
+        dg_x[i] = np.mean(g_itp(xs[i : i + 2], derivative=0))
+        if i < n:
+            g = g + h_i * (yv[i + 1] - yv[i])
+    g_end = g_itp(xs[n:])[0]
+    beta = min(x.alpha, y.alpha)
+    total_h = young_integral(IntegrandPath(y.times, h_x, beta), y)
+    total_dg = young_integral(IntegrandPath(x.times, dg_x, beta), x)
+    return float(abs(g_end - g_start - total_h - total_dg))
 
 
 def _trig_interp(values, box, pts):
