@@ -167,15 +167,18 @@ def deposit_nearest(
     positions: np.ndarray, grid: Grid, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Nearest-node deposition of point masses as a density (unit total mass
-    for unit total weight); exact mass conservation by construction, and
-    bitwise independent of particle labelling."""
+    for unit total weight); exact mass conservation by construction.  Summed
+    in position order like ``particles.deposit_cic``, the weight breaking
+    ties (coincident particles can carry different velocities), so bitwise
+    independent of particle labelling."""
     pts = as_points(positions, grid.dim, "positions")
     n = pts.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    idx = np.round(pts / grid.h).astype(int) % grid.m
+    weights = np.ones(n) if weights is None else weights
+    order = np.lexsort((weights,) + tuple(pts.T))
+    idx = np.round(pts[order] / grid.h).astype(int) % grid.m
     flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
-    return grid.accumulate(flat, weights) / (n * grid.cell_volume())
+    dep = np.bincount(flat, weights=weights[order], minlength=grid.m**grid.dim)
+    return dep.reshape(grid.shape) / (n * grid.cell_volume())
 
 
 def negative_distance(

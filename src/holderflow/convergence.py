@@ -29,7 +29,6 @@ from .fields import (
 from .kernels import KernelFamily, RegimeError
 from .noise import NoiseSpec, SampledPath, sample_fbm
 from .particles import (
-    ForceMesh,
     ParticleEnsemble,
     empirical_density,
     init_from_fields,
@@ -300,18 +299,15 @@ def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at:
         rho0, v0, n, config.pde_grid(), strategy=config.init_strategy, seed=[seed, n]
     )
     backend = config.force_backend
-    grid_m = mesh = None
+    grid_m = None
     if backend == "grid":
         grid_m = _auto_grid(family, n, config.box, config.force_grid, "phi")
-        mesh = ForceMesh(family, n, Grid(box=config.box, m=grid_m, dim=config.dim))
-    accel = interaction_force(ens, family, backend, grid_m, mesh=mesh)
+    accel = interaction_force(ens, family, backend, grid_m)
     if 0 in at:
         yield 0, ens
     for i in range(config.master_steps):
         dy = path.values[i + 1] - path.values[i]
-        ens, accel = step(
-            ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel, mesh=mesh
-        )
+        ens, accel = step(ens, dt, family, dy, sigma, backend=backend, grid_m=grid_m, accel=accel)
         if i + 1 in at:
             yield i + 1, ens
 
@@ -320,10 +316,10 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     """Run the full sweep; returns per-(seed, N) row dicts and streams CSV rows.
 
     A particle run that fails numerically (``FloatingPointError``) or is out
-    of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``
-    and the sweep goes on; a fluid failure (vacuum, CFL, non-finite state)
-    invalidates the seed and propagates with the seed and master step in its
-    message; any other error propagates too.
+    of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``,
+    on each row it wrote too, and the sweep goes on; a fluid failure
+    (vacuum, CFL, non-finite state) invalidates the seed and propagates with
+    the seed and master step in its message; any other error propagates too.
     """
     family = config.kernel()
     stride = max(1, config.master_steps // config.checkpoints)
@@ -364,10 +360,9 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
                     rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
             except (FloatingPointError, RegimeError) as exc:
                 flag = f"aborted:{type(exc).__name__}"
-            for seed_row in rows:
-                line = _format_row(seed, n, *seed_row)
-                if csv_sink is not None:
-                    csv_sink.write(line + "\n")
+            if csv_sink is not None:
+                for row in rows:
+                    csv_sink.write(_format_row(seed, n, *row, flag) + "\n")
             results.append(
                 {
                     "seed": seed,
@@ -392,7 +387,7 @@ def _checkpoint_row(config, ens, family, cached, part, fine_m):
     for q in range(config.dim):
         dep_v = deposit_nearest(ens.positions, bg, weights=ens.velocities[:, q])
         bv += negative_distance(dep_v, mom_besov[q], config.eta, config.q_hat, part) ** 2
-    return rec, bs, float(np.sqrt(bv)), "ok"
+    return rec, bs, float(np.sqrt(bv))
 
 
 def fit_rate(results: list, config: ExperimentConfig) -> RateReport:

@@ -154,22 +154,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h**self.dim
 
-    def accumulate(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Sum ``values`` into the nodes of row-major flat index ``flat``.
-
-        The sums run in (node, value) order, so the mesh is bitwise
-        independent of the order of the inputs.  Two argsorts (unstable by
-        value, then stable by node) give that order faster than ``lexsort``;
-        entries equal in both keys, signed zeros included, add the same in
-        either order.  Its one caller is ``besov.deposit_nearest``: there
-        the entries are velocities, and coincident particles, which tie in
-        position order, can carry different ones.
-        """
-        order = np.argsort(values)
-        order = order[np.argsort(flat[order], kind="stable")]
-        out = np.bincount(flat[order], weights=values[order], minlength=self.m**self.dim)
-        return out.reshape(self.shape)
-
 
 def _check_finite(rho: np.ndarray, v: np.ndarray) -> None:
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):

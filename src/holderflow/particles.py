@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import FieldInterpolant, Grid, SigmaField, as_increment, as_points, upsample
+from .fields import (
+    FieldInterpolant,
+    Grid,
+    SigmaField,
+    _read_only,
+    as_increment,
+    as_points,
+    upsample,
+)
 from .kernels import (
     KernelFamily,
     grad_phi_N,
@@ -28,7 +36,6 @@ from .kernels import (
 
 __all__ = [
     "ParticleEnsemble",
-    "ForceMesh",
     "init_from_fields",
     "interaction_force",
     "step",
@@ -227,9 +234,7 @@ def _cic_transfer(grid: Grid) -> np.ndarray:
     well resolved so the Nyquist region carries no signal.
     """
     sincs = [np.sinc(grid.frequencies(q)) for q in range(grid.dim)]
-    win = functools.reduce(np.multiply, sincs) ** 2
-    win.flags.writeable = False
-    return win
+    return _read_only(functools.reduce(np.multiply, sincs) ** 2)
 
 
 def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndarray:
@@ -239,38 +244,23 @@ def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndar
     )
 
 
-@dataclass(frozen=True)
-class ForceMesh:
-    """Particle-mesh force operators for N particles on one mesh.
-
-    Holds what the grid force reuses at every step while N and the mesh stay
-    fixed: the reciprocal of the squared CIC window (one factor for the
-    deposit, one for the gather) and the spectrum of each component of
-    grad phi_N, i.e. the precomputed influence function of Hockney &
-    Eastwood, *Computer Simulation Using Particles* (1988).  Construction
-    refuses a kernel wider than half the box or under-resolved by the mesh
-    (``RegimeError``).
+@functools.lru_cache(maxsize=16)
+def _force_operators(family: KernelFamily, n: int, grid: Grid) -> tuple:
+    """Particle-mesh force operators for N particles on one mesh, read-only:
+    the spectrum of each component of grad phi_N (the precomputed influence
+    function of Hockney & Eastwood, *Computer Simulation Using Particles*,
+    1988) and the reciprocal of the squared CIC window, one factor for the
+    deposit and one for the gather.  A build refuses a kernel wider than
+    half the box or under-resolved by the mesh (``RegimeError``); refusals
+    are not cached, so they repeat on every call.
     """
-
-    family: KernelFamily
-    n: int
-    grid: Grid
-    inv_win2: np.ndarray = field(init=False, repr=False, compare=False)
-    spectra: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        g = self.grid
-        require_support(self.family, self.n, g.box)
-        require_resolved(self.family, self.n, g.box, g.m, "phi")
-        gk = periodic_kernel_samples(self.family, self.n, g.box, g.m, "phi", derivative=True)
-        spectra = tuple(g.rfft(gk[..., q]) for q in range(g.dim))
-        # numpy divides a complex array by a real one by multiplying with the
-        # reciprocal, so the product in the force has the quotient's bits.
-        inv_win2 = 1.0 / _cic_transfer(g) ** 2
-        for a in (inv_win2,) + spectra:
-            a.flags.writeable = False
-        object.__setattr__(self, "inv_win2", inv_win2)
-        object.__setattr__(self, "spectra", spectra)
+    require_support(family, n, grid.box)
+    require_resolved(family, n, grid.box, grid.m, "phi")
+    gk = periodic_kernel_samples(family, n, grid.box, grid.m, "phi", derivative=True)
+    spectra = tuple(_read_only(grid.rfft(gk[..., q])) for q in range(grid.dim))
+    # numpy divides a complex array by a real one by multiplying with the
+    # reciprocal, so the product in the force has the quotient's bits.
+    return spectra, _read_only(1.0 / _cic_transfer(grid) ** 2)
 
 
 def interaction_force(
@@ -278,15 +268,13 @@ def interaction_force(
     family: KernelFamily,
     backend: str = "direct",
     grid_m: int | None = None,
-    mesh: ForceMesh | None = None,
 ) -> np.ndarray:
     """Accelerations -grad(S^N * phi_N)(X_k).
 
     ``direct``: exact O(N^2) pairwise sum with minimum-image displacements
     (the self term contributes exactly zero).  ``grid``: deposit S^N,
-    FFT-convolve with grad phi_N, gather back; O(M log M).  ``mesh`` is the
-    grid backend's plan for this family, N and ``grid_m``; without one it is
-    built for this call.
+    FFT-convolve with grad phi_N, gather back; O(M log M), with the
+    operators of ``_force_operators``.
     """
     if backend == "direct":
         require_support(family, ens.count, ens.box)
@@ -296,19 +284,13 @@ def interaction_force(
     if grid_m is None:
         raise ValueError("grid backend needs grid_m")
     grid = Grid(box=ens.box, m=grid_m, dim=ens.dim)
-    if mesh is None:
-        mesh = ForceMesh(family, ens.count, grid)
-    elif (mesh.family, mesh.n, mesh.grid) != (family, ens.count, grid):
-        raise ValueError(
-            f"force mesh built for N={mesh.n} on {mesh.grid}, "
-            f"called with N={ens.count} on {grid}"
-        )
+    spectra, inv_win2 = _force_operators(family, ens.count, grid)
     dens = deposit_cic(ens.positions, grid)
     cell = grid.cell_volume()
     out = np.empty((ens.count, ens.dim))
     dk = grid.rfft(dens)
-    for q, gq in enumerate(mesh.spectra):
-        conv = grid.irfft(dk * gq * mesh.inv_win2) * cell
+    for q, gq in enumerate(spectra):
+        conv = grid.irfft(dk * gq * inv_win2) * cell
         out[:, q] = -_gather_cic(conv, grid, ens.positions)
     return out
 
@@ -322,21 +304,20 @@ def step(
     backend: str = "direct",
     grid_m: int | None = None,
     accel: np.ndarray | None = None,
-    mesh: ForceMesh | None = None,
 ) -> tuple[ParticleEnsemble, np.ndarray]:
     """One velocity-Verlet step plus the Young-Euler noise kick.
 
     Returns (new ensemble, accelerations at the new positions) so callers
     can avoid recomputing forces.  ``dy`` must be the master path increment
-    over [t, t + dt].  ``mesh`` is passed on to ``interaction_force``.
+    over [t, t + dt].
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if accel is None:
-        accel = interaction_force(ens, family, backend, grid_m, mesh=mesh)
+        accel = interaction_force(ens, family, backend, grid_m)
     v_half = ens.velocities + 0.5 * dt * accel
     moved = replace(ens, positions=ens.positions + dt * v_half)
-    accel_new = interaction_force(moved, family, backend, grid_m, mesh=mesh)
+    accel_new = interaction_force(moved, family, backend, grid_m)
     v_new = v_half + 0.5 * dt * accel_new
     if dy is not None and sigma is not None:
         kick = sigma.at(ens.time, moved.positions, ens.box)

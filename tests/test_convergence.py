@@ -147,7 +147,8 @@ class TestRunCoupled:
         assert buf.getvalue() == text
 
     def test_force_kernel_built_once_per_n(self, monkeypatch):
-        # The grid force plan is built once per N, not at every step.
+        # The grid force operators are built once per N, not at every step
+        # nor for every seed.
         import holderflow.kernels
         import holderflow.particles
 
@@ -161,11 +162,13 @@ class TestRunCoupled:
 
         for mod in (holderflow.kernels, holderflow.particles):
             monkeypatch.setattr(mod, "periodic_kernel_samples", counting)
-        cfg = _tiny_config(master_steps=16, horizon=0.0125)
-        path = sample_fbm(cfg.noise_spec(0))
-        for n in cfg.n_sweep:
-            states = list(simulate(cfg, n, path, 0, {cfg.master_steps}))
-            assert states[-1][1].time == pytest.approx(cfg.horizon)
+        holderflow.particles._force_operators.cache_clear()
+        cfg = _tiny_config(master_steps=16, horizon=0.0125, seeds=(0, 1))
+        for seed in cfg.seeds:
+            path = sample_fbm(cfg.noise_spec(seed))
+            for n in cfg.n_sweep:
+                states = list(simulate(cfg, n, path, seed, {cfg.master_steps}))
+                assert states[-1][1].time == pytest.approx(cfg.horizon)
         assert built == list(cfg.n_sweep)
 
     def test_mollifier_spectrum_built_once_per_n_and_mesh(self, monkeypatch):
@@ -199,6 +202,39 @@ class TestRunCoupled:
         flags = {r["n"]: r["flag"] for r in results}
         assert flags[2] == "aborted:RegimeError"
         assert flags[64] == "ok"
+
+    def test_aborted_run_flags_every_row(self, monkeypatch):
+        # N=64 fails after its second checkpoint: the two rows it wrote carry
+        # the abort flag, and N=128 runs on clean.
+        import holderflow.convergence
+
+        cfg = _tiny_config()
+        stride = cfg.master_steps // cfg.checkpoints
+        orig = holderflow.convergence.step
+        steps = []
+
+        def failing(ens, *args, **kwargs):
+            if ens.count == 64:
+                steps.append(ens.time)
+                if len(steps) > stride:
+                    raise FloatingPointError("injected")
+            return orig(ens, *args, **kwargs)
+
+        monkeypatch.setattr(holderflow.convergence, "step", failing)
+        buf = io.StringIO()
+        results = run_coupled(cfg, csv_sink=buf)
+        flags = {}
+        for line in buf.getvalue().splitlines()[2:]:
+            row = line.split(",")
+            flags.setdefault(int(row[1]), []).append(row[-1])
+        assert flags == {
+            64: ["aborted:FloatingPointError"] * 2,
+            128: ["ok"] * (cfg.checkpoints + 1),
+        }
+        assert [(r["flag"], len(r["records"])) for r in results] == [
+            ("aborted:FloatingPointError", 2),
+            ("ok", cfg.checkpoints + 1),
+        ]
 
     def test_random_init_byte_deterministic(self):
         cfg = _tiny_config(init_strategy="random")

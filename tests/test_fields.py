@@ -111,24 +111,6 @@ class TestGrid:
         assert g.cell_volume() == pytest.approx(0.25)
         assert np.allclose(g.nodes(), np.arange(8) * 0.25)
 
-    @given(seed=st.integers(min_value=0, max_value=500))
-    def test_accumulate_matches_lexsort_order_bitwise(self, seed):
-        # Repeated (node, value) pairs, signed zeros and a dynamic range at
-        # which the order of the sums shows in the result.
-        rng = np.random.default_rng(seed)
-        g = Grid(box=1.0, m=4, dim=2)
-        pool = np.array([0.0, -0.0, 1e-17, 0.1, -0.3, 1.0, 1e16, -1e16])
-        flat = rng.integers(0, g.m**g.dim, 400)
-        values = rng.choice(pool, 400)
-        order = np.lexsort((values, flat))
-        want = np.bincount(flat[order], weights=values[order], minlength=g.m**g.dim)
-        got = g.accumulate(flat, values)
-        assert got.shape == g.shape
-        assert np.array_equal(got.ravel(), want)
-        assert not np.any(np.signbit(got[got == 0.0]))
-        perm = rng.permutation(400)
-        assert np.array_equal(g.accumulate(flat[perm], values[perm]), got)
-
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cached_operators_are_read_only(self, dim):
         g = Grid(box=1.0, m=16, dim=dim)

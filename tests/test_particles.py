@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow.besov import deposit_nearest
 from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
-from holderflow.kernels import KernelFamily, phi_N
+from holderflow.kernels import KernelFamily, RegimeError, phi_N
 from holderflow.particles import (
-    ForceMesh,
     ParticleEnsemble,
     _cic_corners,
     _cic_transfer,
     _dense_cdf_1d,
+    _force_operators,
     deposit_cic,
     empirical_density,
     init_from_fields,
@@ -175,36 +176,28 @@ class TestForces:
 
 class TestForceMesh:
     @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 128)])
-    def test_prebuilt_plan_matches_on_the_fly_bitwise(self, dim, m):
+    def test_cache_hit_force_equals_first_call_bitwise(self, dim, m):
         rng = np.random.default_rng(3)
         fam = KernelFamily(beta=0.3, dim=dim, bandwidth=0.1)
-        n = 128
-        ens = ParticleEnsemble(box=1.0, positions=rng.random((n, dim)),
-                               velocities=np.zeros((n, dim)))
-        mesh = ForceMesh(fam, n, Grid(box=1.0, m=m, dim=dim))
-        planned = interaction_force(ens, fam, "grid", grid_m=m, mesh=mesh)
-        assert np.array_equal(planned, interaction_force(ens, fam, "grid", grid_m=m))
-        assert np.array_equal(planned, interaction_force(ens, fam, "grid", grid_m=m, mesh=mesh))
-
-    def test_plan_for_other_n_or_mesh_refused(self):
-        fam = KernelFamily(beta=0.3, dim=1, bandwidth=0.1)
-        rng = np.random.default_rng(4)
-        ens = ParticleEnsemble(box=1.0, positions=rng.random((128, 1)),
-                               velocities=np.zeros((128, 1)))
-        for n, m in ((256, 2048), (128, 1024)):
-            mesh = ForceMesh(fam, n, Grid(box=1.0, m=m, dim=1))
-            with pytest.raises(ValueError, match="force mesh built for"):
-                interaction_force(ens, fam, "grid", grid_m=2048, mesh=mesh)
-        other = KernelFamily(beta=0.3, dim=1, bandwidth=0.08)
-        mesh = ForceMesh(other, 128, Grid(box=1.0, m=2048, dim=1))
-        with pytest.raises(ValueError, match="force mesh built for"):
-            interaction_force(ens, fam, "grid", grid_m=2048, mesh=mesh)
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((128, dim)),
+                               velocities=np.zeros((128, dim)))
+        _force_operators.cache_clear()
+        first = interaction_force(ens, fam, "grid", grid_m=m)
+        assert np.array_equal(interaction_force(ens, fam, "grid", grid_m=m), first)
+        info = _force_operators.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_plan_construction_refuses(self):
-        with pytest.raises(ValueError, match="half the box"):
-            ForceMesh(_family(bandwidth=0.2), 2, Grid(box=1.0, m=1024, dim=1))
-        with pytest.raises(ValueError, match="under-resolves"):
-            ForceMesh(_family(), 2, Grid(box=1.0, m=16, dim=1))
+        # Refusals are not cached: the second call refuses again.
+        _force_operators.cache_clear()
+        ens = ParticleEnsemble(box=1.0, positions=[[0.2], [0.7]],
+                               velocities=np.zeros((2, 1)))
+        for _ in range(2):
+            with pytest.raises(RegimeError, match="half the box"):
+                interaction_force(ens, _family(bandwidth=0.2), "grid", grid_m=1024)
+            with pytest.raises(RegimeError, match="under-resolves"):
+                _force_operators(_family(), 2, Grid(box=1.0, m=16, dim=1))
+        assert _force_operators.cache_info().currsize == 0
 
     @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 96)])
     def test_grid_force_label_equivariant_bitwise(self, dim, m):
@@ -232,12 +225,12 @@ class TestForceMesh:
         m = _auto_grid(fam, n, 1.0, 8192, "phi")
         assert m == 65536
         g = Grid(box=1.0, m=m, dim=1)
-        mesh = ForceMesh(fam, n, g)
+        spectra, inv_win2 = _force_operators(fam, n, g)
         rho, v, pde = _sine_fields()
         dk = g.rfft(deposit_cic(init_from_fields(rho, v, n, pde).positions, g))
         win2 = _cic_transfer(g) ** 2
-        for gq in mesh.spectra:
-            assert np.array_equal(dk * gq * mesh.inv_win2, dk * gq / win2)
+        for gq in spectra:
+            assert np.array_equal(dk * gq * inv_win2, dk * gq / win2)
 
     @pytest.mark.parametrize("dim, m", [(1, 4096), (2, 64)])
     def test_cic_window_cached_read_only_and_bitwise(self, dim, m):
@@ -264,18 +257,22 @@ class TestForceMesh:
             for minimum, which in ((cfg.force_grid, "phi"), (cfg.fine_grid, "phi_r"))
         }
         assert len(meshes) >= 2
+        # Force operators cached by an earlier test skip their window lookup.
         _cic_transfer.cache_clear()
+        _force_operators.cache_clear()
         run_coupled(cfg)
         info = _cic_transfer.cache_info()
         assert (info.misses, info.currsize) == (len(meshes), len(meshes))
         assert info.hits > 0
 
     def test_plan_arrays_read_only(self):
-        mesh = ForceMesh(_family(), 64, Grid(box=1.0, m=1024, dim=1))
-        with pytest.raises(ValueError):
-            mesh.inv_win2[0] = 1.0
-        with pytest.raises(ValueError):
-            mesh.spectra[0][0] = 1.0
+        ops = _force_operators(_family(), 64, Grid(box=1.0, m=1024, dim=1))
+        assert ops is _force_operators(_family(), 64, Grid(box=1.0, m=1024, dim=1))
+        spectra, inv_win2 = ops
+        with pytest.raises(ValueError, match="read-only"):
+            inv_win2[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[0][0] = 1.0
 
 
 class TestStep:
@@ -371,14 +368,31 @@ class TestStep:
         assert new.time == pytest.approx(0.25)
 
 
+def _lexsort_deposit(flat, values, n, grid):
+    """The reference order: the density of ``values`` deposited by ``n``
+    particles at the nodes of row-major flat index ``flat``, summed in
+    (node, value) order, which no relabelling changes; and the number of
+    entries each node receives."""
+    order = np.lexsort((values, flat))
+    dep = np.bincount(flat[order], weights=values[order], minlength=grid.m**grid.dim)
+    entries = np.bincount(flat, minlength=grid.m**grid.dim)
+    return dep.reshape(grid.shape) / (n * grid.cell_volume()), entries
+
+
 def _accumulate_deposit(pts, grid):
-    """CIC deposit summed in (node, value) order by ``Grid.accumulate``, and
-    the number of entries each node receives."""
+    """CIC deposit summed in the reference order, and the entries per node."""
     corners = list(_cic_corners(pts, grid))
     idx = np.concatenate([node for node, _ in corners])
     val = np.concatenate([wgt for _, wgt in corners])
-    dep = grid.accumulate(idx, val) / (len(pts) * grid.cell_volume())
-    return dep, np.bincount(idx, minlength=grid.m**grid.dim)
+    return _lexsort_deposit(idx, val, len(pts), grid)
+
+
+def _nearest_reference(pts, grid, weights):
+    """Nearest-node deposit summed in the reference order, and the entries
+    per node."""
+    idx = np.round(pts / grid.h).astype(int) % grid.m
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+    return _lexsort_deposit(flat, weights, len(pts), grid)
 
 
 def _paired_sites(dim, sites, m, rng):
@@ -423,6 +437,39 @@ class TestDeposition:
         assert entries.max() >= 3
         got = deposit_cic(pts, g)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @given(seed=st.integers(min_value=0, max_value=500))
+    def test_nearest_coincident_weights_lexsort_order_bitwise(self, seed):
+        # Particles stacked on six sites in distinct nodes, so each node sums
+        # coincident particles only: position order, the weight breaking
+        # ties, is then the (node, value) order.  Repeated weights, signed
+        # zeros and a dynamic range at which the order of the sums shows.
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1e-17, 0.1, -0.3, 1.0, 1e16, -1e16])
+        for dim, m in ((1, 16), (2, 4)):
+            g = Grid(box=1.0, m=m, dim=dim)
+            nodes = np.unravel_index(rng.choice(m**dim, 6, replace=False), g.shape)
+            sites = np.stack(nodes, axis=-1) * g.h + rng.uniform(-0.4, 0.4, (6, dim)) * g.h
+            pts = sites[rng.integers(0, 6, 400)]
+            w = rng.choice(pool, 400)
+            got = deposit_nearest(pts, g, weights=w)
+            want, entries = _nearest_reference(pts, g, w)
+            assert entries.max() >= 3
+            assert np.array_equal(got, want)
+            assert not np.any(np.signbit(got[got == 0.0]))
+            perm = rng.permutation(400)
+            assert np.array_equal(deposit_nearest(pts[perm], g, weights=w[perm]), got)
+
+    @pytest.mark.parametrize("dim, sites, m", [(1, 128, 4096), (2, 8, 128)])
+    def test_nearest_position_order_matches_lexsort_order_bitwise(self, dim, sites, m):
+        # At most two entries per node, as on the Besov mesh of the desk run.
+        g = Grid(box=1.0, m=m, dim=dim)
+        rng = np.random.default_rng(14)
+        pts = _paired_sites(dim, sites, m, rng)
+        w = rng.standard_normal(len(pts))
+        want, entries = _nearest_reference(pts, g, w)
+        assert entries.max() == 2
+        assert np.array_equal(deposit_nearest(pts, g, weights=w), want)
 
     def test_cic_mass_conservation(self):
         g = Grid(box=1.0, m=128, dim=1)
