@@ -18,7 +18,6 @@ from .fields import Grid, _read_only, as_points
 
 __all__ = [
     "DyadicPartition",
-    "DyadicDecomposition",
     "build_partition",
     "require_lambda",
     "dyadic_blocks",
@@ -100,24 +99,9 @@ def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     return DyadicPartition(grid, lam, r0, profiles=_read_only(profiles), energy=energy)
 
 
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Blocks Delta_j f for j = -1 .. J as gridded fields (leading axis)."""
-
-    partition: DyadicPartition
-    blocks: np.ndarray
-
-    def low_frequency_cutoff(self, j: int) -> np.ndarray:
-        """S_j = sum of blocks with index below j."""
-        return np.sum(self.blocks[: j + 1], axis=0)
-
-    def reconstruct(self) -> np.ndarray:
-        return np.sum(self.blocks, axis=0)
-
-
-def dyadic_blocks(values: np.ndarray, part: DyadicPartition) -> DyadicDecomposition:
-    blocks = part.grid.irfft(part.profiles * part.grid.rfft(values))
-    return DyadicDecomposition(partition=part, blocks=blocks)
+def dyadic_blocks(values: np.ndarray, part: DyadicPartition) -> np.ndarray:
+    """Blocks Delta_j f, j = -1 .. J, stacked: shape (J + 2,) + the grid shape."""
+    return part.grid.irfft(part.profiles * part.grid.rfft(values))
 
 
 def _lp_norm(values: np.ndarray, grid: Grid, p: float) -> float:
@@ -131,10 +115,10 @@ def besov_norm(
     """l^q over j of 2^{js} ||Delta_j f||_{L^p}."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    dec = dyadic_blocks(values, part)
+    blocks = dyadic_blocks(values, part)
     terms = np.array(
         [
-            2.0 ** (j * s) * _lp_norm(dec.blocks[i], part.grid, p)
+            2.0 ** (j * s) * _lp_norm(blocks[i], part.grid, p)
             for i, j in enumerate(part.j_range())
         ]
     )
@@ -153,13 +137,13 @@ def triebel_norm(
     """L^p of the pointwise l^q over j of 2^{js} Delta_j f."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    dec = dyadic_blocks(values, part)
+    blocks = dyadic_blocks(values, part)
     weights = np.array([2.0 ** (j * s) for j in part.j_range()])
     shaped = weights.reshape((-1,) + (1,) * part.grid.dim)
     if np.isinf(q):
-        inner = np.max(np.abs(shaped * dec.blocks), axis=0)
+        inner = np.max(np.abs(shaped * blocks), axis=0)
     else:
-        inner = np.sum(np.abs(shaped * dec.blocks) ** q, axis=0) ** (1.0 / q)
+        inner = np.sum(np.abs(shaped * blocks) ** q, axis=0) ** (1.0 / q)
     return _lp_norm(inner, part.grid, p)
 
 

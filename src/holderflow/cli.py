@@ -139,7 +139,7 @@ def _cmd_check(args) -> int:
     """Fast oracle suite: core identities of every module."""
     from .besov import build_partition
     from .fields import FluidState, Grid, rhs_deterministic
-    from .kernels import KernelFamily, mollify, phi_N
+    from .kernels import KernelFamily, mollify
     from .noise import NoiseSpec, fbm_covariance, sample_fbm
     from .young import check_chain_rule, check_integration_by_parts
 
@@ -161,11 +161,11 @@ def _cmd_check(args) -> int:
     check("integration by parts on smooth path",
           check_integration_by_parts(smooth, smooth) < 1e-2)
     check("chain rule f(x)=x is exact",
-          check_chain_rule(lambda x: float(x[0]), lambda x: np.ones(1), smooth) < 1e-12)
+          check_chain_rule(lambda x: float(x[0]), np.ones_like, smooth) < 1e-12)
 
     family = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
     xs = np.linspace(-0.5, 0.5, 2001)[:, None]
-    mass = np.trapezoid(phi_N(family, 64, xs), xs[:, 0])
+    mass = np.trapezoid(family.kernel(64, xs), xs[:, 0])
     check("phi_N unit mass", abs(mass - 1.0) < 1e-6)
     const = np.full(256, 3.0)
     mol = mollify(const, 1.0, family, 64)

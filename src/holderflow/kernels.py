@@ -22,10 +22,6 @@ from .fields import Grid, _read_only, as_points
 __all__ = [
     "KernelFamily",
     "HypothesisReport",
-    "phi_N",
-    "grad_phi_N",
-    "phi_r_N",
-    "grad_phi_r_N",
     "kernel_radius",
     "RegimeError",
     "require_support",
@@ -35,14 +31,23 @@ __all__ = [
     "check_hypotheses",
 ]
 
+# Variance of each kernel in units of bandwidth^2: phi_1 = phi_1^r * phi_1^r
+# is the Gaussian of twice the variance of phi_1^r.
+_VARIANCE = {"phi_r": 1.0, "phi": 2.0}
+
+
+def _variance(which: str) -> float:
+    if which not in _VARIANCE:
+        raise ValueError(f"unknown kernel {which!r}: expected 'phi' or 'phi_r'")
+    return _VARIANCE[which]
+
 
 @dataclass(frozen=True)
 class KernelFamily:
     """Gaussian base density, moderate-interaction exponent beta and dimension.
 
-    ``bandwidth`` is the standard deviation of the base density phi_1^r; the
-    potential base phi_1 is sqrt(2) wider.  The evaluators take displacements
-    as a (..., dim) array and drop its last axis.
+    ``bandwidth`` is the standard deviation of the base density phi_1^r;
+    ``_VARIANCE`` gives each kernel's variance in units of bandwidth^2.
     """
 
     beta: float
@@ -55,33 +60,25 @@ class KernelFamily:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
-    # --- base density phi_1^r and its gradient ---
+    def kernel(
+        self, n: int, x: np.ndarray, which: str = "phi", derivative: bool = False
+    ) -> np.ndarray:
+        """phi_N (``which="phi"``) or phi_N^r at N particles, or its gradient:
+        N^beta s^[derivative] G(s x) with s = N^{beta/d}, G the Gaussian of
+        variance c * bandwidth^2 (c from ``_VARIANCE``) or its gradient.
 
-    def base_density(self, x: np.ndarray) -> np.ndarray:
-        x = as_points(x, self.dim, "displacements", batch=True)
+        ``x`` is a (..., dim) displacement array; the value drops its last
+        axis and the gradient keeps it.  At N = 1 this is the base itself.
+        """
+        c = _variance(which)
+        s = self.scale(n)
+        x = as_points(np.asarray(x) * s, self.dim, "displacements", batch=True)
+        h = self.bandwidth
         r2 = np.sum(x * x, axis=-1)
-        h = self.bandwidth
-        norm = (2.0 * np.pi * h * h) ** (-self.dim / 2.0)
-        return norm * np.exp(-r2 / (2.0 * h * h))
-
-    def base_density_grad(self, x: np.ndarray) -> np.ndarray:
-        x = as_points(x, self.dim, "displacements", batch=True)
-        h = self.bandwidth
-        return -x / (h * h) * self.base_density(x)[..., None]
-
-    # --- self-convolution phi_1 = phi_1^r * phi_1^r ---
-
-    def potential_base(self, x: np.ndarray) -> np.ndarray:
-        x = as_points(x, self.dim, "displacements", batch=True)
-        h = self.bandwidth
-        norm = (4.0 * np.pi * h * h) ** (-self.dim / 2.0)
-        r2 = np.sum(x * x, axis=-1)
-        return norm * np.exp(-r2 / (4.0 * h * h))
-
-    def potential_base_grad(self, x: np.ndarray) -> np.ndarray:
-        x = as_points(x, self.dim, "displacements", batch=True)
-        h = self.bandwidth
-        return -x / (2.0 * h * h) * self.potential_base(x)[..., None]
+        val = (2.0 * c * np.pi * h * h) ** (-self.dim / 2) * np.exp(-r2 / (2.0 * c * h * h))
+        if derivative:
+            val = -x / (c * h * h) * val[..., None]
+        return float(n) ** self.beta * (s if derivative else 1.0) * val
 
     def scale(self, n: int) -> float:
         """The concentration factor N^{beta/d}."""
@@ -89,37 +86,8 @@ class KernelFamily:
 
     def width(self, n: int, which: str = "phi") -> float:
         """Standard deviation of phi_N^r (``which="phi_r"``) or of phi_N at N
-        particles: the bandwidth shrinks by N^{beta/d}, and phi_N is sqrt(2)
-        wider."""
-        width = self.bandwidth / self.scale(n)
-        if which == "phi":
-            width *= np.sqrt(2.0)
-        return width
-
-
-# --- N-scaled kernels ---
-
-
-def phi_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
-    """Interaction kernel N^beta * phi_1(N^{beta/d} x)."""
-    s = family.scale(n)
-    return float(n) ** family.beta * family.potential_base(np.asarray(x) * s)
-
-
-def grad_phi_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
-    s = family.scale(n)
-    return float(n) ** family.beta * s * family.potential_base_grad(np.asarray(x) * s)
-
-
-def phi_r_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
-    """Convolution square root of phi_N: same N^beta scaling applied to phi_1^r."""
-    s = family.scale(n)
-    return float(n) ** family.beta * family.base_density(np.asarray(x) * s)
-
-
-def grad_phi_r_N(family: KernelFamily, n: int, x: np.ndarray) -> np.ndarray:
-    s = family.scale(n)
-    return float(n) ** family.beta * s * family.base_density_grad(np.asarray(x) * s)
+        particles: the bandwidth shrinks by N^{beta/d}."""
+        return self.bandwidth / self.scale(n) * np.sqrt(_variance(which))
 
 
 def kernel_radius(family: KernelFamily, n: int, which: str = "phi") -> float:
@@ -170,13 +138,7 @@ def periodic_kernel_samples(
     d = family.dim
     x = np.moveaxis(np.indices((m,) * d), 0, -1) * (box / m)
     pts = np.where(x > box / 2, x - box, x)
-    fns = {
-        ("phi", False): phi_N,
-        ("phi", True): grad_phi_N,
-        ("phi_r", False): phi_r_N,
-        ("phi_r", True): grad_phi_r_N,
-    }
-    vals = fns[(which, derivative)](family, n, pts)
+    vals = family.kernel(n, pts, which, derivative)
     if not derivative:
         cell = (box / m) ** d
         vals = vals / (np.sum(vals) * cell)
@@ -233,7 +195,7 @@ def _u_function(family: KernelFamily, alpha: tuple, q: int, pts: np.ndarray):
     order = sum(alpha)
     fact = math.prod(math.factorial(a) for a in alpha)
     mono = np.prod(pts ** np.asarray(alpha, dtype=float), axis=-1)
-    grad = family.base_density_grad(pts)[..., q]
+    grad = family.kernel(1, pts, "phi_r", derivative=True)[..., q]
     return (-1.0) ** (1 + order) * mono / fact * grad
 
 
@@ -259,7 +221,7 @@ def check_hypotheses(family: KernelFamily, r_max: float = 20.0) -> HypothesisRep
             axis=-1,
         )
     xr = np.linalg.norm(pts, axis=-1) / h
-    c1_margin = float(np.max((1.0 + xr ** (d + 2)) * family.base_density(pts)))
+    c1_margin = float(np.max((1.0 + xr ** (d + 2)) * family.kernel(1, pts, "phi_r")))
 
     cotauj = 0.0
     for q in range(d):
@@ -275,7 +237,7 @@ def check_hypotheses(family: KernelFamily, r_max: float = 20.0) -> HypothesisRep
         grid = xs[:, None]
     else:
         grid = np.stack([xs, np.zeros_like(xs)], axis=-1)
-    phi_hat = np.abs(np.fft.fft(np.fft.ifftshift(family.base_density(grid))))
+    phi_hat = np.abs(np.fft.fft(np.fft.ifftshift(family.kernel(1, grid, "phi_r"))))
     worst = 0.0
     applicable = ell >= 1
     for q in range(d):

@@ -27,7 +27,6 @@ from .fields import (
 )
 from .kernels import (
     KernelFamily,
-    grad_phi_N,
     mollify,
     periodic_kernel_samples,
     require_resolved,
@@ -186,7 +185,7 @@ def _force_direct(ens: ParticleEnsemble, family: KernelFamily, n_scale: int) -> 
     for start in range(0, n, block):
         stop = min(start + block, n)
         diff = _min_image(pos[start:stop, None, :] - pos[None, :, :], ens.box)
-        out[start:stop] = -np.mean(grad_phi_N(family, n_scale, diff), axis=1)
+        out[start:stop] = -np.mean(family.kernel(n_scale, diff, derivative=True), axis=1)
     return out
 
 

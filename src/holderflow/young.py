@@ -162,10 +162,16 @@ def check_chain_rule(
 ) -> float:
     """|f(X_T) - f(X_0) - int Df(X) dX| for caller-declared Df Hölder index gamma.
 
-    ``df`` maps a (d,) sample to its (d,) gradient.  Df(X) has exponent
+    ``f`` maps a (d,) sample to a scalar; ``df`` maps the (M + 1, d) samples
+    to their gradients, an array of the same shape.  Df(X) has exponent
     alpha * gamma, so the Young condition is alpha (1 + gamma) > 1.
     """
-    grads = np.array([df(v) for v in x.values], dtype=float)
+    grads = np.asarray(df(x.values), dtype=float)
+    if grads.shape != x.values.shape:
+        raise ValueError(
+            f"df must return an array of shape {x.values.shape} on the path samples, "
+            f"got shape {grads.shape}"
+        )
     # Midpoint evaluation: the Young integral admits any evaluation point in
     # each partition interval, and the symmetric choice converges faster.
     integral = young_integral(

@@ -72,7 +72,7 @@ def test_criterion_01_young_calculus():
     flat = SampledPath(t, np.zeros((65, 1)), alpha=1.0)
     exact = [
         check_integration_by_parts(flat, flat),
-        check_chain_rule(lambda v: 2.0 * float(v[0]), lambda v: np.array([2.0]),
+        check_chain_rule(lambda v: 2.0 * float(v[0]), lambda v: np.full_like(v, 2.0),
                          sample_fbm(NoiseSpec(hurst=0.75, resolution=128, seed=0))),
         check_ito_wentzell(
             lambda g: np.full_like(g, 1.0),
@@ -234,12 +234,10 @@ def test_criterion_05_mechanics_invariants():
     vel = 0.1 * rng_mech.standard_normal((n, 1))
 
     def hamiltonian(e):
-        from holderflow.kernels import phi_N
-
         kin = 0.5 * sorted_sum(np.sum(e.velocities**2, axis=1)) / n
         diff = e.positions[:, None, :] - e.positions[None, :, :]
         diff -= e.box * np.round(diff / e.box)
-        pot = 0.5 * sorted_sum(phi_N(fam, n, diff.reshape(-1, 1))) / n**2
+        pot = 0.5 * sorted_sum(fam.kernel(n, diff.reshape(-1, 1))) / n**2
         return kin + pot
 
     drifts = []
@@ -345,13 +343,13 @@ def test_criterion_07_littlewood_paley():
     # Pure-mode localization: blocks without the mode's frequency are 0.
     k_index = 32
     mode = np.cos(2 * np.pi * k_index * g.nodes())
-    dec = dyadic_blocks(mode, part)
+    blocks = dyadic_blocks(mode, part)
     k_lattice = np.abs(2 * np.pi * np.fft.fftfreq(g.m, d=g.h))
     sel = np.argmin(np.abs(k_lattice - 2 * np.pi * k_index))
     local_ok = True
     for i in range(part.levels):
         if part.profiles[i][sel] == 0.0:
-            local_ok &= np.max(np.abs(dec.blocks[i])) < 1e-13
+            local_ok &= np.max(np.abs(blocks[i])) < 1e-13
     _report(
         7,
         "partition sums to 1; disjointness exact; B=F at p=q=2; localization",

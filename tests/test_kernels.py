@@ -10,15 +10,12 @@ from holderflow.fields import Grid
 from holderflow.kernels import (
     KernelFamily,
     check_hypotheses,
-    grad_phi_N,
-    grad_phi_r_N,
     RegimeError,
     kernel_radius,
     mollify,
     periodic_kernel_samples,
-    phi_N,
-    phi_r_N,
     require_resolved,
+    require_support,
 )
 
 
@@ -42,17 +39,65 @@ class TestUnitMass:
     def test_base_density_unit_mass(self):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
         x = np.linspace(-0.5, 0.5, 20001)[:, None]
-        mass = np.trapezoid(fam.base_density(x), x[:, 0])
+        mass = np.trapezoid(fam.kernel(1, x, "phi_r"), x[:, 0])
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("which", ["phi", "phi_r"])
     def test_scaled_kernels_unit_mass(self, which):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
-        fn = phi_N if which == "phi" else phi_r_N
         x = np.linspace(-0.5, 0.5, 40001)[:, None]
         for n in (16, 256):
-            mass = np.trapezoid(fn(fam, n, x), x[:, 0])
+            mass = np.trapezoid(fam.kernel(n, x, which), x[:, 0])
             assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+class TestKernelOracle:
+    """``KernelFamily.kernel`` against the Gaussians written out by hand."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("which, c", [("phi_r", 1.0), ("phi", 2.0)])
+    def test_bitwise_equal_to_closed_form(self, dim, which, c):
+        fam = KernelFamily(beta=0.6, dim=dim, bandwidth=0.137)
+        n, h = 256, 0.137
+        s = float(n) ** (0.6 / dim)
+        x = np.random.default_rng(dim).uniform(-0.2, 0.2, (500, dim))
+        y = x * s
+        val = (2.0 * c * np.pi * h * h) ** (-dim / 2) * np.exp(
+            -np.sum(y * y, axis=-1) / (2.0 * c * h * h)
+        )
+        grad = -y / (c * h * h) * val[..., None]
+        assert np.array_equal(fam.kernel(n, x, which), float(n) ** 0.6 * 1.0 * val)
+        assert np.array_equal(
+            fam.kernel(n, x, which, derivative=True), float(n) ** 0.6 * s * grad
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("which", ["phi", "phi_r"])
+    def test_second_moment_is_dim_times_width_squared(self, dim, which):
+        fam = KernelFamily(beta=0.6, dim=dim, bandwidth=0.05)
+        n = 64
+        xs = np.linspace(-0.5, 0.5, 2001 if dim == 1 else 401)
+        pts = np.stack(np.meshgrid(*([xs] * dim), indexing="ij"), axis=-1)
+        dens = np.sum(pts * pts, axis=-1) * fam.kernel(n, pts, which)
+        for _ in range(dim):
+            dens = np.trapezoid(dens, xs, axis=0)
+        assert abs(dens - dim * fam.width(n, which) ** 2) < 1e-10
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam: fam.width(64, "phy"),
+            lambda fam: fam.kernel(64, np.zeros((1, 1)), "phy"),
+            lambda fam: kernel_radius(fam, 64, "phy"),
+            lambda fam: require_support(fam, 64, 1.0, "phy"),
+            lambda fam: require_resolved(fam, 64, 1.0, 256, "phy"),
+        ],
+        ids=["width", "kernel", "kernel_radius", "require_support", "require_resolved"],
+    )
+    def test_unknown_which_refused(self, call):
+        fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
+        with pytest.raises(ValueError, match="'phi' or 'phi_r'"):
+            call(fam)
 
 
 class TestSelfConvolution:
@@ -71,23 +116,21 @@ class TestGradients:
     @pytest.mark.parametrize("which", ["phi", "phi_r"])
     def test_gradient_matches_finite_difference(self, which):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
-        fn = phi_N if which == "phi" else phi_r_N
-        gfn = grad_phi_N if which == "phi" else grad_phi_r_N
         n, eps = 32, 1e-6
         xs = np.linspace(-0.1, 0.1, 11)[:, None]
-        fd = (fn(fam, n, xs + eps) - fn(fam, n, xs - eps)) / (2 * eps)
-        grad = gfn(fam, n, xs)[:, 0]
+        fd = (fam.kernel(n, xs + eps, which) - fam.kernel(n, xs - eps, which)) / (2 * eps)
+        grad = fam.kernel(n, xs, which, derivative=True)[:, 0]
         assert np.max(np.abs(fd - grad)) < 1e-3 * np.max(np.abs(grad))
 
     def test_gradient_vanishes_at_origin(self):
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
-        assert grad_phi_N(fam, 100, np.array([[0.0]]))[0, 0] == 0.0
+        assert fam.kernel(100, np.array([[0.0]]), derivative=True)[0, 0] == 0.0
 
     def test_gradient_odd_symmetry(self):
         fam = KernelFamily(beta=0.6, dim=2, bandwidth=0.05)
         pts = np.array([[0.01, -0.02], [0.03, 0.005]])
-        a = grad_phi_N(fam, 64, pts)
-        b = grad_phi_N(fam, 64, -pts)
+        a = fam.kernel(64, pts, derivative=True)
+        b = fam.kernel(64, -pts, derivative=True)
         assert np.allclose(a, -b, atol=1e-14)
 
 

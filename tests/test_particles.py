@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from holderflow.besov import deposit_nearest
 from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
-from holderflow.kernels import KernelFamily, RegimeError, phi_N
+from holderflow.kernels import KernelFamily, RegimeError
 from holderflow.particles import (
     ParticleEnsemble,
     _cic_corners,
@@ -282,7 +282,7 @@ class TestStep:
         kin = 0.5 * sorted_sum(np.sum(ens.velocities**2, axis=1)) / n
         diff = ens.positions[:, None, :] - ens.positions[None, :, :]
         diff -= ens.box * np.round(diff / ens.box)
-        pot = 0.5 * sorted_sum(phi_N(fam, n, diff.reshape(-1, 1))) / n**2
+        pot = 0.5 * sorted_sum(fam.kernel(n, diff.reshape(-1, 1))) / n**2
         return kin + pot
 
     def test_verlet_energy_drift_second_order(self):

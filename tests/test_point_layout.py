@@ -8,7 +8,7 @@ import pytest
 
 from holderflow.besov import deposit_nearest
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
-from holderflow.kernels import KernelFamily, grad_phi_N, grad_phi_r_N, phi_N, phi_r_N
+from holderflow.kernels import KernelFamily
 from holderflow.particles import ParticleEnsemble, _cic_corners, deposit_cic
 
 # d=1: five points given as an (n,) array.  d=2: a trailing axis of 3.
@@ -37,11 +37,15 @@ ENTRY_POINTS = {
     # ``at`` reads d from its points, so only the (n,) case is malformed.
     "SigmaField.at": (lambda d, x: SigmaField(0.2, 0.5).at(0.0, x, 1.0), {1: "(n, d)"}),
 }
-for _fn in (phi_N, grad_phi_N, phi_r_N, grad_phi_r_N):
-    ENTRY_POINTS[_fn.__name__] = (
-        lambda d, x, fn=_fn: fn(KernelFamily(beta=0.6, dim=d), 64, x),
-        {1: "(..., 1)", 2: "(..., 2)"},
-    )
+# KernelFamily.kernel over which x derivative, named as the kernel it evaluates.
+for _which in ("phi", "phi_r"):
+    for _deriv in (False, True):
+        ENTRY_POINTS[f"{'grad_' if _deriv else ''}{_which}_N"] = (
+            lambda d, x, which=_which, deriv=_deriv: KernelFamily(beta=0.6, dim=d).kernel(
+                64, x, which, deriv
+            ),
+            {1: "(..., 1)", 2: "(..., 2)"},
+        )
 
 CASES = [
     pytest.param(call, d, layout, id=f"{name}-d{d}")

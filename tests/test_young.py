@@ -1,5 +1,7 @@
 """Young integration and calculus-identity residual oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -124,8 +126,20 @@ class TestIntegrationByParts:
 class TestChainRule:
     def test_linear_function_exact_zero(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=128, seed=0))
-        res = check_chain_rule(lambda v: 4.0 * float(v[0]), lambda v: np.array([4.0]), path)
+        res = check_chain_rule(lambda v: 4.0 * float(v[0]), lambda v: np.full_like(v, 4.0), path)
         assert res < 1e-12
+
+    @pytest.mark.parametrize(
+        "df, got",
+        [(lambda v: 4.0 * v[:, 0], "(129,)"), (lambda v: np.array([4.0]), "(1,)")],
+        ids=["column", "one-sample"],
+    )
+    def test_refuses_gradient_of_wrong_shape(self, df, got):
+        # df is called once on all samples; a shape that would broadcast is refused.
+        path = sample_fbm(NoiseSpec(hurst=0.75, resolution=128, seed=0))
+        want = f"shape (129, 1) on the path samples, got shape {got}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            check_chain_rule(lambda v: 4.0 * float(v[0]), df, path)
 
     def test_refuses_subcritical(self):
         t = np.linspace(0.0, 1.0, 9)
