@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -312,6 +314,14 @@ def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at:
             yield i + 1, ens
 
 
+def _cores() -> int:
+    """CPUs this process may run on: the size of the sweep's thread pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def run_coupled(config: ExperimentConfig, csv_sink=None):
     """Run the full sweep; returns per-(seed, N) row dicts and streams CSV rows.
 
@@ -319,8 +329,17 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``,
     on each row it wrote too, and the sweep goes on; a fluid failure
     (vacuum, CFL, non-finite state) invalidates the seed and propagates with
-    the seed and master step in its message; any other error propagates too.
+    the seed and master step in its message; any other error propagates too,
+    and the particle runs that have not started then never start.
+
+    Each seed's particle runs are independent given its noise path and
+    fluid trajectory, so they run on a pool of threads (numpy's FFTs release
+    the interpreter lock), largest N first; rows are written in sweep order,
+    so the output does not depend on the pool size.
     """
+    # Imported here, not paid by `import holderflow`.
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     family = config.kernel()
     stride = max(1, config.master_steps // config.checkpoints)
     checkpoint_idx = set(range(0, config.master_steps + 1, stride))
@@ -334,45 +353,65 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
         csv_sink.write(f"# holderflow-run,config_hash={config.config_hash()}\n")
         csv_sink.write(CSV_COLUMNS + "\n")
 
-    for seed in config.seeds:
-        path = sample_fbm(config.noise_spec(seed))
-        try:
-            snaps = _fluid_trajectory(config, path, checkpoint_idx)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"seed {seed}, {exc}") from exc
-        # Cache fluid fields on the comparison grids per checkpoint.
-        cache = {}
-        for idx, st in snaps.items():
-            g = st.grid
-            v_interp = [FieldInterpolant(st.v[q], g) for q in range(g.dim)]
-            rho_besov = upsample(st.rho, g, config.besov_grid)
-            mom_besov = np.stack(
-                [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
-            )
-            cache[idx] = (st, v_interp, rho_besov, mom_besov)
+    failed = threading.Event()
 
-        for n in config.n_sweep:
+    def particle_run(seed, n, path, cache):
+        if failed.is_set():  # dequeued after another run raised
+            return None
+        rows = []
+        try:
             fine_m = _auto_grid(family, n, config.box, config.fine_grid, "phi_r")
-            rows = []
-            flag = "ok"
+            for i, ens in simulate(config, n, path, seed, checkpoint_idx):
+                rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
+        except (FloatingPointError, RegimeError) as exc:
+            return rows, f"aborted:{type(exc).__name__}"
+        except BaseException:
+            failed.set()
+            raise
+        return rows, "ok"
+
+    pool = ThreadPoolExecutor(max_workers=min(_cores(), len(config.n_sweep)))
+    try:
+        for seed in config.seeds:
+            path = sample_fbm(config.noise_spec(seed))
             try:
-                for i, ens in simulate(config, n, path, seed, checkpoint_idx):
-                    rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
-            except (FloatingPointError, RegimeError) as exc:
-                flag = f"aborted:{type(exc).__name__}"
-            if csv_sink is not None:
-                for row in rows:
-                    csv_sink.write(_format_row(seed, n, *row, flag) + "\n")
-            results.append(
-                {
-                    "seed": seed,
-                    "n": n,
-                    "records": [r[0] for r in rows],
-                    "besov_s": [r[1] for r in rows],
-                    "besov_v": [r[2] for r in rows],
-                    "flag": flag,
-                }
-            )
+                snaps = _fluid_trajectory(config, path, checkpoint_idx)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"seed {seed}, {exc}") from exc
+            # Cache fluid fields on the comparison grids per checkpoint.
+            cache = {}
+            for idx, st in snaps.items():
+                g = st.grid
+                v_interp = [FieldInterpolant(st.v[q], g) for q in range(g.dim)]
+                rho_besov = upsample(st.rho, g, config.besov_grid)
+                mom_besov = np.stack(
+                    [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
+                )
+                cache[idx] = (st, v_interp, rho_besov, mom_besov)
+
+            runs = {
+                n: pool.submit(particle_run, seed, n, path, cache)
+                for n in sorted(config.n_sweep, reverse=True)
+            }
+            for run in as_completed(runs.values()):
+                run.result()  # a programming error propagates at once
+            for n in config.n_sweep:
+                rows, flag = runs[n].result()
+                if csv_sink is not None:
+                    for row in rows:
+                        csv_sink.write(_format_row(seed, n, *row, flag) + "\n")
+                results.append(
+                    {
+                        "seed": seed,
+                        "n": n,
+                        "records": [r[0] for r in rows],
+                        "besov_s": [r[1] for r in rows],
+                        "besov_v": [r[2] for r in rows],
+                        "flag": flag,
+                    }
+                )
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 

@@ -10,8 +10,9 @@ each SSP-RK3 step.  Pre-shock smooth regime only.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -65,6 +66,26 @@ def as_increment(dy, dim: int) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _single_flight(maxsize: int):
+    """``functools.lru_cache`` of at most ``maxsize`` keys whose lookups and
+    builds hold one lock, so concurrent sweep tasks that want the same key
+    get one build and the same object; a refused build caches nothing."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize)(build)
+        lock = threading.Lock()
+
+        @wraps(build)
+        def get(*args, **kwargs):
+            with lock:
+                return cached(*args, **kwargs)
+
+        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
+        return get
+
+    return decorate
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ is closed-form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, _read_only, as_points
+from .fields import Grid, _read_only, _single_flight, as_points
 
 __all__ = [
     "KernelFamily",
@@ -158,7 +157,7 @@ def mollify(
     return grid.irfft(grid.rfft(values) * spectrum) * grid.cell_volume()
 
 
-@functools.lru_cache(maxsize=8)
+@_single_flight(8)
 def _kernel_spectrum(family: KernelFamily, n: int, grid: Grid, which: str) -> np.ndarray:
     """``Grid.rfft`` of the kernel samples, read-only, for the few (N, mesh)
     pairs of a sweep: a run mollifies at every checkpoint with the same ones."""

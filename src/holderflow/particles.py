@@ -21,6 +21,7 @@ from .fields import (
     Grid,
     SigmaField,
     _read_only,
+    _single_flight,
     as_increment,
     as_points,
     upsample,
@@ -222,7 +223,7 @@ def deposit_cic(positions: np.ndarray, grid: Grid) -> np.ndarray:
     return dep.reshape(grid.shape) / (len(pts) * grid.cell_volume())
 
 
-@functools.lru_cache(maxsize=16)
+@_single_flight(16)
 def _cic_transfer(grid: Grid) -> np.ndarray:
     """Fourier transfer function of the CIC assignment window (one factor),
     laid out like ``rfftn`` of a mesh field; read-only, built once per mesh
@@ -243,7 +244,7 @@ def _gather_cic(field: np.ndarray, grid: Grid, positions: np.ndarray) -> np.ndar
     )
 
 
-@functools.lru_cache(maxsize=16)
+@_single_flight(16)
 def _force_operators(family: KernelFamily, n: int, grid: Grid) -> tuple:
     """Particle-mesh force operators for N particles on one mesh, read-only:
     the spectrum of each component of grad phi_N (the precomputed influence

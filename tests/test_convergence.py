@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -192,7 +193,8 @@ class TestRunCoupled:
         family = cfg.kernel()
         want = [(n, _auto_grid(family, n, cfg.box, cfg.fine_grid, "phi_r"), "phi_r")
                 for n in cfg.n_sweep]
-        assert built == want
+        # The N run on a thread pool, so the builds come in no fixed order.
+        assert sorted(built) == sorted(want)
 
     def test_particle_abort_recorded_not_raised(self):
         # A kernel too wide for the box at small N fails that run only;
@@ -259,14 +261,53 @@ class TestRunCoupled:
 
     def test_programming_error_propagates(self, monkeypatch):
         # Only numerical failures and regime refusals become aborted rows.
+        # The runs go largest N first; a pool of 1 runs only the largest
+        # before the error, and a pool of 2 never starts the smallest: a
+        # run not started when the error is raised never starts.  No pool
+        # thread outlives the call.
         import holderflow.convergence
 
         def broken(*args):
             raise ValueError("broken checkpoint")
 
+        started = []
+        orig = holderflow.convergence.simulate
+
+        def recording(config, n, *args):
+            started.append(n)
+            return orig(config, n, *args)
+
         monkeypatch.setattr(holderflow.convergence, "_checkpoint_row", broken)
-        with pytest.raises(ValueError, match="broken checkpoint"):
-            run_coupled(_tiny_config(n_sweep=(64,)))
+        monkeypatch.setattr(holderflow.convergence, "simulate", recording)
+        threads = threading.active_count()
+        for cores in (1, 2):
+            monkeypatch.setattr(holderflow.convergence, "_cores", lambda: cores)
+            started.clear()
+            with pytest.raises(ValueError, match="broken checkpoint"):
+                run_coupled(_tiny_config(n_sweep=(64, 96, 128)))
+            assert threading.active_count() == threads
+            assert 64 not in started
+            if cores == 1:
+                assert started == [128]
+
+    def test_pool_size_changes_no_byte(self, monkeypatch):
+        # Two seeds, three N, the smallest out of regime: the CSV bytes and
+        # the flags are the same for pools of 1, 2 and 3 threads.
+        import holderflow.convergence
+
+        cfg = _tiny_config(kernel_bandwidth=0.2, seeds=(0, 1), n_sweep=(2, 64, 128))
+        out = []
+        for size in (1, 2, 3):
+            monkeypatch.setattr(holderflow.convergence, "_cores", lambda: size)
+            buf = io.StringIO()
+            results = run_coupled(cfg, csv_sink=buf)
+            out.append((buf.getvalue(), [(r["seed"], r["n"], r["flag"]) for r in results]))
+        assert out[1] == out[0] and out[2] == out[0]
+        assert out[0][1] == [
+            (seed, n, "aborted:RegimeError" if n == 2 else "ok")
+            for seed in cfg.seeds
+            for n in cfg.n_sweep
+        ]
 
     def test_fluid_failure_propagates(self):
         # The co-evolved field dying invalidates the whole seed.

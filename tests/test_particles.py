@@ -1,5 +1,9 @@
 """Particle system: initialization, forces, Verlet mechanics, deposition."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from holderflow.besov import deposit_nearest
 from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
-from holderflow.kernels import KernelFamily, RegimeError
+from holderflow.kernels import KernelFamily, RegimeError, _kernel_spectrum
 from holderflow.particles import (
     ParticleEnsemble,
     _cic_corners,
@@ -273,6 +277,36 @@ class TestForceMesh:
             inv_win2[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             spectra[0][0] = 1.0
+
+    @pytest.mark.parametrize("cache", ["cic_transfer", "force_operators", "kernel_spectrum"])
+    def test_concurrent_lookups_build_once(self, cache):
+        # The sweep's threads share these caches: eight threads asking for
+        # one key at once get one build and the same read-only object.
+        g = Grid(box=1.0, m=65536, dim=1)
+        fn, key = {
+            "cic_transfer": (_cic_transfer, (g,)),
+            "force_operators": (_force_operators, (_family(), 4096, g)),
+            "kernel_spectrum": (_kernel_spectrum, (_family(), 4096, g, "phi_r")),
+        }[cache]
+        fn.cache_clear()
+        start = threading.Barrier(8, timeout=30)
+
+        def lookup():
+            start.wait()
+            return fn(*key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lookup) for _ in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert fn.cache_info().misses == 1
+        assert all(obj is got[0] for obj in got)
+        arrays = [*got[0][0], got[0][1]] if cache == "force_operators" else [got[0]]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestStep:
