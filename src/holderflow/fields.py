@@ -5,11 +5,13 @@ d v_q = -(v . grad v_q + (1/rho) d_q p) dt with pressure p = rho^2 / 2, so
 the velocity drift reduces to -(v . grad) v_q - d_q rho; both pressure forms
 are evaluated and their gap is tracked as a consistency diagnostic.  The
 noise enters as an additive velocity kick v_q += sigma_q(t, x) dY^q after
-each SSP-RK3 step.  Pre-shock smooth regime only.
+each SSP-RK3 step.  The step advances the half spectrum of (rho, v) and
+visits the nodes only for the products.  Pre-shock smooth regime only.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, wraps
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "as_points",
     "as_increment",
+    "as_time_step",
     "Grid",
     "FluidState",
     "SigmaField",
@@ -61,6 +64,15 @@ def as_increment(dy, dim: int) -> np.ndarray:
     if a.shape != (dim,):
         raise ValueError(f"dy must be an array of shape ({dim},), got shape {a.shape}")
     return a
+
+
+def as_time_step(dt) -> float:
+    """``dt`` as a float time step, the one check of a step size: a
+    non-finite or non-positive ``dt`` is a ``ValueError``."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return dt
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -177,7 +189,7 @@ class Grid:
 
 
 def _check_finite(rho: np.ndarray, v: np.ndarray) -> None:
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(rho).all() and np.isfinite(v).all()):
         raise FloatingPointError("non-finite fluid state")
 
 
@@ -204,6 +216,14 @@ class FluidState:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "v", v)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Half spectrum of the stacked (rho, v): 1 + d rows laid out like
+        ``Grid.rfft``, read-only.  Computed on first use; ``step_field`` sets
+        it to the spectrum it advanced, of which rho and v are the nodes.
+        Not a field, so ``dataclasses.replace`` never carries it over."""
+        return _read_only(self.grid.rfft(np.concatenate([self.rho[None], self.v])))
+
     def mass(self) -> float:
         return float(np.sum(self.rho) * self.grid.cell_volume())
 
@@ -222,6 +242,7 @@ class SigmaField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_on_grid", {})
+        object.__setattr__(self, "_spectrum_on_grid", {})
 
     def __call__(self, t: float, grid: Grid) -> np.ndarray:
         """``at`` on the grid nodes, laid out like a velocity: (d,) + grid.shape;
@@ -232,6 +253,15 @@ class SigmaField:
             sig = _read_only(sig.T.reshape((grid.dim,) + grid.shape))
             self._on_grid[grid] = sig
         return sig
+
+    def spectrum(self, t: float, grid: Grid) -> np.ndarray:
+        """Half spectrum of the node values, laid out like ``Grid.rfft``;
+        computed on the first call for ``grid`` and read-only."""
+        sig_k = self._spectrum_on_grid.get(grid)
+        if sig_k is None:
+            sig_k = _read_only(grid.rfft(self(t, grid)))
+            self._spectrum_on_grid[grid] = sig_k
+        return sig_k
 
     def at(self, t: float, points: np.ndarray, box: float) -> np.ndarray:
         """Pointwise evaluation at an (n, d) point set, shape (n, d)."""
@@ -245,29 +275,37 @@ def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.irfft(grid.rfft(f) * grid.two_thirds)
 
 
-def _drift(g: Grid, rho: np.ndarray, v: np.ndarray, floor: float) -> tuple:
-    """Drift of plain arrays in four batched transforms: forward
-    [rho v, v, rho], inverse [d rho, d_r v], forward v . grad v, inverse d v."""
+def _drift(g: Grid, uk: np.ndarray, floor: float) -> np.ndarray:
+    """Drift spectrum of the state spectrum ``uk`` = [rho_k, v_k] in two
+    batched transforms: inverse [rho_k, v_k, i k_r v_k], which gives rho, v
+    and grad v at the nodes, then forward [rho v, v . grad v].  Refuses a
+    non-finite state and a density at the vacuum floor."""
+    d, ik, mask = g.dim, g.ik, g.two_thirds
+    vk = uk[1:]
+    nodes = g.irfft(np.concatenate([uk] + [ik[r] * vk for r in range(d)]))
+    rho, v = nodes[0], nodes[1 : d + 1]
+    _check_finite(rho, v)
     if float(np.min(rho)) <= floor:
         raise FloatingPointError(
             f"density {np.min(rho):.3e} at or below vacuum floor "
             f"{floor:.1e} (1/rho singular)"
         )
-    d, ik, mask = g.dim, g.ik, g.two_thirds
-    fk = g.rfft(np.concatenate([rho * v, v, rho[None]]))
-    flux, vk, rho_k = mask * fk[:d], fk[d : 2 * d], fk[2 * d]
-    drho_k = -sum(ik[q] * flux[q] for q in range(d))
-    back = g.irfft(np.concatenate([drho_k[None]] + [ik[r] * vk for r in range(d)]))
-    grad_v = back[1:].reshape((d, d) + g.shape)  # grad_v[r, q] = d_r v_q
+    grad_v = nodes[d + 1 :].reshape((d, d) + g.shape)  # grad_v[r, q] = d_r v_q
     adv = sum(v[r] * grad_v[r] for r in range(d))  # adv[q] = v . grad v_q
-    dv = g.irfft(-(mask * g.rfft(adv)) - np.stack([ik[q] * rho_k for q in range(d)]))
-    return back[0], dv
+    fk = g.rfft(np.concatenate([rho * v, adv]))
+    fk *= mask
+    out = np.empty_like(uk)
+    out[0] = -sum(ik[q] * fk[q] for q in range(d))
+    for q in range(d):
+        out[1 + q] = -fk[d + q] - ik[q] * uk[0]
+    return out
 
 
 def rhs_deterministic(state: FluidState) -> tuple[np.ndarray, np.ndarray]:
     """Drift (d rho, d v) = (-sum_q ik_q D(rho v_q), -D(v . grad v_q) - ik_q rho)
     with the 2/3 mask D; aborts if the density reaches the vacuum floor."""
-    return _drift(state.grid, state.rho, state.v, state.vacuum_floor)
+    drift = state.grid.irfft(_drift(state.grid, state.spectrum, state.vacuum_floor))
+    return drift[0], drift[1:]
 
 
 def pressure_forms_gap(state: FluidState) -> float:
@@ -295,41 +333,44 @@ def step_field(
 ) -> FluidState:
     """One step: SSP-RK3 on the deterministic drift, then the noise kick.
 
-    Refuses dt above the advective stability bound cfl * h / max(|v| + c)
-    with ``FloatingPointError``: a CFL violation is a numerical failure, like
-    the vacuum guard, not a usage error.  The stages run on plain arrays;
-    each refuses a non-finite input and a density at the vacuum floor, and
-    the one ``FluidState`` built per step checks the output.
+    A non-finite or non-positive dt is a ``ValueError``.  Refuses dt above
+    the advective stability bound cfl * h / max(|v| + c) with
+    ``FloatingPointError``: a CFL violation is a numerical failure, like the
+    vacuum guard, not a usage error; so is a non-finite ``dy``.  The stages
+    and the kick advance ``state.spectrum``; each stage refuses a non-finite
+    input and a density at the vacuum floor, and the one ``FluidState``
+    built per step, the nodes of the advanced spectrum, checks the output.
     """
     g, floor = state.grid, state.vacuum_floor
+    dt = as_time_step(dt)
     limit = cfl * g.h / max(max_signal_speed(state), 1e-30)
     if dt > limit * (1.0 + 1e-12):
         raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
+    kick = dy is not None and sigma is not None
+    if kick:
+        dy = as_increment(dy, g.dim)
+        if not np.isfinite(dy).all():
+            raise FloatingPointError("non-finite fluid state")
 
-    def euler(rho, v):
-        _check_finite(rho, v)
-        drho, dv = _drift(g, rho, v, floor)
-        return rho + dt * drho, v + dt * dv
+    def euler(uk):
+        return uk + dt * _drift(g, uk, floor)
 
-    rho, v = state.rho, state.v
-    r1, v1 = euler(rho, v)
-    r2, v2 = euler(r1, v1)
-    r3, v3 = euler(0.75 * rho + 0.25 * r2, 0.75 * v + 0.25 * v2)
-    v_new = v / 3.0 + 2.0 / 3.0 * v3
-    if dy is not None and sigma is not None:
-        v_new = _kick(v_new, g, state.time, dy, sigma)
-    return FluidState(g, rho / 3.0 + 2.0 / 3.0 * r3, v_new, state.time + dt, floor)
-
-
-def _kick(v: np.ndarray, grid: Grid, t: float, dy, sigma: SigmaField) -> np.ndarray:
-    """v_q + sigma_q(t, x) dY^q for every component q."""
-    dy = as_increment(dy, grid.dim)
-    return v + sigma(t, grid) * dy.reshape((grid.dim,) + (1,) * grid.dim)
+    u0 = state.spectrum
+    u2 = 0.75 * u0 + 0.25 * euler(euler(u0))
+    uk = u0 / 3.0 + 2.0 / 3.0 * euler(u2)
+    if kick:
+        uk[1:] += sigma.spectrum(state.time, g) * dy.reshape((g.dim,) + (1,) * g.dim)
+    nodes = _read_only(g.irfft(uk))  # so that they stay the nodes of uk
+    out = FluidState(g, nodes[0], nodes[1:], state.time + dt, floor)
+    out.__dict__["spectrum"] = _read_only(uk)  # the cached_property's slot
+    return out
 
 
 def noise_kick(state: FluidState, dy: np.ndarray, sigma: SigmaField) -> FluidState:
     """v_q += sigma_q(t, x) dY^q; density untouched (additive Young-Euler kick)."""
-    return replace(state, v=_kick(state.v, state.grid, state.time, dy, sigma))
+    g = state.grid
+    dy = as_increment(dy, g.dim).reshape((g.dim,) + (1,) * g.dim)
+    return replace(state, v=state.v + sigma(state.time, g) * dy)
 
 
 _PHASE_BLOCK = 1 << 16  # complex entries (1 MiB) per phase array of FieldInterpolant
@@ -354,22 +395,23 @@ class FieldInterpolant:
         c = self.coeff
         if derivative is not None:
             c = g.ik[derivative] * c
-        # Contract one mesh axis at a time: a single matrix product over the
-        # first, then a per-point product-sum over each further axis.  Points
-        # go in blocks that keep each phase array near _PHASE_BLOCK entries;
-        # at 4096 points on a 256-node mesh one array would take 8.5 MB.
+        # Contract one mesh axis at a time, the last first, each by a stack
+        # of (1, n) @ (n, 1) products: numpy evaluates a stack one dot
+        # product per item, so a point's value does not depend on the points
+        # that share its call (a single matrix product would, through the
+        # BLAS kernel chosen for its shape).  Points go in blocks that keep
+        # each phase array near _PHASE_BLOCK entries; at 4096 points on a
+        # 256-node mesh one array would take 8.5 MB.
         out = np.empty(len(pts))
         rows = max(1, _PHASE_BLOCK // g.m)
         for start in range(0, len(pts), rows):
             block = pts[start : start + rows]
-            acc = c.reshape(c.shape[0], -1)
-            for q in range(g.dim):
+            acc = c
+            for q in reversed(range(g.dim)):
                 phase = _phases(block[:, q], g.m, g.box, full=q < g.dim - 1)
-                if q == 0:
-                    acc = phase @ acc
-                else:
-                    acc = np.einsum("pk,pkr->pr", phase, acc.reshape(len(block), c.shape[q], -1))
-            out[start : start + rows] = acc[:, 0].real
+                phase = phase.reshape((len(block),) + (1,) * q + (1, -1))
+                acc = (phase @ acc[..., None])[..., 0, 0]
+            out[start : start + rows] = acc.real
         return out
 
 

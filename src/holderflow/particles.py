@@ -24,6 +24,7 @@ from .fields import (
     _single_flight,
     as_increment,
     as_points,
+    as_time_step,
     upsample,
 )
 from .kernels import (
@@ -311,8 +312,7 @@ def step(
     can avoid recomputing forces.  ``dy`` must be the master path increment
     over [t, t + dt].
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = as_time_step(dt)
     if accel is None:
         accel = interaction_force(ens, family, backend, grid_m)
     v_half = ens.velocities + 0.5 * dt * accel

@@ -38,7 +38,7 @@ fine_grid = 8192
 checkpoints = 4
 """
 
-GOLDEN_SHA256 = "9133fcb7df7df8e78e6fece0e6da7882cf30f1c12ac50ab93465a5081687bcef"
+GOLDEN_SHA256 = "efa54abd49bc436e75a2470516bfc307b5e892cb1d73d729b041ad7f81a36a22"
 
 
 def test_small_coupled_run_records_are_golden(tmp_path):

@@ -395,6 +395,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(ens, 0.0, fam)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_dt_is_usage_error(self, dt):
+        # NaN passes a plain dt <= 0 test.
+        ens = ParticleEnsemble(box=1.0, positions=[[0.5]], velocities=[[0.0]])
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(ens, dt, _family())
+
     def test_time_advances(self):
         fam = _family()
         ens = ParticleEnsemble(box=1.0, positions=[[0.5]], velocities=[[0.0]])
