@@ -74,11 +74,16 @@ def _save_field(path, values, grid, t) -> None:
 def _load_field(path):
     from .fields import Grid
 
-    with open(path) as fh:
-        first = fh.readline()
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if "holderflow-field" not in first:
         raise ValueError(f"{path} is not a holderflow field file")
     meta = dict(kv.split("=") for kv in first.lstrip("# ").strip().split(",")[1:])
+    if not {"L", "M", "d"} <= meta.keys():
+        raise ValueError(f"{path}: a field header needs L, M and d, got {sorted(meta)}")
     grid = Grid(box=float(meta["L"]), m=int(meta["M"]), dim=int(meta["d"]))
     values = np.loadtxt(path).reshape((grid.m,) * grid.dim)
     return values, grid

@@ -87,8 +87,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    """The config file at ``path``; unreadable or not INI is a ``ConfigError``."""
+    try:
+        with open(path) as fh:
+            return parse_config_text(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"{path} is not strict INI: {exc}") from exc
 
 
 def emit_config(config: ExperimentConfig) -> str:

@@ -157,10 +157,12 @@ class ExperimentConfig:
             raise ValueError(f"q_hat={self.q_hat}: the Besov index must be at least 1")
         for name in ("pde_resolution", "besov_grid", "force_grid", "fine_grid"):
             m = getattr(self, name)
+            if name in ("force_grid", "fine_grid"):  # minima that _auto_grid rounds up
+                m = 1 << (m - 1).bit_length()
             if m**self.dim > MAX_GRID:
                 raise ValueError(
-                    f"{name}={m}: a d={self.dim} mesh of {m}^{self.dim} points exceeds "
-                    f"MAX_GRID={MAX_GRID}; set a smaller {name}"
+                    f"{name}={getattr(self, name)}: a d={self.dim} mesh of {m}^{self.dim} "
+                    f"points exceeds MAX_GRID={MAX_GRID}; set a smaller {name}"
                 )
         for name in ("pde_resolution", "besov_grid"):
             try:
@@ -225,33 +227,25 @@ class RateReport:
 
 
 def energy_Q(
-    ens: ParticleEnsemble,
-    fluid: FluidState,
-    family: KernelFamily,
-    fine_m: int,
-    rho_fine: np.ndarray | None = None,
-    v_interp: list | None = None,
+    ens: ParticleEnsemble, fluid: FluidState, family: KernelFamily, fine_m: int
 ) -> EnergyRecord:
     """Modulated energy of the ensemble against the fluid state.
 
-    The density term is an L^2 quadrature on a fine grid that resolves
-    phi_N^r; rho is spectrally upsampled onto it.  Reductions run in sorted
-    order for label invariance.
+    v is interpolated at the particles; the density term is an L^2 quadrature
+    on a fine grid of fine_m nodes per side that resolves phi_N^r, with rho
+    spectrally upsampled onto it.  Reductions run in sorted order for label
+    invariance.
     """
     if abs(ens.time - fluid.time) > 1e-9:
         raise ValueError(f"time mismatch: particles at {ens.time}, fluid at {fluid.time}")
     g = fluid.grid
-    if v_interp is None:
-        v_interp = [FieldInterpolant(fluid.v[q], g) for q in range(g.dim)]
-    v_at = np.stack([itp(ens.positions) for itp in v_interp], axis=-1)
+    v_at = FieldInterpolant(fluid.v, g)(ens.positions)
     mism = np.sum((ens.velocities - v_at) ** 2, axis=1)
     kinetic = sorted_sum(mism) / ens.count
 
     fine = Grid(box=g.box, m=fine_m, dim=g.dim)
     emp = empirical_density(ens, family, fine)
-    if rho_fine is None:
-        rho_fine = upsample(fluid.rho, g, fine_m)
-    diff2 = (emp - rho_fine) ** 2
+    diff2 = (emp - upsample(fluid.rho, g, fine_m)) ** 2
     density = sorted_sum(diff2) / diff2.size * g.box**g.dim
     return EnergyRecord(t=ens.time, kinetic_term=kinetic, density_term=density)
 
@@ -378,16 +372,15 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
                 snaps = _fluid_trajectory(config, path, checkpoint_idx)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"seed {seed}, {exc}") from exc
-            # Cache fluid fields on the comparison grids per checkpoint.
+            # Per checkpoint, what every N compares with.
             cache = {}
             for idx, st in snaps.items():
                 g = st.grid
-                v_interp = [FieldInterpolant(st.v[q], g) for q in range(g.dim)]
                 rho_besov = upsample(st.rho, g, config.besov_grid)
                 mom_besov = np.stack(
                     [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
                 )
-                cache[idx] = (st, v_interp, rho_besov, mom_besov)
+                cache[idx] = (st, rho_besov, mom_besov)
 
             runs = {
                 n: pool.submit(particle_run, seed, n, path, cache)
@@ -416,9 +409,8 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 
 
 def _checkpoint_row(config, ens, family, cached, part, fine_m):
-    fluid, v_interp, rho_besov, mom_besov = cached
-    rho_fine = upsample(fluid.rho, fluid.grid, fine_m)
-    rec = energy_Q(ens, fluid, family, fine_m, rho_fine, v_interp)
+    fluid, rho_besov, mom_besov = cached
+    rec = energy_Q(ens, fluid, family, fine_m)
     bg = part.grid
     dep_s = deposit_nearest(ens.positions, bg)
     bs = negative_distance(dep_s, rho_besov, config.eta, config.q_hat, part)

@@ -2,18 +2,19 @@
 
 State: density rho > 0 and velocity v.  Drift: d rho = -div(rho v) dt,
 d v_q = -(v . grad v_q + (1/rho) d_q p) dt with pressure p = rho^2 / 2, so
-the velocity drift reduces to -(v . grad) v_q - d_q rho; both pressure forms
-are evaluated and their gap is tracked as a consistency diagnostic.  The
-noise enters as an additive velocity kick v_q += sigma_q(t, x) dY^q after
-each SSP-RK3 step.  The step advances the half spectrum of (rho, v) and
-visits the nodes only for the products.  Pre-shock smooth regime only.
+the velocity drift reduces to -(v . grad) v_q - d_q rho; the gap between the
+two pressure forms is a diagnostic function, ``pressure_forms_gap``, that no
+run evaluates.  The noise enters as an additive velocity kick
+v_q += sigma_q(t, x) dY^q after each SSP-RK3 step.  The step advances the
+half spectrum of (rho, v) and visits the nodes only for the products.
+Pre-shock smooth regime only.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "rhs_deterministic",
     "pressure_forms_gap",
     "step_field",
-    "noise_kick",
     "diagnostics",
     "dealias",
     "interpolation_coefficients",
@@ -234,32 +234,23 @@ class SigmaField:
     sigma_q(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)) for every q.
 
     sigma does not depend on t: ``t`` is accepted for the model's
-    sigma(t, x) and ignored, so the node values are computed once per grid.
+    sigma(t, x) and ignored, so the spectrum is computed once per grid.
     """
 
     amplitude: float = 1.0
     modulation: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_on_grid", {})
         object.__setattr__(self, "_spectrum_on_grid", {})
 
-    def __call__(self, t: float, grid: Grid) -> np.ndarray:
-        """``at`` on the grid nodes, laid out like a velocity: (d,) + grid.shape;
-        computed on the first call for ``grid`` and read-only."""
-        sig = self._on_grid.get(grid)
-        if sig is None:
-            sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
-            sig = _read_only(sig.T.reshape((grid.dim,) + grid.shape))
-            self._on_grid[grid] = sig
-        return sig
-
     def spectrum(self, t: float, grid: Grid) -> np.ndarray:
-        """Half spectrum of the node values, laid out like ``Grid.rfft``;
-        computed on the first call for ``grid`` and read-only."""
+        """Half spectrum of ``at`` on the grid nodes, laid out like
+        ``Grid.rfft`` of a velocity; computed on the first call for ``grid``
+        and read-only."""
         sig_k = self._spectrum_on_grid.get(grid)
         if sig_k is None:
-            sig_k = _read_only(grid.rfft(self(t, grid)))
+            sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
+            sig_k = _read_only(grid.rfft(sig.T.reshape((grid.dim,) + grid.shape)))
             self._spectrum_on_grid[grid] = sig_k
         return sig_k
 
@@ -333,7 +324,8 @@ def step_field(
 ) -> FluidState:
     """One step: SSP-RK3 on the deterministic drift, then the noise kick.
 
-    A non-finite or non-positive dt is a ``ValueError``.  Refuses dt above
+    A non-finite or non-positive dt is a ``ValueError``, and so is one of
+    ``dy`` and ``sigma`` without the other.  Refuses dt above
     the advective stability bound cfl * h / max(|v| + c) with
     ``FloatingPointError``: a CFL violation is a numerical failure, like the
     vacuum guard, not a usage error; so is a non-finite ``dy``.  The stages
@@ -343,11 +335,12 @@ def step_field(
     """
     g, floor = state.grid, state.vacuum_floor
     dt = as_time_step(dt)
+    if (dy is None) != (sigma is None):
+        raise ValueError("dy and sigma must be given together: the kick is sigma dY")
     limit = cfl * g.h / max(max_signal_speed(state), 1e-30)
     if dt > limit * (1.0 + 1e-12):
         raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
-    kick = dy is not None and sigma is not None
-    if kick:
+    if dy is not None:
         dy = as_increment(dy, g.dim)
         if not np.isfinite(dy).all():
             raise FloatingPointError("non-finite fluid state")
@@ -358,19 +351,12 @@ def step_field(
     u0 = state.spectrum
     u2 = 0.75 * u0 + 0.25 * euler(euler(u0))
     uk = u0 / 3.0 + 2.0 / 3.0 * euler(u2)
-    if kick:
+    if dy is not None:
         uk[1:] += sigma.spectrum(state.time, g) * dy.reshape((g.dim,) + (1,) * g.dim)
     nodes = _read_only(g.irfft(uk))  # so that they stay the nodes of uk
     out = FluidState(g, nodes[0], nodes[1:], state.time + dt, floor)
     out.__dict__["spectrum"] = _read_only(uk)  # the cached_property's slot
     return out
-
-
-def noise_kick(state: FluidState, dy: np.ndarray, sigma: SigmaField) -> FluidState:
-    """v_q += sigma_q(t, x) dY^q; density untouched (additive Young-Euler kick)."""
-    g = state.grid
-    dy = as_increment(dy, g.dim).reshape((g.dim,) + (1,) * g.dim)
-    return replace(state, v=state.v + sigma(state.time, g) * dy)
 
 
 _PHASE_BLOCK = 1 << 16  # complex entries (1 MiB) per phase array of FieldInterpolant
@@ -380,9 +366,11 @@ class FieldInterpolant:
     """Trigonometric interpolation of a periodic gridded field and its gradient.
 
     Exact for band-limited fields; built once per field, then evaluated at
-    arbitrary (n, d) point sets.  ``coeff`` is the half spectrum, weighted 2 on
-    the interior modes of the last axis; a Nyquist mode is the cosine
-    cos(pi x / h), as in ``upsample``, and the derivative drops it.
+    arbitrary (n, d) point sets.  ``values`` may stack fields on leading axes
+    ``lead`` (a velocity: lead = (d,)), and a call returns shape (n,) + lead.
+    ``coeff`` is the half spectrum, weighted 2 on the interior modes of the
+    last axis; a Nyquist mode is the cosine cos(pi x / h), as in
+    ``upsample``, and the derivative drops it.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
@@ -402,14 +390,15 @@ class FieldInterpolant:
         # BLAS kernel chosen for its shape).  Points go in blocks that keep
         # each phase array near _PHASE_BLOCK entries; at 4096 points on a
         # 256-node mesh one array would take 8.5 MB.
-        out = np.empty(len(pts))
+        lead = c.shape[: c.ndim - g.dim]
+        out = np.empty((len(pts),) + lead)
         rows = max(1, _PHASE_BLOCK // g.m)
         for start in range(0, len(pts), rows):
             block = pts[start : start + rows]
             acc = c
             for q in reversed(range(g.dim)):
                 phase = _phases(block[:, q], g.m, g.box, full=q < g.dim - 1)
-                phase = phase.reshape((len(block),) + (1,) * q + (1, -1))
+                phase = phase.reshape((len(block),) + (1,) * (len(lead) + q) + (1, -1))
                 acc = (phase @ acc[..., None])[..., 0, 0]
             out[start : start + rows] = acc.real
         return out

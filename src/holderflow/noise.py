@@ -24,7 +24,6 @@ __all__ = [
     "sample_fbm",
     "holder_seminorm",
     "estimate_holder_exponent",
-    "increment",
     "restrict",
     "save_path",
     "load_path",
@@ -263,18 +262,6 @@ def estimate_holder_exponent(path: SampledPath, max_lag_fraction: int = 64) -> f
         )
     slope, _ = np.polyfit(np.log(lags), np.log(sups), 1)
     return float(slope)
-
-
-def increment(path: SampledPath, s: float, t: float) -> np.ndarray:
-    """phi_t - phi_s with piecewise-linear interpolation off-grid."""
-    if not (0.0 <= s <= path.horizon and 0.0 <= t <= path.horizon):
-        raise ValueError(f"query times ({s}, {t}) outside [0, {path.horizon}]")
-    out = np.empty(path.dim)
-    for q in range(path.dim):
-        v_t = np.interp(t, path.times, path.values[:, q])
-        v_s = np.interp(s, path.times, path.values[:, q])
-        out[q] = v_t - v_s
-    return out
 
 
 def restrict(path: SampledPath, stride: int) -> SampledPath:

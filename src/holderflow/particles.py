@@ -96,7 +96,7 @@ class ParticleEnsemble:
 
 
 def _dense_cdf_1d(rho: np.ndarray, grid: Grid, m_fine: int = 1 << 14):
-    dense = upsample(rho, grid, m_fine) if m_fine > grid.m else rho.copy()
+    dense = upsample(rho, grid, max(m_fine, grid.m))
     fine = Grid(box=grid.box, m=dense.shape[0])
     x = np.arange(fine.m + 1) * fine.h
     # Spectral antiderivative of the mean-free part: exact for band-limited
@@ -168,10 +168,7 @@ def init_from_fields(
             pos[sel, 1] = np.interp(u[sel, 1], cdf_y, edges)
     ens = ParticleEnsemble(box=grid.box, positions=pos, velocities=np.zeros_like(pos))
 
-    v0 = np.asarray(v0, dtype=float)
-    vel = np.empty((n, d))
-    for q in range(d):
-        vel[:, q] = FieldInterpolant(v0[q], grid)(ens.positions)
+    vel = FieldInterpolant(np.asarray(v0, dtype=float), grid)(ens.positions)
     return replace(ens, velocities=vel)
 
 
@@ -309,17 +306,19 @@ def step(
     """One velocity-Verlet step plus the Young-Euler noise kick.
 
     Returns (new ensemble, accelerations at the new positions) so callers
-    can avoid recomputing forces.  ``dy`` must be the master path increment
-    over [t, t + dt].
+    can avoid recomputing forces.  ``dy``, the master path increment over
+    [t, t + dt], and ``sigma`` come together or not at all (``ValueError``).
     """
     dt = as_time_step(dt)
+    if (dy is None) != (sigma is None):
+        raise ValueError("dy and sigma must be given together: the kick is sigma dY")
     if accel is None:
         accel = interaction_force(ens, family, backend, grid_m)
     v_half = ens.velocities + 0.5 * dt * accel
     moved = replace(ens, positions=ens.positions + dt * v_half)
     accel_new = interaction_force(moved, family, backend, grid_m)
     v_new = v_half + 0.5 * dt * accel_new
-    if dy is not None and sigma is not None:
+    if dy is not None:
         kick = sigma.at(ens.time, moved.positions, ens.box)
         v_new = v_new + kick * as_increment(dy, ens.dim)
     return moved._advanced(v_new, ens.time + dt), accel_new

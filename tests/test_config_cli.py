@@ -74,6 +74,10 @@ class TestParsing:
             ("[noise]\ndim = 2\n[analysis]\neta = 2.5\nbesov_grid = 64\n"
              "fine_grid = 64\n[particles]\nforce_grid = 64\n[pde]\nresolution = 512\n",
              "pde_resolution=512"),
+            # _auto_grid rounds a minimum of 300 up to 512, and 512^2 > MAX_GRID.
+            ("[noise]\ndim = 2\n[analysis]\neta = 2.5\nbesov_grid = 64\n"
+             "fine_grid = 300\n[particles]\nforce_grid = 300\n[pde]\nresolution = 64\n",
+             "force_grid=300: a d=2 mesh of 512"),
             ("[analysis]\nfine_grid = 262144\n", "fine_grid=262144"),
             ("[analysis]\ncheckpoints = 0\n", "checkpoints=0"),
             ("[analysis]\ncheckpoints = -2\n", "checkpoints=-2"),
@@ -96,7 +100,8 @@ class TestParsing:
             # (1 - 0.2) / 2 equals the floor exactly.
             ("[domain]\nbox = 2\n[pde]\nvacuum_floor = 0.4\n", "falls to 0.4, at or below"),
         ],
-        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde", "d1_fine",
+        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde",
+             "d2_minimum_rounds_past_cap", "d1_fine",
              "checkpoints_zero", "checkpoints_negative", "seeds_empty", "cfl_zero",
              "cfl_negative", "q_hat_zero", "unknown_base", "box_zero", "box_negative",
              "resolution_small", "besov_grid_small", "seed_negative", "seeds_repeated",
@@ -162,6 +167,41 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["pde", "--config", str(cfg)])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("hurst = 0.75\n", "no section headers"),
+            ("[noise]\nhurst = 0.75\nhurst = 0.8\n", "option 'hurst' in section 'noise' already"),
+            (None, "No such file or directory"),
+        ],
+        ids=["no_section_header", "repeated_key", "missing_file"],
+    )
+    def test_unreadable_config_usage_exit(self, tmp_path, capsys, text, match):
+        cfg = tmp_path / "in.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["pde", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(cfg) in err and match in err
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (None, "No such file or directory"),
+            ("# holderflow-field,L=1.0,d=1,t=0.0", "needs L, M and d"),
+        ],
+        ids=["missing_file", "header_without_M"],
+    )
+    def test_unreadable_field_usage_exit(self, tmp_path, capsys, header, match):
+        field = tmp_path / "field.txt"
+        if header is not None:
+            field.write_text(header + "\n1\n2\n3\n4\n")
+        assert main(["besov", "--input", str(field), "--s", "-2.0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(field) in err and match in err
 
     def test_unknown_backend_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

@@ -18,7 +18,6 @@ from holderflow.fields import (
     dealias,
     diagnostics,
     max_signal_speed,
-    noise_kick,
     pressure_forms_gap,
     rhs_deterministic,
     step_field,
@@ -41,6 +40,15 @@ def _wavy_state(dim, m):
     rho = 1.0 + 0.2 * np.sin(waves[0]) + 0.1 * np.cos(waves[-1] + 0.3)
     v = np.stack([0.1 * np.cos(w) + 0.05 * np.sin(waves[0] + w) for w in waves])
     return FluidState(grid=g, rho=rho, v=v)
+
+
+def _near_cut_state(m):
+    """The d=1 wavy state plus a density mode at the 2/3 cut m // 3 and a
+    velocity mode just below it: their products reach past the cut at once,
+    so a step that skips a 2/3 mask differs at the first step."""
+    st_ = _wavy_state(1, m)
+    x, k = 2 * np.pi * st_.grid.coordinate(0), m // 3
+    return replace(st_, rho=st_.rho + 0.02 * np.cos(k * x), v=st_.v + 0.01 * np.sin((k - 1) * x))
 
 
 # The step as it was before the operators were cached per grid: per-call
@@ -117,8 +125,8 @@ class TestGrid:
         g = Grid(box=1.0, m=16, dim=dim)
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         assert g.ik is g.ik and g.two_thirds is g.two_thirds
-        assert sigma(0.0, g) is sigma(1.0, g)
-        for cached in (*g.ik, g.two_thirds, sigma(0.0, g)):
+        assert sigma.spectrum(0.0, g) is sigma.spectrum(1.0, g)
+        for cached in (*g.ik, g.two_thirds, sigma.spectrum(0.0, g)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[...] = 0
         assert np.array_equal(g.ik[0], _reference_ik(g, 0))
@@ -247,17 +255,22 @@ class TestRhs:
     def test_pressure_forms_agree(self):
         assert pressure_forms_gap(_smooth_state()) < 1e-11
 
-    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
-    def test_matches_reference_step(self, dim, m):
+    @pytest.mark.parametrize(
+        "dim, m, near_cut",
+        [(1, 128, False), (2, 32, False), (1, 48, True)],
+        ids=["1-128", "2-32", "1-48-near-cut"],
+    )
+    def test_matches_reference_step(self, dim, m, near_cut):
         # 50 noisy steps of step_field against the reference step, and the
         # drift of every state against the reference drift, to 1e-12 of the
-        # reference's largest magnitude.
+        # reference's largest magnitude.  Only a state with energy near the
+        # 2/3 cut lets the d=1 case see the dealiasing masks.
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         rng = np.random.default_rng(40 + dim)
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
-        st_ = ref = _wavy_state(dim, m)
+        st_ = ref = _near_cut_state(m) if near_cut else _wavy_state(dim, m)
         for _ in range(50):
             dy = 0.03 * rng.standard_normal(dim)
             st_, ref = step_field(st_, 1e-3, dy, sigma), _reference_step(ref, 1e-3, dy, sigma)
@@ -323,14 +336,24 @@ class TestStepping:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.min(orders) >= 2.0
 
-    def test_noise_kick_is_exact_additive_shift(self):
+    def test_noise_kick_is_additive_shift(self):
+        # The kick of step_field leaves rho bitwise alone and moves v by
+        # sigma dY, up to the rounding of the spectral round trip.
         st_ = _smooth_state(m=64)
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         dy = np.array([0.37])
-        kicked = noise_kick(st_, dy, sigma)
-        sig = sigma(st_.time, st_.grid)
-        assert np.array_equal(kicked.rho, st_.rho)
-        assert np.max(np.abs(kicked.v - (st_.v + sig * dy[0]))) < 1e-15
+        kicked, plain = step_field(st_, 1e-3, dy, sigma), step_field(st_, 1e-3)
+        shift = sigma.at(st_.time, st_.grid.nodes()[:, None], st_.grid.box).T * dy[0]
+        assert np.array_equal(kicked.rho, plain.rho)
+        assert np.max(np.abs(kicked.v - plain.v - shift)) <= 1e-14 * np.max(np.abs(shift))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noise_by_halves_refused(self, dim):
+        st_ = _wavy_state(dim, 16)
+        with pytest.raises(ValueError, match="dy and sigma must be given together"):
+            step_field(st_, 1e-3, dy=np.full(dim, 0.1))
+        with pytest.raises(ValueError, match="dy and sigma must be given together"):
+            step_field(st_, 1e-3, sigma=SigmaField(0.2, 0.5))
 
 
 class TestCarriedSpectrum:
@@ -346,14 +369,10 @@ class TestCarriedSpectrum:
 
     @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
     def test_new_state_transforms_its_own_fields(self, dim, m):
-        # A built, replaced or kicked state never inherits a carried spectrum.
+        # A built or replaced state never inherits a carried spectrum.
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         stepped = step_field(_wavy_state(dim, m), 1e-3, np.full(dim, 0.02), sigma)
-        for st_ in (
-            _wavy_state(dim, m),
-            replace(stepped, v=0.5 * stepped.v),
-            noise_kick(stepped, np.full(dim, 0.3), sigma),
-        ):
+        for st_ in (_wavy_state(dim, m), replace(stepped, v=0.5 * stepped.v)):
             want = st_.grid.rfft(np.concatenate([st_.rho[None], st_.v]))
             assert np.array_equal(st_.spectrum, want)
 
@@ -381,13 +400,12 @@ class TestSigmaField:
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         for dim in (1, 2):
             g = Grid(box=1.0, m=64, dim=dim)
-            on_grid = sigma(0.0, g)
-            assert on_grid.shape == (dim,) + g.shape
+            sig_k = sigma.spectrum(0.0, g)
             # Closed form at the nodes, written out independently of ``at``.
             base = 0.2 * (1.0 + 0.5 * np.cos(2.0 * np.pi * g.coordinate(0) / g.box))
-            assert np.array_equal(on_grid, np.stack([base] * dim))
+            assert np.array_equal(sig_k, g.rfft(np.stack([base] * dim)))
             at_pts = sigma.at(0.0, g.nodes().reshape(-1, dim), g.box)
-            assert np.array_equal(on_grid, at_pts.T.reshape(on_grid.shape))
+            assert np.array_equal(sig_k, g.rfft(at_pts.T.reshape((dim,) + g.shape)))
 
 
 class TestInterpolation:

@@ -19,7 +19,6 @@ from holderflow.noise import (
     estimate_holder_exponent,
     fbm_covariance,
     holder_seminorm,
-    increment,
     load_path,
     restrict,
     sample_fbm,
@@ -217,17 +216,6 @@ class TestExponentEstimate:
 
 
 class TestIncrementRestrict:
-    def test_increment_on_grid_matches_difference(self):
-        path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=5))
-        got = increment(path, path.times[3], path.times[10])
-        want = path.values[10] - path.values[3]
-        assert np.allclose(got, want, atol=1e-14)
-
-    def test_increment_rejects_out_of_range(self):
-        path = sample_fbm(NoiseSpec(hurst=0.75, resolution=16))
-        with pytest.raises(ValueError):
-            increment(path, 0.0, 2.0)
-
     def test_restrict_is_subsampling(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=2))
         coarse = restrict(path, 4)

@@ -360,6 +360,17 @@ class TestStep:
         want = sigma.at(0.0, new.positions, 1.0)[:, 0] * dy[0]
         assert np.max(np.abs(new.velocities[:, 0] - want)) < 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noise_by_halves_refused(self, dim):
+        rng = np.random.default_rng(8)
+        fam = KernelFamily(beta=0.3, dim=dim, bandwidth=0.1)
+        ens = ParticleEnsemble(box=1.0, positions=rng.random((32, dim)),
+                               velocities=np.zeros((32, dim)))
+        with pytest.raises(ValueError, match="dy and sigma must be given together"):
+            step(ens, 1e-3, fam, dy=np.full(dim, 0.1))
+        with pytest.raises(ValueError, match="dy and sigma must be given together"):
+            step(ens, 1e-3, fam, sigma=SigmaField(0.2, 0.5))
+
     def test_non_finite_step_is_numerical_failure(self):
         rng = np.random.default_rng(5)
         n = 64

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import holderflow
-from holderflow.fields import FluidState, Grid, SigmaField, noise_kick
+from holderflow.fields import FluidState, Grid, SigmaField, step_field
 from holderflow.kernels import KernelFamily
 from holderflow.noise import (
     NoiseSpec,
@@ -64,6 +64,37 @@ def test_no_unused_imports_in_package():
     assert not stray, "imported but never used:\n" + "\n".join(stray)
 
 
+def _unreferenced_privates(trees):
+    """Module-level ``_name`` definitions of the package that no module of
+    it reads: helpers a refactor left behind."""
+    defined, read = [], set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, node.lineno, t) for t in targets
+                        if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [(name, line, t) for name, line, t in defined if t not in read]
+
+
+def test_no_unreferenced_private_helpers_in_package():
+    src = Path(holderflow.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    stray = [f"{name}:{line}: {t}" for name, line, t in _unreferenced_privates(trees)]
+    assert not stray, "private name defined but never referenced in src/:\n" + "\n".join(stray)
+
+
 def _times(n):
     return np.linspace(0.0, 1.0, n)
 
@@ -81,10 +112,13 @@ def _step(d, dy):
     return step(ens, 1e-3, fam, dy=dy, sigma=SigmaField(0.2, 0.5))
 
 
-def _noise_kick(d, dy):
+def _rest(d):
     g = Grid(box=1.0, m=8, dim=d)
-    state = FluidState(grid=g, rho=np.ones(g.shape), v=np.zeros((d,) + g.shape))
-    return noise_kick(state, dy, SigmaField(0.2, 0.5))
+    return FluidState(grid=g, rho=np.ones(g.shape), v=np.zeros((d,) + g.shape))
+
+
+def _step_field(d, dy):
+    return step_field(_rest(d), 1e-3, dy, SigmaField(0.2, 0.5))
 
 
 # Case -> (call, text the ValueError must contain).
@@ -107,7 +141,7 @@ REFUSALS = {
         "driver dimension 1",
     ),
 }
-for _name, _call in (("step", _step), ("noise_kick", _noise_kick)):
+for _name, _call in (("step", _step), ("step_field", _step_field)):
     for _d in (1, 2):
         REFUSALS[f"{_name}-scalar-dy-d{_d}"] = (
             lambda call=_call, d=_d: call(d, 0.3), f"dy must be an array of shape ({_d},)"
@@ -122,10 +156,15 @@ def test_wrong_path_layout_refused(call, text):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_increment_kicks_each_component(d):
+    # Against the unkicked step: rho bitwise, v moved by sigma_q dY^q up to
+    # the rounding of the spectral kick.
     dy = np.array([0.3, -0.2][:d])
-    kicked = _noise_kick(d, dy)
-    sig = SigmaField(0.2, 0.5)(0.0, Grid(box=1.0, m=8, dim=d))
-    assert np.array_equal(kicked.v, sig * dy.reshape((d,) + (1,) * d))
+    kicked, plain = _step_field(d, dy), step_field(_rest(d), 1e-3)
+    g = plain.grid
+    sig = SigmaField(0.2, 0.5).at(0.0, g.nodes().reshape(-1, d), g.box).T.reshape(plain.v.shape)
+    shift = sig * dy.reshape((d,) + (1,) * d)
+    assert np.array_equal(kicked.rho, plain.rho)
+    assert np.max(np.abs(kicked.v - plain.v - shift)) <= 1e-14 * np.max(np.abs(shift))
 
 
 @pytest.mark.parametrize("d", [1, 2])
