@@ -13,6 +13,11 @@ a fraction of a second): the table below and the benchmark's stored
 outputs (perfbench/references.json.gz) were made with it, and lifting it
 changes both.
 
+The two Itô-Wentzell paths share (H, M), so they are sampled together: one
+Durbin-Levinson pass serves both (``sample_fbm_paths``).  The field h of
+the Itô-Wentzell check is evaluated on a column of times, one block of
+time steps per call.
+
 Usage:
     python3 scripts/young_refinement_study.py --hurst 0.75 --max-level 14
 """
@@ -25,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from holderflow.noise import NoiseSpec, restrict, sample_fbm
+from holderflow.noise import NoiseSpec, restrict, sample_fbm, sample_fbm_paths
 from holderflow.young import (
     check_chain_rule,
     check_integration_by_parts,
@@ -46,8 +51,9 @@ def main() -> int:
     y = sample_fbm(NoiseSpec(hurst=args.hurst, resolution=m, seed=args.seed + 1))
     z = sample_fbm(NoiseSpec(hurst=args.hurst, resolution=m, seed=args.seed + 3))
     m_iw = min(m, 1 << 12)  # the cap of the table and the stored outputs
-    yi = sample_fbm(NoiseSpec(hurst=args.hurst, resolution=m_iw, seed=args.seed - 2))
-    xi = sample_fbm(NoiseSpec(hurst=args.hurst, resolution=m_iw, seed=args.seed - 1))
+    yi, xi = sample_fbm_paths(
+        NoiseSpec(hurst=args.hurst, resolution=m_iw, seed=args.seed + k) for k in (-2, -1)
+    )
 
     strides = [1 << k for k in range(args.levels, -1, -1)]
     iw_by_stride = {}

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, parse_config
+
 __all__ = ["main"]
 
 EXIT_OK = 0
@@ -39,22 +41,12 @@ def _cmd_noise(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str):
-    from .config import ConfigError, parse_config
-
-    try:
-        return parse_config(path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _cmd_pde(args) -> int:
     from .convergence import _fluid_trajectory
     from .fields import diagnostics
     from .noise import sample_fbm
 
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     path = sample_fbm(config.noise_spec(config.seeds[0]))
     snaps = _fluid_trajectory(config, path, {0, config.master_steps})
     final = snaps[config.master_steps]
@@ -95,7 +87,7 @@ def _cmd_simulate(args) -> int:
 
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be a positive particle count, got {args.n}")
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     seed = config.seeds[0]
     path = sample_fbm(config.noise_spec(seed))
     n = args.n or config.n_sweep[0]
@@ -123,7 +115,7 @@ def _cmd_besov(args) -> int:
 def _cmd_converge(args) -> int:
     from .convergence import emit_report, fit_rate, run_coupled
 
-    config = _load_config(args.config)
+    config = parse_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
@@ -249,6 +241,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,14 +63,20 @@ _SCHEMA = {
 }
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
+    """The config in ``text``, read from ``source``; text that is not strict
+    INI is a ``ConfigError`` naming ``source``, like every other refusal."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text, source=source)
+        sections = {section: cp.items(section) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"{source} is not strict INI: {exc}") from exc
     overrides = {}
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in cp.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field_name, conv = _SCHEMA[section][key]
@@ -90,11 +96,10 @@ def parse_config(path) -> ExperimentConfig:
     """The config file at ``path``; unreadable or not INI is a ``ConfigError``."""
     try:
         with open(path) as fh:
-            return parse_config_text(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path} is not strict INI: {exc}") from exc
+    return parse_config_text(text, source=str(path))
 
 
 def emit_config(config: ExperimentConfig) -> str:

@@ -4,7 +4,8 @@ Paths are sampled on a uniform grid and are exact in distribution at the
 grid points.  Two samplers are available.  ``"cholesky"`` (small grids)
 returns L z with L the Cholesky factor of the fBm covariance, applied
 without forming it: the Durbin-Levinson (Hosking) recursion on the
-fractional Gaussian noise autocovariance, in O(M^2) time and O(M) memory.
+fractional Gaussian noise autocovariance, in O(M^2) time and O(M) memory;
+paths that share (H, M) share one recursion (``sample_fbm_paths``).
 ``"davies-harte"`` (large grids) is circulant embedding of the increment
 process, in O(M log M).  Both are exact; they are cross-validated against
 each other in the test suite.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "NoiseSpec",
     "SampledPath",
     "sample_fbm",
+    "sample_fbm_paths",
     "holder_seminorm",
     "estimate_holder_exponent",
     "restrict",
@@ -128,23 +131,25 @@ def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * k**h2)
 
 
-def _sample_cholesky(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """L z with L = chol(fBm covariance), by the Durbin-Levinson recursion.
+def _durbin_levinson(fgn: np.ndarray, hurst: float) -> None:
+    """Replace the innovations z in each row of ``fgn`` by fractional Gaussian
+    noise x = chol(G) z, in place, by the Durbin-Levinson recursion.
 
     The fBm covariance is C G C^T with C the cumulative-sum matrix and G the
     Toeplitz covariance of the increments, so its Cholesky factor is C
     chol(G).  The recursion applies chol(G) row by row: increment x_j is its
     best linear prediction from x_{j-1}, ..., x_0 with coefficients
     phi_{j,1}, ..., phi_{j,j}, plus sqrt(v_j) z_j, where v_j is the
-    prediction-error variance.  The sums run in ``einsum``, not BLAS, so the
-    bytes do not depend on the BLAS thread count.
+    prediction-error variance.  The coefficients depend only on (H, M), so
+    one pass serves every row.  The sums run in ``einsum``, not BLAS, so a
+    row's bytes depend neither on the other rows nor on the BLAS thread
+    count.
     """
-    n = spec.resolution
-    gamma = _fgn_autocovariance(n, spec.hurst)
+    n = fgn.shape[1]
+    gamma = _fgn_autocovariance(n, hurst)
     # fgn[:, j] holds z_j until it is replaced by x_j.  weights[n-j:] holds
     # phi_{j,j}, ..., phi_{j,1}, sqrt(v_j), the weights of x_0, ..., x_{j-1}, z_j,
     # so both sums below read contiguous arrays.
-    fgn = rng.standard_normal((spec.dim, n))
     weights = np.empty(n + 1)
     var = gamma[0]
     fgn[:, 0] *= math.sqrt(var)
@@ -156,14 +161,11 @@ def _sample_cholesky(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
         var *= 1.0 - kappa * kappa
         if not (var > 0.0 and math.isfinite(var)):  # numerical degeneracy, not expected
             raise RuntimeError(
-                f"fBm covariance factorization failed for H={spec.hurst}, "
-                f"M={spec.resolution}: innovation variance {var:.3e} at step {j}"
+                f"fBm covariance factorization failed for H={hurst}, "
+                f"M={n}: innovation variance {var:.3e} at step {j}"
             )
         weights[n] = math.sqrt(var)
         fgn[:, j] = np.einsum("qi,i->q", fgn[:, :j + 1], weights[n - j:])
-    out = np.zeros((n + 1, spec.dim))
-    out[1:] = np.cumsum(fgn, axis=1).T * (spec.horizon / n) ** spec.hurst
-    return out
 
 
 def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
@@ -196,24 +198,58 @@ def _sample_davies_harte(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarra
     return out
 
 
+def sample_fbm_paths(specs: Iterable[NoiseSpec], method: str | None = None) -> list[SampledPath]:
+    """``sample_fbm`` of every spec, in spec order, with one Durbin-Levinson
+    pass per (hurst, resolution) for the Cholesky sampler.
+
+    Each spec draws its innovations from its own ``default_rng(seed)``; the
+    recursion runs once over the innovations of every spec of a group,
+    stacked by rows, so each path is bitwise the path ``sample_fbm`` gives
+    alone.  Davies-Harte specs are sampled one by one.
+    """
+    specs = list(specs)
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        chosen = method
+        if chosen is None:
+            chosen = "cholesky" if spec.resolution <= CHOLESKY_MAX_STEPS else "davies-harte"
+        if chosen not in ("cholesky", "davies-harte"):
+            raise ValueError(f"unknown sampling method {chosen!r}")
+        groups.setdefault((chosen, spec.hurst, spec.resolution), []).append(i)
+    values = [None] * len(specs)
+    for (chosen, hurst, n), members in groups.items():
+        if chosen == "davies-harte":
+            for i in members:
+                values[i] = _sample_davies_harte(specs[i], np.random.default_rng(specs[i].seed))
+            continue
+        dims = [specs[i].dim for i in members]
+        fgn = np.concatenate([
+            np.random.default_rng(specs[i].seed).standard_normal((d, n))
+            for i, d in zip(members, dims)
+        ])
+        _durbin_levinson(fgn, hurst)
+        for i, rows in zip(members, np.split(fgn, np.cumsum(dims)[:-1])):
+            values[i] = np.zeros((n + 1, specs[i].dim))
+            values[i][1:] = np.cumsum(rows, axis=1).T * (specs[i].horizon / n) ** hurst
+    return [
+        SampledPath(
+            times=np.linspace(0.0, spec.horizon, spec.resolution + 1),
+            values=vals,
+            alpha=spec.hurst - ALPHA_OFFSET,
+        )
+        for spec, vals in zip(specs, values)
+    ]
+
+
 def sample_fbm(spec: NoiseSpec, method: str | None = None) -> SampledPath:
     """One realization of d independent fBm components on the uniform grid.
 
     Exact in distribution at grid points; deterministic given the seed.
     ``method`` forces ``"cholesky"`` or ``"davies-harte"``; by default the
-    Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps.
+    Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps.  Paths that
+    share (H, M) are cheaper together, through ``sample_fbm_paths``.
     """
-    rng = np.random.default_rng(spec.seed)
-    if method is None:
-        method = "cholesky" if spec.resolution <= CHOLESKY_MAX_STEPS else "davies-harte"
-    if method == "cholesky":
-        values = _sample_cholesky(spec, rng)
-    elif method == "davies-harte":
-        values = _sample_davies_harte(spec, rng)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    times = np.linspace(0.0, spec.horizon, spec.resolution + 1)
-    return SampledPath(times=times, values=values, alpha=spec.hurst - ALPHA_OFFSET)
+    return sample_fbm_paths([spec], method)[0]
 
 
 def holder_seminorm(path: SampledPath, alpha: float) -> float:

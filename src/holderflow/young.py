@@ -183,15 +183,19 @@ def check_chain_rule(
 _IW_BLOCK = 64  # time steps per batched transform in check_ito_wentzell
 
 
-def _field_samples(f: Callable, name: str, args: tuple, m: int) -> np.ndarray:
-    """``f(*args)`` as a float array of shape (m,), or a ``ValueError``."""
+def _field_samples(f: Callable, name: str, args: tuple, m: int, rows: int = 0) -> np.ndarray:
+    """``f(*args)`` as a float array of shape (m,), or with ``rows`` of shape
+    (rows, m), an (m,) result standing for every row; else a ``ValueError``."""
     a = np.asarray(f(*args), dtype=float)
-    if a.shape != (m,):
-        raise ValueError(
-            f"{name} must return an array of shape ({m},) on the {m} space points, "
-            f"got shape {a.shape}"
-        )
-    return a
+    if a.shape == (m,):
+        return np.broadcast_to(a, (rows, m)) if rows else a
+    if rows and a.shape == (rows, m):
+        return a
+    block = f" or ({rows}, {m})" if rows else ""
+    raise ValueError(
+        f"{name} must return an array of shape ({m},){block} on the {m} space points, "
+        f"got shape {a.shape}"
+    )
 
 
 def check_ito_wentzell(
@@ -206,8 +210,11 @@ def check_ito_wentzell(
     where g_t(x) := g_0(x) + int_0^t h_s(x) dY_s on a periodic spatial grid.
 
     Spatial derivatives are spectral and X is wrapped periodically into the
-    box; scalar driver and scalar state path.  ``g0(nodes)`` and
-    ``h(t, nodes)`` must return arrays of shape (space_points,).
+    box; scalar driver and scalar state path.  ``g0(nodes)`` must return an
+    array of shape (space_points,).  ``h`` is called once per block of times,
+    with ``t`` a (B, 1) column of the block's times: it returns shape
+    (B, space_points), or (space_points,) for a field that does not depend
+    on t.
 
     g is linear in h, so its spectrum at step i is that of g_0 plus the
     running sum of the spectra of h_j dY_j, j < i.  The time steps go in
@@ -234,8 +241,8 @@ def check_ito_wentzell(
     g_start = evaluate_rows(g[None], grid, xs[:1])[0]
     for s in range(0, n + 1, _IW_BLOCK):
         e = min(s + _IW_BLOCK, n + 1)
-        samples = [_field_samples(h, "h", (float(t), nodes), space_points) for t in y.times[s:e]]
-        ch = interpolation_coefficients(np.stack(samples), grid)
+        samples = _field_samples(h, "h", (y.times[s:e, None], nodes), space_points, e - s)
+        ch = interpolation_coefficients(samples, grid)
         h_x[s:e, 0] = evaluate_rows(ch, grid, xs[s:e])
         # Rows g_s .. g_{e-1}: g_s plus the running sum of h_j dY_j; g_e carries on.
         terms = ch * dy[s:e, None]

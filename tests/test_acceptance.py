@@ -30,6 +30,7 @@ from holderflow.noise import (
     holder_seminorm,
     restrict,
     sample_fbm,
+    sample_fbm_paths,
 )
 from holderflow.particles import (
     ParticleEnsemble,
@@ -94,8 +95,7 @@ def test_criterion_01_young_calculus():
                          restrict(z14, s))
         for s in strides4
     ]
-    yiw = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=3))
-    xiw = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=4))
+    yiw, xiw = sample_fbm_paths(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=s) for s in (3, 4))
     iw = [
         check_ito_wentzell(np.sin, lambda tt, g: 0.5 * np.cos(g + tt),
                            restrict(yiw, s), restrict(xiw, s))
@@ -119,10 +119,10 @@ def test_criterion_02_fbm_correctness():
     n_samples, m = 10_000, 8
     worst = 0.0
     for hurst in (0.6, 0.75, 0.9):
-        vals = np.stack([
-            sample_fbm(NoiseSpec(hurst=hurst, resolution=m, seed=s)).values[1:, 0]
-            for s in range(n_samples)
-        ])
+        paths = sample_fbm_paths(
+            NoiseSpec(hurst=hurst, resolution=m, seed=s) for s in range(n_samples)
+        )
+        vals = np.stack([p.values[1:, 0] for p in paths])
         t = np.linspace(0.0, 1.0, m + 1)[1:]
         want = fbm_covariance(t[:, None], t[None, :], hurst)
         prods = vals[:, :, None] * vals[:, None, :]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from holderflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from holderflow.config import ConfigError, emit_config, parse_config_text
+from holderflow.config import ConfigError, emit_config, parse_config, parse_config_text
 from holderflow.convergence import ExperimentConfig
 from holderflow.noise import load_path
 
@@ -50,6 +50,18 @@ class TestParsing:
     def test_unknown_key_fatal(self):
         with pytest.raises(ConfigError, match=r"unknown key"):
             parse_config_text("[noise]\nhorst = 0.75\n")
+
+    def test_text_that_is_not_ini_is_config_error(self):
+        with pytest.raises(ConfigError, match="^<string> is not strict INI: .*no section headers"):
+            parse_config_text("hurst = 1\n")
+
+    def test_not_ini_error_names_its_file(self, tmp_path):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("[noise]\nhurst = 0.75\nhurst = 0.8\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        msg = str(err.value)
+        assert f"While reading from {str(cfg)!r}" in msg and "<string>" not in msg
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -164,9 +176,8 @@ class TestCli:
     def test_bad_config_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[noise]\nhurst = 0.4\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["pde", "--config", str(cfg)])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["pde", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: hypothesis violated")
 
     @pytest.mark.parametrize(
         "text, match",
@@ -181,9 +192,7 @@ class TestCli:
         cfg = tmp_path / "in.cfg"
         if text is not None:
             cfg.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["pde", "--config", str(cfg)])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["pde", "--config", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error:" in err and str(cfg) in err and match in err
 
@@ -206,17 +215,14 @@ class TestCli:
     def test_unknown_backend_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(TINY_RUN.replace("n_list = 64", "n_list = 64\nforce_backend = gird"))
-        with pytest.raises(SystemExit) as exc:
-            main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert exc.value.code == EXIT_USAGE
+        out = str(tmp_path / "out")
+        assert main(["converge", "--config", str(cfg), "--out", out]) == EXIT_USAGE
 
     def test_bump_base_refused_before_any_output(self, tmp_path, capsys):
         cfg = tmp_path / "bump.cfg"
         cfg.write_text(TINY_RUN + "\n[kernel]\nbase = bump\n")
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["converge", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "the compact bump base was removed" in capsys.readouterr().err
         assert not out.exists()
 
@@ -229,9 +235,7 @@ class TestCli:
     def test_non_finite_cfl_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(TINY_RUN.replace("resolution = 128", "resolution = 128\ncfl = nan"))
-        with pytest.raises(SystemExit) as exc:
-            main(["pde", "--config", str(cfg)])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["pde", "--config", str(cfg)]) == EXIT_USAGE
         assert "cfl must be finite" in capsys.readouterr().err
 
     def test_fluid_failure_names_seed_and_step(self, tmp_path, capsys):

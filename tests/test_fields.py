@@ -356,6 +356,12 @@ class TestStepping:
             step_field(st_, 1e-3, sigma=SigmaField(0.2, 0.5))
 
 
+def _rows_of(state):
+    """Inverse transform of [rho_k, v_k, i k_r v_k] of the state's spectrum."""
+    g, uk = state.grid, state.spectrum
+    return g.irfft(np.concatenate([uk] + [g.ik[r] * uk[1:] for r in range(g.dim)]))
+
+
 class TestCarriedSpectrum:
     @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
     def test_step_output_is_nodes_of_its_spectrum(self, dim, m):
@@ -366,6 +372,10 @@ class TestCarriedSpectrum:
         nodes = st_.grid.irfft(st_.spectrum)
         assert np.array_equal(nodes[0], st_.rho) and np.array_equal(nodes[1:], st_.v)
         assert not (st_.spectrum.flags.writeable or st_.rho.flags.writeable)
+        # The carried rows are rho, v and grad v of that spectrum, the
+        # transform the next step's first stage would otherwise make.
+        assert np.array_equal(st_.node_rows, _rows_of(st_))
+        assert not st_.node_rows.flags.writeable
 
     @pytest.mark.parametrize("dim, m", [(1, 64), (2, 16)])
     def test_new_state_transforms_its_own_fields(self, dim, m):
@@ -375,8 +385,9 @@ class TestCarriedSpectrum:
         for st_ in (_wavy_state(dim, m), replace(stepped, v=0.5 * stepped.v)):
             want = st_.grid.rfft(np.concatenate([st_.rho[None], st_.v]))
             assert np.array_equal(st_.spectrum, want)
+            assert np.array_equal(st_.node_rows, _rows_of(st_))
 
-    def test_seven_transforms_per_step(self, monkeypatch):
+    def test_six_transforms_per_step(self, monkeypatch):
         calls = []
 
         def counted(transform):
@@ -391,8 +402,9 @@ class TestCarriedSpectrum:
         st_, sigma = _smooth_state(m=128), SigmaField(amplitude=0.2, modulation=0.5)
         for _ in range(64):
             st_ = step_field(st_, 1e-3, np.array([0.01]), sigma)
-        # The first state's spectrum and sigma's are built once.
-        assert len(calls) <= 7 * 64 + 2
+        # The first state's spectrum and node rows, and sigma's spectrum,
+        # are built once.
+        assert len(calls) <= 6 * 64 + 3
 
 
 class TestSigmaField:

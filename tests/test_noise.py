@@ -22,6 +22,7 @@ from holderflow.noise import (
     load_path,
     restrict,
     sample_fbm,
+    sample_fbm_paths,
     save_path,
 )
 
@@ -181,6 +182,44 @@ class TestCholeskyRecursion:
             sample_fbm(NoiseSpec(hurst=0.75, resolution=16), method="cholesky")
 
 
+class TestBatchedPaths:
+    def test_each_path_is_its_own_sample(self, monkeypatch):
+        # Dims 1-3 and two horizons in every (H, M) group, the groups
+        # interleaved, and one Davies-Harte spec among them.
+        specs = [
+            NoiseSpec(hurst=hurst, dim=dim, horizon=horizon, resolution=m, seed=seed)
+            for hurst in (0.6, 0.9)
+            for m in (2, 7, 8, 4096)
+            for seed, (dim, horizon) in enumerate([(1, 1.0), (3, 0.5), (2, 1.0), (1, 0.5)])
+        ]
+        specs.append(NoiseSpec(hurst=0.75, dim=2, resolution=8192, seed=1))
+        specs = [specs[i] for i in np.random.default_rng(0).permutation(len(specs))]
+        passes = []
+        recursion = noise._durbin_levinson
+        monkeypatch.setattr(noise, "_durbin_levinson",
+                            lambda fgn, hurst: passes.append(fgn.shape) or recursion(fgn, hurst))
+        got = sample_fbm_paths(specs)
+        assert sorted(passes) == sorted([(7, m) for m in (2, 7, 8, 4096)] * 2)
+        assert len(got) == len(specs)
+        for path, spec in zip(got, specs):
+            want = sample_fbm(spec)
+            assert np.array_equal(path.times, want.times)
+            assert np.array_equal(path.values, want.values) and path.alpha == want.alpha
+
+    def test_many_rows_are_their_own_samples(self):
+        specs = [NoiseSpec(hurst=0.75, resolution=8, seed=s) for s in range(1000)]
+        for path, spec in zip(sample_fbm_paths(specs), specs):
+            assert np.array_equal(path.values, sample_fbm(spec).values)
+
+    @pytest.mark.parametrize("method", ["cholesky", "davies-harte"])
+    def test_forced_method_applies_to_every_spec(self, method):
+        specs = [
+            NoiseSpec(hurst=0.75, dim=d, resolution=64, seed=s) for s, d in enumerate((1, 2, 1))
+        ]
+        for path, spec in zip(sample_fbm_paths(specs, method), specs):
+            assert np.array_equal(path.values, sample_fbm(spec, method).values)
+
+
 class TestHolderSeminorm:
     def test_linear_path_alpha_one(self):
         t = np.linspace(0.0, 1.0, 65)
@@ -206,12 +245,10 @@ class TestExponentEstimate:
     def test_recovers_hurst_on_average(self):
         # Averaged over independent paths the regression lands within 0.05.
         for hurst in (0.6, 0.9):
-            est = np.mean([
-                estimate_holder_exponent(
-                    sample_fbm(NoiseSpec(hurst=hurst, resolution=4096, seed=s))
-                )
-                for s in range(6)
-            ])
+            paths = sample_fbm_paths(
+                NoiseSpec(hurst=hurst, resolution=4096, seed=s) for s in range(6)
+            )
+            est = np.mean([estimate_holder_exponent(p) for p in paths])
             assert abs(est - hurst) < 0.05
 
 

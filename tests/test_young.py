@@ -231,12 +231,40 @@ class TestItoWentzell:
         check_ito_wentzell(np.sin, lambda t, grid: 0.5 * np.cos(grid + t), y, x)
         assert len(calls) <= -(-1025 // young._IW_BLOCK) + 1
 
+    @pytest.mark.parametrize("n, m", [(1000, 256), (1024, 255)])
+    def test_block_of_times_equals_per_time_evaluation(self, n, m):
+        # h is called once per block on a (B, 1) column of times; the rows
+        # equal the fields evaluated one time at a time.
+        y = sample_fbm(NoiseSpec(hurst=0.75, resolution=n, seed=3))
+        x = sample_fbm(NoiseSpec(hurst=0.75, resolution=n, seed=4))
+        shapes = []
+
+        def h(t, g):
+            shapes.append(np.shape(t))
+            return 0.5 * np.cos(g + t)
+
+        def per_time(t, g):
+            return np.stack([0.5 * np.cos(g + float(s)) for s in t[:, 0]])
+
+        got = check_ito_wentzell(np.sin, h, y, x, space_points=m)
+        assert got == check_ito_wentzell(np.sin, per_time, y, x, space_points=m)
+        b = young._IW_BLOCK
+        assert shapes == [(min(b, n + 1 - s), 1) for s in range(0, n + 1, b)]
+
+    def test_time_independent_field_accepted(self):
+        y = sample_fbm(NoiseSpec(hurst=0.75, resolution=200, seed=3))
+        x = sample_fbm(NoiseSpec(hurst=0.75, resolution=200, seed=4))
+        flat = check_ito_wentzell(np.sin, lambda t, g: 0.5 * np.cos(g), y, x)
+        rows = check_ito_wentzell(np.sin, lambda t, g: 0.5 * np.cos(g) + 0.0 * t, y, x)
+        assert flat == rows
+
     @pytest.mark.parametrize(
         "g0, h, name, shape",
         [
             (np.sin, lambda t, g: 0.5, "h", "()"),
             (lambda g: np.sin(g)[:, None], lambda t, g: np.cos(g), "g0", "(256, 1)"),
             (np.sin, lambda t, g: np.cos(g[:-1]), "h", "(255,)"),
+            (np.sin, lambda t, g: np.cos(g[:-1] + t), "h", "(33, 255)"),
         ],
     )
     def test_refuses_malformed_field_callables(self, g0, h, name, shape):
