@@ -25,7 +25,6 @@ __all__ = [
     "triebel_norm",
     "negative_distance",
     "deposit_nearest",
-    "sobolev_embedding_check",
 ]
 
 
@@ -205,25 +204,3 @@ def negative_distance(
     terms = 2.0 ** (-eta * j) * np.sqrt(block_sq * (g.box**d / g.m ** (2 * d)))
     return _lq(terms, q_hat)
 
-
-def sobolev_embedding_check(
-    values: np.ndarray, s: float, p: float, part: DyadicPartition, q: float = 2.0
-) -> float:
-    """Ratio of the sup-norm plus a grid Hölder quotient (at exponent
-    s - d/p mod 1) to the Besov norm; bounded ratios across a field corpus
-    are the numerical shadow of the embedding into C_b^{s - d/p}."""
-    g = part.grid
-    excess = s - g.dim / p
-    if excess <= 0:
-        raise ValueError(f"embedding requires s > d/p, got s={s}, d/p={g.dim / p}")
-    exponent = excess - np.floor(excess)
-    sup = float(np.max(np.abs(values)))
-    quot = 0.0
-    if exponent > 0:
-        for axis in range(g.dim):
-            diff = np.abs(np.roll(values, -1, axis=axis) - values)
-            quot = max(quot, float(np.max(diff)) / g.h**exponent)
-    denom = besov_norm(values, s, p, q, part)
-    if denom == 0.0:
-        return 0.0
-    return (sup + quot) / denom

@@ -65,6 +65,7 @@ def _save_field(path, values, grid, t) -> None:
 
 def _load_field(path):
     from .fields import Grid
+    from .noise import _header_items
 
     try:
         with open(path) as fh:
@@ -73,12 +74,18 @@ def _load_field(path):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     if "holderflow-field" not in first:
         raise ValueError(f"{path} is not a holderflow field file")
-    meta = dict(kv.split("=") for kv in first.lstrip("# ").strip().split(",")[1:])
+    meta = _header_items(path, first.lstrip("# ").strip().split(",")[1:])
     if not {"L", "M", "d"} <= meta.keys():
         raise ValueError(f"{path}: a field header needs L, M and d, got {sorted(meta)}")
-    grid = Grid(box=float(meta["L"]), m=int(meta["M"]), dim=int(meta["d"]))
-    values = np.loadtxt(path).reshape((grid.m,) * grid.dim)
-    return values, grid
+    try:
+        grid = Grid(box=float(meta["L"]), m=int(meta["M"]), dim=int(meta["d"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    values = np.loadtxt(path)
+    if values.size != grid.m**grid.dim:
+        raise ValueError(f"{path}: {values.size} values, but the header needs "
+                         f"M^d = {grid.m**grid.dim}")
+    return values.reshape(grid.shape), grid
 
 
 def _cmd_simulate(args) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "pressure_forms_gap",
     "step_field",
     "diagnostics",
-    "dealias",
     "interpolation_coefficients",
     "evaluate_rows",
     "upsample",
@@ -112,8 +111,9 @@ class Grid:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.box <= 0 or self.m < 4 or self.dim not in (1, 2):
-            raise ValueError("invalid grid parameters: need box > 0, m >= 4 and d in {1, 2}")
+        if not (math.isfinite(self.box) and self.box > 0 and self.m >= 4 and self.dim in (1, 2)):
+            raise ValueError(f"invalid grid parameters: need a finite box > 0, m >= 4 and d "
+                             f"in {{1, 2}}, got box={self.box!r}, m={self.m}, d={self.dim}")
 
     @property
     def h(self) -> float:
@@ -268,11 +268,6 @@ class SigmaField:
         pts = as_points(points)
         base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * pts[:, 0] / box))
         return np.repeat(base[:, None], pts.shape[1], axis=1)
-
-
-def dealias(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """2/3-rule spectral truncation (idempotent)."""
-    return grid.irfft(grid.rfft(f) * grid.two_thirds)
 
 
 def _node_rows(g: Grid, uk: np.ndarray) -> np.ndarray:

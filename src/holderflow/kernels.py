@@ -1,4 +1,4 @@
-"""Moderate-interaction mollifier family and its numerical hypothesis checks.
+"""Moderate-interaction mollifier family, its regime refusals and FFT mollification.
 
 The base density phi_1^r is a Gaussian probability density whose
 self-convolution, the Gaussian of twice the variance, gives the interaction
@@ -10,8 +10,6 @@ is closed-form.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +18,12 @@ from .fields import Grid, _read_only, _single_flight, as_points
 
 __all__ = [
     "KernelFamily",
-    "HypothesisReport",
     "kernel_radius",
     "RegimeError",
     "require_support",
     "require_resolved",
     "mollify",
     "periodic_kernel_samples",
-    "check_hypotheses",
 ]
 
 # Variance of each kernel in units of bandwidth^2: phi_1 = phi_1^r * phi_1^r
@@ -164,97 +160,3 @@ def _kernel_spectrum(family: KernelFamily, n: int, grid: Grid, which: str) -> np
     kern = periodic_kernel_samples(family, n, grid.box, grid.m, which=which)
     return _read_only(grid.rfft(kern))
 
-
-# --- technical hypothesis checks (report-only) ---
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Worst-case ratios of the decay/domination hypotheses on a test lattice.
-
-    ``cotawildeu_status`` is 'pass', 'fail' or 'inapplicable'; failures are
-    reported, never enforced (the simulator does not consume these bounds).
-    """
-
-    c1_margin: float
-    cotauj_margin: float
-    cotawildeu_status: str
-    cotawildeu_worst: float
-    moment_order: int
-
-
-def _multi_indices(dim: int, order: int):
-    for alpha in itertools.product(range(order + 1), repeat=dim):
-        if sum(alpha) == order:
-            yield alpha
-
-
-def _u_function(family: KernelFamily, alpha: tuple, q: int, pts: np.ndarray):
-    """(-1)^{1+|a|} x^a / a! * d_q phi_1^r(x)."""
-    order = sum(alpha)
-    fact = math.prod(math.factorial(a) for a in alpha)
-    mono = np.prod(pts ** np.asarray(alpha, dtype=float), axis=-1)
-    grad = family.kernel(1, pts, "phi_r", derivative=True)[..., q]
-    return (-1.0) ** (1 + order) * mono / fact * grad
-
-
-def check_hypotheses(family: KernelFamily, r_max: float = 20.0) -> HypothesisReport:
-    """Evaluate the base-density decay and moment-function bounds numerically.
-
-    c1: (1 + |x|^{d+2}) phi_1^r(x) bounded for |x| >= 1 (in bandwidth units).
-    cotauj: |U_{1;a}^q(x)| (1 + |x|^{d+1})^{1/2} bounded for |a| = L + 1.
-    cotawildeu: |FT U_{1;a}^q| <= C |FT phi_1^r| for 1 <= |a| <= L, checked
-    on a Fourier lattice; a Gaussian base fails this at high frequency, so
-    the result is reported, not enforced.
-    """
-    d = family.dim
-    ell = (d + 2) // 2
-    h = family.bandwidth
-    r = np.geomspace(1.0, r_max, 400) * h
-    if d == 1:
-        pts = np.concatenate([-r[::-1], r])[:, None]
-    else:
-        theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        pts = np.stack(
-            [np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()],
-            axis=-1,
-        )
-    xr = np.linalg.norm(pts, axis=-1) / h
-    c1_margin = float(np.max((1.0 + xr ** (d + 2)) * family.kernel(1, pts, "phi_r")))
-
-    cotauj = 0.0
-    for q in range(d):
-        for alpha in _multi_indices(d, ell + 1):
-            u = _u_function(family, alpha, q, pts)
-            cotauj = max(cotauj, float(np.max(np.abs(u) * np.sqrt(1.0 + xr ** (d + 1)))))
-
-    # Fourier-lattice comparison on a 1-d slice (radial profiles suffice).
-    m = 2048
-    span = 12.0 * h
-    xs = (np.arange(m) - m // 2) * (2.0 * span / m)
-    if d == 1:
-        grid = xs[:, None]
-    else:
-        grid = np.stack([xs, np.zeros_like(xs)], axis=-1)
-    phi_hat = np.abs(np.fft.fft(np.fft.ifftshift(family.kernel(1, grid, "phi_r"))))
-    worst = 0.0
-    applicable = ell >= 1
-    for q in range(d):
-        for order in range(1, ell + 1):
-            for alpha in _multi_indices(d, order):
-                u_hat = np.abs(
-                    np.fft.fft(np.fft.ifftshift(_u_function(family, alpha, q, grid)))
-                )
-                mask = phi_hat > 1e-300
-                worst = max(worst, float(np.max(u_hat[mask] / phi_hat[mask])))
-    if not applicable:
-        status = "inapplicable"
-    else:
-        status = "pass" if worst < 1e6 else "fail"
-    return HypothesisReport(
-        c1_margin=c1_margin,
-        cotauj_margin=cotauj,
-        cotawildeu_status=status,
-        cotawildeu_worst=worst,
-        moment_order=ell,
-    )

@@ -60,8 +60,8 @@ class NoiseSpec:
             )
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
         if self.seed < 0:
@@ -73,7 +73,8 @@ class SampledPath:
     """A d-vector path on a uniform time grid with a nominal Hölder exponent.
 
     ``values`` has shape (M+1, d) with M >= 1 and starts at the origin; any
-    other shape is refused where the path is built.
+    other shape is refused where the path is built.  Every step of ``times``
+    equals the first, which is positive, within ``64 * eps * max(|t_0|, |t_M|)``.
     """
 
     times: np.ndarray
@@ -88,10 +89,11 @@ class SampledPath:
                 "path values must be an array of shape (M+1, d) with M >= 1 on "
                 f"M+1 times, got values {values.shape} on times {times.shape}"
             )
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10):
-            raise ValueError("times must be uniform")
+        step = np.diff(times)
+        tol = 64 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+        if not (step[0] > 0 and np.all(np.abs(step - step[0]) <= tol)):
+            raise ValueError(f"times must be uniform and strictly increasing, got steps "
+                             f"from {np.min(step):.17g} to {np.max(step):.17g}")
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
         if not np.all(values[0] == 0.0):
@@ -331,15 +333,31 @@ def save_path(path: SampledPath, file, spec: NoiseSpec | None = None) -> None:
             fh.write(text)
 
 
+def _header_items(source, items) -> dict:
+    """The ``key=value`` items of a file header as a dict; any other item is
+    a ``ValueError`` naming ``source``."""
+    bad = [item for item in items if "=" not in item]
+    if bad:
+        raise ValueError(f"{source}: malformed header item {bad[0]!r}, expected key=value")
+    return dict(item.split("=", 1) for item in items)
+
+
 def load_path(file) -> SampledPath:
+    """Read back a ``save_path`` file; a malformed header is a ``ValueError`` naming it."""
     if hasattr(file, "read"):
+        source = getattr(file, "name", "path stream")
         text = file.read()
     else:
+        source = file
         with open(file) as fh:
             text = fh.read()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# holderflow-path"):
-        raise ValueError("not a holderflow path file")
-    meta = dict(item.split("=") for item in lines[0].split(",")[1:])
+        raise ValueError(f"{source} is not a holderflow path file")
+    meta = _header_items(source, lines[0].split(",")[1:])
+    try:
+        alpha = float(meta["alpha"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{source}: a path header needs a numeric alpha, got {meta}") from None
     data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",", ndmin=2)
-    return SampledPath(times=data[:, 0], values=data[:, 1:], alpha=float(meta["alpha"]))
+    return SampledPath(times=data[:, 0], values=data[:, 1:], alpha=alpha)

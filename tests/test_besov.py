@@ -18,7 +18,6 @@ from holderflow.besov import (
     deposit_nearest,
     dyadic_blocks,
     negative_distance,
-    sobolev_embedding_check,
     triebel_norm,
 )
 from holderflow.fields import Grid
@@ -237,18 +236,3 @@ class TestParsevalDistance:
             out.append(run.stdout.strip())
         assert out[0] == out[1] and out[0].startswith("0x")
 
-
-class TestSobolevEmbedding:
-    def test_bounded_ratio_over_smooth_corpus(self, grid, part):
-        rng = np.random.default_rng(5)
-        ratios = []
-        for _ in range(5):
-            coef = rng.standard_normal(8) / (1 + np.arange(8)) ** 2
-            x = grid.nodes()
-            f = sum(c * np.cos(2 * np.pi * (k + 1) * x) for k, c in enumerate(coef))
-            ratios.append(sobolev_embedding_check(f, 2.0, 2.0, part))
-        assert max(ratios) < 50.0
-
-    def test_refuses_subcritical_smoothness(self, part):
-        with pytest.raises(ValueError):
-            sobolev_embedding_check(np.ones(512), 0.2, 2.0, part)

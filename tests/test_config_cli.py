@@ -173,6 +173,15 @@ class TestCli:
         assert path.steps == 64
         assert path.alpha == pytest.approx(0.74)
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_usage_exit(self, tmp_path, capsys, horizon):
+        out = tmp_path / "p.csv"
+        code = main(["noise", "--hurst", "0.75", "--horizon", horizon, "--steps", "8",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[noise]\nhurst = 0.4\n")
@@ -201,8 +210,13 @@ class TestCli:
         [
             (None, "No such file or directory"),
             ("# holderflow-field,L=1.0,d=1,t=0.0", "needs L, M and d"),
+            ("# holderflow-field,L=1.0,M=4,d=1,t0", "malformed header item 't0'"),
+            ("# holderflow-field,L=1.0,M=8,d=1,t=0.0", "4 values, but the header needs M^d = 8"),
+            ("# holderflow-field,L=nan,M=4,d=1,t=0.0", "finite box > 0"),
+            ("# holderflow-field,L=inf,M=4,d=1,t=0.0", "got box=inf"),
         ],
-        ids=["missing_file", "header_without_M"],
+        ids=["missing_file", "header_without_M", "item_without_equals", "row_count",
+             "box_nan", "box_inf"],
     )
     def test_unreadable_field_usage_exit(self, tmp_path, capsys, header, match):
         field = tmp_path / "field.txt"

@@ -1,4 +1,4 @@
-"""Mollifier family: scaling, self-convolution, mollification, hypotheses."""
+"""Mollifier family: scaling, self-convolution, mollification, regime refusals."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from holderflow.convergence import ExperimentConfig
 from holderflow.fields import Grid
 from holderflow.kernels import (
     KernelFamily,
-    check_hypotheses,
     RegimeError,
     kernel_radius,
     mollify,
@@ -216,14 +215,3 @@ class TestKernelRadius:
         fam = KernelFamily(beta=0.6, dim=1, bandwidth=0.05)
         assert kernel_radius(fam, 64, "phi") > kernel_radius(fam, 64, "phi_r")
 
-
-class TestHypothesisReport:
-    def test_gaussian_base_d1(self):
-        rep = check_hypotheses(KernelFamily(beta=0.6, dim=1, bandwidth=0.05))
-        assert np.isfinite(rep.c1_margin) and rep.c1_margin > 0
-        assert np.isfinite(rep.cotauj_margin)
-        assert rep.moment_order == 1
-        assert rep.cotawildeu_status in ("pass", "fail", "inapplicable")
-
-    def test_report_only_never_raises(self):
-        check_hypotheses(KernelFamily(beta=0.4, dim=1, bandwidth=0.05))

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -41,6 +42,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(hurst=0.75, resolution=1)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            NoiseSpec(hurst=0.75, horizon=horizon)
+
 
 class TestSampledPath:
     def test_rejects_nonzero_start(self):
@@ -53,6 +59,23 @@ class TestSampledPath:
         v = np.zeros((4, 1))
         with pytest.raises(ValueError, match="uniform"):
             SampledPath(t, v, alpha=0.7)
+
+    def test_rejects_jittered_times(self):
+        # One step 5e-5 off in relative terms: inside np.allclose's default
+        # atol of 1e-8, far outside a few ulps of the horizon.
+        t = np.array([0.0, 1e-4, 2e-4 + 5e-9, 3e-4])
+        with pytest.raises(ValueError, match="uniform"):
+            SampledPath(t, np.zeros((4, 1)), alpha=0.7)
+
+    @pytest.mark.parametrize("t", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1, 0.3]],
+                             ids=["repeated", "decreasing"])
+    def test_rejects_times_not_increasing(self, t):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SampledPath(np.array(t), np.zeros((4, 1)), alpha=0.7)
+
+    def test_accepts_fine_linspace_grid_of_non_dyadic_horizon(self):
+        t = np.linspace(0.0, 0.7, 2**20 + 1)
+        assert SampledPath(t, np.zeros((t.size, 1)), alpha=0.7).steps == 2**20
 
     def test_properties(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, dim=2, horizon=0.5, resolution=64))
@@ -278,3 +301,19 @@ class TestSerialization:
     def test_load_rejects_foreign_file(self):
         with pytest.raises(ValueError):
             load_path(io.StringIO("t,y\n0,0\n"))
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("# holderflow-path,alpha=0.74,T=1.0,M1,d=1", "malformed header item 'M1'"),
+            ("# holderflow-path,T=1.0,M=1,d=1", "a path header needs a numeric alpha"),
+            ("# holderflow-path,alpha=x,T=1.0,M=1,d=1", "needs a numeric alpha, got {'alpha': 'x'"),
+        ],
+        ids=["item_without_equals", "no_alpha", "alpha_not_a_number"],
+    )
+    def test_load_names_file_and_header_problem(self, tmp_path, header, match):
+        f = tmp_path / "p.csv"
+        f.write_text(header + "\nt,y0\n0,0\n1,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(match)) as info:
+            load_path(str(f))
+        assert str(f) in str(info.value)

@@ -34,6 +34,16 @@ def test_no_layout_guessing_in_package():
     assert not stray, "layout guessed with np.atleast_*:\n" + "\n".join(stray)
 
 
+def _public_names(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
 def _unused_imports(tree):
     """Names a module imports but never reads; names listed in ``__all__``
     count as read (they are re-exported)."""
@@ -46,11 +56,7 @@ def _unused_imports(tree):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
+    used |= set(_public_names(tree))
     return [(line, name) for name, line in imported.items() if name not in used]
 
 
@@ -64,10 +70,25 @@ def test_no_unused_imports_in_package():
     assert not stray, "imported but never used:\n" + "\n".join(stray)
 
 
+def _read_names(trees):
+    """Every name the modules ``trees`` read: loaded names, attributes and
+    names imported from another module."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
 def _unreferenced_privates(trees):
     """Module-level ``_name`` definitions of the package that no module of
     it reads: helpers a refactor left behind."""
-    defined, read = [], set()
+    defined = []
     for name, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -78,13 +99,7 @@ def _unreferenced_privates(trees):
                 continue
             defined += [(name, node.lineno, t) for t in targets
                         if t.startswith("_") and not t.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {alias.name for alias in node.names}
+    read = _read_names(trees.values())
     return [(name, line, t) for name, line, t in defined if t not in read]
 
 
@@ -93,6 +108,31 @@ def test_no_unreferenced_private_helpers_in_package():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     stray = [f"{name}:{line}: {t}" for name, line, t in _unreferenced_privates(trees)]
     assert not stray, "private name defined but never referenced in src/:\n" + "\n".join(stray)
+
+
+# Public names kept without a reader, each for the reason given.
+UNREAD_PUBLIC_NAMES = {
+    "emit_config": "the documented inverse of config.parse_config",
+    "load_path": "the documented inverse of the `holderflow noise` output file",
+}
+
+
+def test_every_public_name_has_a_reader():
+    # A name in ``__all__`` that no module of the package, no script and no
+    # acceptance criterion reads is analysis nothing runs: unit tests alone
+    # do not count as a reader.
+    src = Path(holderflow.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    sources = [*sorted(src.glob("*.py")), *sorted((root / "scripts").glob("*.py")),
+               root / "tests" / "test_acceptance.py"]
+    read = _read_names(ast.parse(path.read_text()) for path in sources)
+    stray = [
+        f"{path.name}: {name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _public_names(ast.parse(path.read_text()))
+        if name not in read and name not in UNREAD_PUBLIC_NAMES and not name.startswith("__")
+    ]
+    assert not stray, "public name that nothing reads:\n" + "\n".join(stray)
 
 
 def _times(n):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import holderflow
 
-# Mesh transforms and frequency arrays.  The 1-d complex ``np.fft.fft`` on
-# arrays that are not mesh fields (hypothesis report, circulant embedding) is
-# out of scope.
+# Mesh transforms and frequency arrays.  The 1-d complex ``np.fft.fft`` of
+# the fBm circulant embedding, an array that is not a mesh field, is out of
+# scope.
 PATTERN = re.compile(r"np\.fft\.(i?r?fftn|i?rfft)\b|fftfreq")
 
 
