@@ -108,12 +108,21 @@ def _lp_norm(values: np.ndarray, grid: Grid, p: float) -> float:
     return float((np.mean(np.abs(values) ** p) * vol) ** (1.0 / p))
 
 
+def _require_indices(s: float, p: float, q: float) -> None:
+    """A ``ValueError`` naming the first of s, p and q outside its range."""
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p!r}")
+    if not 0.0 < q <= np.inf:
+        raise ValueError(f"q must lie in (0, inf], got {q!r}")
+
+
 def besov_norm(
     values: np.ndarray, s: float, p: float, q: float, part: DyadicPartition
 ) -> float:
     """l^q over j of 2^{js} ||Delta_j f||_{L^p}."""
-    if not 1.0 < p < np.inf:
-        raise ValueError("p must lie in (1, inf)")
+    _require_indices(s, p, q)
     blocks = dyadic_blocks(values, part)
     terms = np.array(
         [
@@ -134,8 +143,7 @@ def triebel_norm(
     values: np.ndarray, s: float, p: float, q: float, part: DyadicPartition
 ) -> float:
     """L^p of the pointwise l^q over j of 2^{js} Delta_j f."""
-    if not 1.0 < p < np.inf:
-        raise ValueError("p must lie in (1, inf)")
+    _require_indices(s, p, q)
     blocks = dyadic_blocks(values, part)
     weights = np.array([2.0 ** (j * s) for j in part.j_range()])
     shaped = weights.reshape((-1,) + (1,) * part.grid.dim)

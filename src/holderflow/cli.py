@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names its path and reason
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:

@@ -421,6 +421,17 @@ def _checkpoint_row(config, ens, family, cached, part, fine_m):
     return rec, bs, float(np.sqrt(bv))
 
 
+def _slope(values: dict, subset) -> tuple[float, float]:
+    """Least-squares slope of log values[n] against log n over ``subset`` and
+    its standard error, NaN below 3 points."""
+    x = np.log(np.array(subset, dtype=float))
+    y = np.log(np.array([max(values[n], 1e-300) for n in subset]))
+    if len(subset) < 3:
+        return float(np.polyfit(x, y, 1)[0]), float("nan")
+    coef, cov = np.polyfit(x, y, 1, cov=True)
+    return float(coef[0]), float(np.sqrt(cov[0, 0]))
+
+
 def fit_rate(results: list, config: ExperimentConfig) -> RateReport:
     """Least-squares log-log slope of sup_t Q versus N, floor-aware.
 
@@ -428,49 +439,27 @@ def fit_rate(results: list, config: ExperimentConfig) -> RateReport:
     and excluded from the fit; slopes for the squared Besov distances at
     t = T are fitted on the same N subset.
     """
-    sup_q: dict = {}
-    q0: dict = {}
-    bs_T: dict = {}
-    bv_T: dict = {}
-    for row in results:
-        if row["flag"] != "ok" or not row["records"]:
-            continue
-        key = (row["seed"], row["n"])
-        sup_q[key] = max(r.q for r in row["records"])
-        q0[key] = row["records"][0].q
-        bs_T[key] = row["besov_s"][-1]
-        bv_T[key] = row["besov_v"][-1]
+    ok = sorted((row for row in results if row["flag"] == "ok" and row["records"]),
+                key=lambda row: (row["n"], row["seed"]))
+    ns = sorted({row["n"] for row in ok})
 
-    ns = sorted({n for (_, n) in sup_q})
-    seeds = sorted({s for (s, _) in sup_q})
-    mean_sup = {n: np.mean([sup_q[(s, n)] for s in seeds if (s, n) in sup_q]) for n in ns}
-    mean_q0 = {n: np.mean([q0[(s, n)] for s in seeds if (s, n) in q0]) for n in ns}
+    def seed_mean(value) -> dict:
+        """Mean over the seeds of ``value(row)`` per N, summed in seed order."""
+        return {n: np.mean([value(row) for row in ok if row["n"] == n]) for n in ns}
+
+    sup_q = {(row["seed"], row["n"]): max(r.q for r in row["records"]) for row in ok}
+    mean_sup = seed_mean(lambda row: sup_q[row["seed"], row["n"]])
+    mean_q0 = seed_mean(lambda row: row["records"][0].q)
     floor_flags = {n: mean_q0[n] > FLOOR_FRACTION * mean_sup[n] for n in ns}
     clean = [n for n in ns if not floor_flags[n]]
     floor_limited = len(clean) < 2
 
-    def _slope(values: dict, subset):
-        x = np.log(np.array(subset, dtype=float))
-        y = np.log(np.array([max(values[n], 1e-300) for n in subset]))
-        coef, cov = np.polyfit(x, y, 1, cov=True) if len(subset) > 2 else (
-            np.polyfit(x, y, 1),
-            np.full((2, 2), np.nan),
-        )
-        return float(coef[0]), float(np.sqrt(cov[0, 0]))
-
     if floor_limited:
-        slope, err = float("nan"), float("nan")
-        sbs = sbv = float("nan")
+        slope = err = sbs = sbv = float("nan")
     else:
         slope, err = _slope(mean_sup, clean)
-        mean_bs2 = {
-            n: np.mean([bs_T[(s, n)] ** 2 for s in seeds if (s, n) in bs_T]) for n in ns
-        }
-        mean_bv2 = {
-            n: np.mean([bv_T[(s, n)] ** 2 for s in seeds if (s, n) in bv_T]) for n in ns
-        }
-        sbs, _ = _slope(mean_bs2, clean)
-        sbv, _ = _slope(mean_bv2, clean)
+        sbs, _ = _slope(seed_mean(lambda row: row["besov_s"][-1] ** 2), clean)
+        sbv, _ = _slope(seed_mean(lambda row: row["besov_v"][-1] ** 2), clean)
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -488,7 +477,7 @@ def fit_rate(results: list, config: ExperimentConfig) -> RateReport:
         slope_besov_s_sq=sbs,
         slope_besov_v_sq=sbv,
         sup_q={str(k): v for k, v in sup_q.items()},
-        q0={str(k): v for k, v in q0.items()},
+        q0={str((row["seed"], row["n"])): row["records"][0].q for row in ok},
         floor_flags={str(n): bool(f) for n, f in floor_flags.items()},
         floor_limited=floor_limited,
         manifest=manifest,

@@ -5,7 +5,7 @@ d v_q = -(v . grad v_q + (1/rho) d_q p) dt with pressure p = rho^2 / 2, so
 the velocity drift reduces to -(v . grad) v_q - d_q rho; the gap between the
 two pressure forms is a diagnostic function, ``pressure_forms_gap``, that no
 run evaluates.  The noise enters as an additive velocity kick
-v_q += sigma_q(t, x) dY^q after each SSP-RK3 step.  The step advances the
+v_q += sigma(x) dY^q after each SSP-RK3 step.  The step advances the
 half spectrum of (rho, v) and visits the nodes only for the products.
 Pre-shock smooth regime only.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = [
     "as_points",
-    "as_increment",
+    "as_kick",
     "as_time_step",
     "Grid",
     "FluidState",
@@ -56,12 +56,20 @@ def as_points(
     raise ValueError(f"{name} must be an array of shape {layout}, got shape {a.shape}")
 
 
-def as_increment(dy, dim: int) -> np.ndarray:
-    """``dy`` as a (dim,) float array of driver increments, the one check of
-    the increment layout: a scalar or any other shape is a ``ValueError``."""
+def as_kick(dy, sigma, dim: int) -> np.ndarray | None:
+    """``dy`` as the (dim,) float array of one step's kick sigma dY, the one
+    check of a step's noise for the fluid and the particles; None without
+    noise.  ``dy`` without ``sigma`` or the reverse, or another shape, is a
+    ``ValueError``; a non-finite ``dy`` is a ``FloatingPointError``."""
+    if (dy is None) != (sigma is None):
+        raise ValueError("dy and sigma must be given together: the kick is sigma dY")
+    if dy is None:
+        return None
     a = np.asarray(dy, dtype=float)
     if a.shape != (dim,):
         raise ValueError(f"dy must be an array of shape ({dim},), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise FloatingPointError(f"non-finite driver increment dy={a}")
     return a
 
 
@@ -239,35 +247,24 @@ class FluidState:
 
 @dataclass(frozen=True)
 class SigmaField:
-    """Noise coefficient sigma(t, x): component q multiplies dY^q, with
-    sigma_q(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)) for every q.
-
-    sigma does not depend on t: ``t`` is accepted for the model's
-    sigma(t, x) and ignored, so the spectrum is computed once per grid.
-    """
+    """Noise coefficient sigma(x) = amplitude * (1 + modulation * cos(2 pi x_1 / L)),
+    a scalar: the kick of velocity component q is sigma(x) dY^q.  The
+    model's sigma(t, x) does not depend on t here."""
 
     amplitude: float = 1.0
     modulation: float = 0.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_spectrum_on_grid", {})
-
-    def spectrum(self, t: float, grid: Grid) -> np.ndarray:
+    @_single_flight(16)
+    def spectrum(self, grid: Grid) -> np.ndarray:
         """Half spectrum of ``at`` on the grid nodes, laid out like
-        ``Grid.rfft`` of a velocity; computed on the first call for ``grid``
-        and read-only."""
-        sig_k = self._spectrum_on_grid.get(grid)
-        if sig_k is None:
-            sig = self.at(t, grid.nodes().reshape(-1, grid.dim), grid.box)
-            sig_k = _read_only(grid.rfft(sig.T.reshape((grid.dim,) + grid.shape)))
-            self._spectrum_on_grid[grid] = sig_k
-        return sig_k
+        ``Grid.rfft``; built once per (sigma, grid), read-only."""
+        sig = self.at(grid.nodes().reshape(-1, grid.dim), grid.box)
+        return _read_only(grid.rfft(sig.reshape(grid.shape)))
 
-    def at(self, t: float, points: np.ndarray, box: float) -> np.ndarray:
-        """Pointwise evaluation at an (n, d) point set, shape (n, d)."""
-        pts = as_points(points)
-        base = self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * pts[:, 0] / box))
-        return np.repeat(base[:, None], pts.shape[1], axis=1)
+    def at(self, points: np.ndarray, box: float) -> np.ndarray:
+        """sigma at an (n, d) point set, shape (n,)."""
+        x = as_points(points)[:, 0]
+        return self.amplitude * (1.0 + self.modulation * np.cos(2.0 * np.pi * x / box))
 
 
 def _node_rows(g: Grid, uk: np.ndarray) -> np.ndarray:
@@ -333,11 +330,10 @@ def step_field(
 ) -> FluidState:
     """One step: SSP-RK3 on the deterministic drift, then the noise kick.
 
-    A non-finite or non-positive dt is a ``ValueError``, and so is one of
-    ``dy`` and ``sigma`` without the other.  Refuses dt above
-    the advective stability bound cfl * h / max(|v| + c) with
-    ``FloatingPointError``: a CFL violation is a numerical failure, like the
-    vacuum guard, not a usage error; so is a non-finite ``dy``.  The stages
+    A non-finite or non-positive dt is a ``ValueError``; ``as_kick`` checks
+    ``dy`` and ``sigma``.  Refuses dt above the advective stability bound
+    cfl * h / max(|v| + c) with ``FloatingPointError``: a CFL violation is a
+    numerical failure, like the vacuum guard, not a usage error.  The stages
     and the kick advance ``state.spectrum``; each stage refuses a non-finite
     input and a density at the vacuum floor, and the one ``FluidState``
     built per step, the nodes of the advanced spectrum, checks the output.
@@ -347,15 +343,10 @@ def step_field(
     """
     g, floor = state.grid, state.vacuum_floor
     dt = as_time_step(dt)
-    if (dy is None) != (sigma is None):
-        raise ValueError("dy and sigma must be given together: the kick is sigma dY")
+    dy = as_kick(dy, sigma, g.dim)
     limit = cfl * g.h / max(max_signal_speed(state), 1e-30)
     if dt > limit * (1.0 + 1e-12):
         raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
-    if dy is not None:
-        dy = as_increment(dy, g.dim)
-        if not np.isfinite(dy).all():
-            raise FloatingPointError("non-finite fluid state")
 
     def euler(uk, nodes):
         return uk + dt * _drift(g, uk, nodes, floor)
@@ -365,7 +356,7 @@ def step_field(
     u2 = 0.75 * u0 + 0.25 * euler(u1, _node_rows(g, u1))
     uk = u0 / 3.0 + 2.0 / 3.0 * euler(u2, _node_rows(g, u2))
     if dy is not None:
-        uk[1:] += sigma.spectrum(state.time, g) * dy.reshape((g.dim,) + (1,) * g.dim)
+        uk[1:] += sigma.spectrum(g) * dy.reshape((g.dim,) + (1,) * g.dim)
     nodes = _read_only(_node_rows(g, uk))  # so that they stay the nodes of uk
     out = FluidState(g, nodes[0], nodes[1 : g.dim + 1], state.time + dt, floor)
     out.__dict__["spectrum"] = _read_only(uk)  # the cached_properties' slots

@@ -73,8 +73,10 @@ class SampledPath:
     """A d-vector path on a uniform time grid with a nominal Hölder exponent.
 
     ``values`` has shape (M+1, d) with M >= 1 and starts at the origin; any
-    other shape is refused where the path is built.  Every step of ``times``
-    equals the first, which is positive, within ``64 * eps * max(|t_0|, |t_M|)``.
+    other shape is refused where the path is built.  The owner of the grid
+    rule: two times are equal within ``64 * eps * max(|t_0|, |t_M|)``, every
+    step of ``times`` equals the first, which is positive, and ``index`` and
+    ``require_same_grid`` compare times by the same tolerance.
     """
 
     times: np.ndarray
@@ -89,17 +91,35 @@ class SampledPath:
                 "path values must be an array of shape (M+1, d) with M >= 1 on "
                 f"M+1 times, got values {values.shape} on times {times.shape}"
             )
+        object.__setattr__(self, "times", times)
         step = np.diff(times)
-        tol = 64 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
-        if not (step[0] > 0 and np.all(np.abs(step - step[0]) <= tol)):
+        if not (step[0] > 0 and np.all(np.abs(step - step[0]) <= self._tolerance)):
             raise ValueError(f"times must be uniform and strictly increasing, got steps "
                              f"from {np.min(step):.17g} to {np.max(step):.17g}")
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
         if not np.all(values[0] == 0.0):
             raise ValueError("paths must start at the origin")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+    @property
+    def _tolerance(self) -> float:
+        return 64 * np.finfo(float).eps * max(abs(self.times[0]), abs(self.times[-1]))
+
+    def index(self, t: float, name: str = "t") -> int:
+        """The index of the grid time ``t``; a time off the grid is a
+        ``ValueError`` naming ``name``."""
+        # In Python floats a NaN, an inf or an overflow fails the range test silently.
+        i = np.rint((float(t) - float(self.times[0])) / self.dt)
+        if not (0 <= i <= self.steps and abs(self.times[int(i)] - t) <= self._tolerance):
+            raise ValueError(f"{name}={t!r} is not a time of the path's grid")
+        return int(i)
+
+    def require_same_grid(self, other: SampledPath) -> None:
+        """Refuse ``other`` with a ``ValueError`` unless it has as many steps
+        and its times equal these within the tolerance."""
+        if other.steps != self.steps or np.any(np.abs(other.times - self.times) > self._tolerance):
+            raise ValueError("paths must share the time grid")
 
     @property
     def horizon(self) -> float:

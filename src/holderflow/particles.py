@@ -1,7 +1,7 @@
 """Second-order moderately interacting particle system on the periodic box.
 
 Positions and velocities evolve by dX = V dt,
-dV = -grad(S^N * phi_N)(X) dt + sigma(t, X) dY with the empirical measure
+dV = -grad(S^N * phi_N)(X) dt + sigma(X) dY with the empirical measure
 S^N of the ensemble itself.  The deterministic part is advanced by velocity
 Verlet; the noise enters as a post-step velocity kick tied to the master
 path's increments.  Forces come from an exact O(N^2) pairwise backend or a
@@ -22,7 +22,7 @@ from .fields import (
     SigmaField,
     _read_only,
     _single_flight,
-    as_increment,
+    as_kick,
     as_points,
     as_time_step,
     upsample,
@@ -307,11 +307,10 @@ def step(
 
     Returns (new ensemble, accelerations at the new positions) so callers
     can avoid recomputing forces.  ``dy``, the master path increment over
-    [t, t + dt], and ``sigma`` come together or not at all (``ValueError``).
+    [t, t + dt], and ``sigma`` are checked by ``as_kick``.
     """
     dt = as_time_step(dt)
-    if (dy is None) != (sigma is None):
-        raise ValueError("dy and sigma must be given together: the kick is sigma dY")
+    dy = as_kick(dy, sigma, ens.dim)
     if accel is None:
         accel = interaction_force(ens, family, backend, grid_m)
     v_half = ens.velocities + 0.5 * dt * accel
@@ -319,8 +318,7 @@ def step(
     accel_new = interaction_force(moved, family, backend, grid_m)
     v_new = v_half + 0.5 * dt * accel_new
     if dy is not None:
-        kick = sigma.at(ens.time, moved.positions, ens.box)
-        v_new = v_new + kick * as_increment(dy, ens.dim)
+        v_new = v_new + sigma.at(moved.positions, ens.box)[:, None] * dy
     return moved._advanced(v_new, ens.time + dt), accel_new
 
 

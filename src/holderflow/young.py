@@ -30,7 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrandPath:
-    """Samples of an integrand X_t on a uniform grid with nominal exponent beta.
+    """Samples of an integrand X_t with nominal exponent beta, one per time
+    of the grid of the driver it is integrated against.
 
     ``values`` has shape (M+1, ..., d): the last axis of each sample is
     contracted with the driver's (d,) increment, so a scalar integrand
@@ -38,35 +39,17 @@ class IntegrandPath:
     Fewer than two axes is refused where the path is built.
     """
 
-    times: np.ndarray
     values: np.ndarray
     beta: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if values.ndim < 2 or times.shape != values.shape[:1]:
-            raise ValueError(
-                "integrand values must be an array of shape (M+1, ..., d) on M+1 "
-                f"times, got values {values.shape} on times {times.shape}"
-            )
+        if values.ndim < 2:
+            raise ValueError("integrand values must be an array of shape (M+1, ..., d), "
+                             f"got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("integrand values must be finite")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @property
-    def seminorm(self) -> float:
-        flat = self.values.reshape(self.values.shape[0], -1)
-        path = SampledPath(self.times, flat - flat[0], alpha=self.beta)
-        return holder_seminorm(path, self.beta)
-
-
-def _grid_index(times: np.ndarray, t: float, what: str) -> int:
-    i = int(round((t - times[0]) / (times[1] - times[0])))
-    if not 0 <= i < times.shape[0] or abs(times[i] - t) > 1e-9 * (times[-1] or 1.0):
-        raise ValueError(f"{what}={t} is not a grid point of the common grid")
-    return i
 
 
 def young_integral(
@@ -76,8 +59,9 @@ def young_integral(
     t: float | None = None,
     rule: str = "left",
 ):
-    """Riemann-Young sum of X against Y over [s, t] on the common grid.
+    """Riemann-Young sum of X against Y over [s, t] on Y's grid.
 
+    X has one sample per time of Y's grid, and s and t are times of it.
     Requires the nominal exponent condition alpha + beta > 1; outside that
     regime the integral has no meaning here and the call is refused.
     ``rule`` selects left-point (X_i) or mid-point ((X_i + X_{i+1}) / 2)
@@ -89,8 +73,9 @@ def young_integral(
         raise ValueError(
             f"Young condition violated: alpha + beta = {y.alpha} + {x.beta} <= 1"
         )
-    if x.times.shape != y.times.shape or not np.allclose(x.times, y.times):
-        raise ValueError("integrand and driver must share the time grid")
+    if x.values.shape[0] != y.steps + 1:
+        raise ValueError(f"the integrand has {x.values.shape[0]} samples, but its driver's "
+                         f"grid has {y.steps + 1} times")
     if x.values.shape[-1] != y.dim:
         raise ValueError(
             f"integrand last axis {x.values.shape[-1]} does not match the "
@@ -100,8 +85,7 @@ def young_integral(
         raise ValueError(f"unknown rule {rule!r}")
     if t is None:
         t = y.horizon
-    i0 = _grid_index(y.times, s, "s")
-    i1 = _grid_index(y.times, t, "t")
+    i0, i1 = y.index(s, "s"), y.index(t, "t")
     if i1 < i0:
         raise ValueError("need s <= t")
     xs = x.values[i0:i1]
@@ -126,18 +110,19 @@ def young_loeve_defect(
     """One-step quadrature defect |int_s^t X dY - X_s Y_st| and its ratio to
     the Hölder-scaling envelope ||Y||_a ||X||_b |t-s|^{a+b}.
 
-    A sweep over windows reports the max ratio as the empirical constant;
+    ``norm_x`` defaults to the beta-Hölder seminorm of X on Y's grid.  A
+    sweep over windows reports the max ratio as the empirical constant;
     nothing is asserted against a theoretical value of that constant.
     """
     integral = young_integral(x, y, s, t)
-    i0 = _grid_index(y.times, s, "s")
-    i1 = _grid_index(y.times, t, "t")
+    i0, i1 = y.index(s, "s"), y.index(t, "t")
     y_st = y.values[i1] - y.values[i0]
     defect = float(np.linalg.norm(integral - x.values[i0] @ y_st))
     if norm_y is None:
         norm_y = holder_seminorm(y, y.alpha)
     if norm_x is None:
-        norm_x = x.seminorm
+        flat = x.values.reshape(x.values.shape[0], -1)
+        norm_x = holder_seminorm(SampledPath(y.times, flat - flat[0], x.beta), x.beta)
     envelope = norm_y * norm_x * abs(t - s) ** (y.alpha + x.beta)
     if envelope == 0.0:
         return defect, 0.0
@@ -148,8 +133,9 @@ def check_integration_by_parts(x: SampledPath, y: SampledPath) -> float:
     """|X_T Y_T - X_0 Y_0 - int X dY - int Y dX| at the working mesh (scalar paths)."""
     if x.dim != 1 or y.dim != 1:
         raise ValueError("scalar paths expected")
-    int_x_dy = young_integral(IntegrandPath(x.times, x.values, beta=x.alpha), y)
-    int_y_dx = young_integral(IntegrandPath(y.times, y.values, beta=y.alpha), x)
+    x.require_same_grid(y)
+    int_x_dy = young_integral(IntegrandPath(x.values, beta=x.alpha), y)
+    int_y_dx = young_integral(IntegrandPath(y.values, beta=y.alpha), x)
     xv, yv = x.values[:, 0], y.values[:, 0]
     return float(abs(xv[-1] * yv[-1] - xv[0] * yv[0] - int_x_dy - int_y_dx))
 
@@ -174,9 +160,7 @@ def check_chain_rule(
         )
     # Midpoint evaluation: the Young integral admits any evaluation point in
     # each partition interval, and the symmetric choice converges faster.
-    integral = young_integral(
-        IntegrandPath(x.times, grads, beta=x.alpha * gamma), x, rule="mid"
-    )
+    integral = young_integral(IntegrandPath(grads, beta=x.alpha * gamma), x, rule="mid")
     return float(abs(f(x.values[-1]) - f(x.values[0]) - integral))
 
 
@@ -224,8 +208,7 @@ def check_ito_wentzell(
     """
     if y.dim != 1 or x.dim != 1:
         raise ValueError("scalar driver and state path expected")
-    if x.times.shape != y.times.shape or not np.allclose(x.times, y.times):
-        raise ValueError("paths must share the time grid")
+    y.require_same_grid(x)
     grid = Grid(box=box, m=space_points)
     nodes = grid.nodes()
     g = interpolation_coefficients(_field_samples(g0, "g0", (nodes,), space_points), grid)
@@ -256,6 +239,6 @@ def check_ito_wentzell(
     g_end = evaluate_rows(gs[-1:], grid, xs[n : n + 1])[0]
     # Both integrands inherit the rougher of the two paths' exponents.
     beta = min(x.alpha, y.alpha)
-    total_h = young_integral(IntegrandPath(y.times, h_x, beta), y)
-    total_dg = young_integral(IntegrandPath(x.times, dg_x, beta), x)
+    total_h = young_integral(IntegrandPath(h_x, beta), y)
+    total_dg = young_integral(IntegrandPath(dg_x, beta), x)
     return float(abs(g_end - g_start - total_h - total_dg))

@@ -156,8 +156,8 @@ def test_criterion_02_fbm_correctness():
 def test_criterion_03_young_loeve_scaling():
     x_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=20))
     y_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=1 << 12, seed=21))
-    x = IntegrandPath(x_path.times, x_path.values, beta=x_path.alpha)
-    nx = x.seminorm
+    x = IntegrandPath(x_path.values, beta=x_path.alpha)
+    nx = holder_seminorm(x_path, x_path.alpha)
     ny = holder_seminorm(y_path, y_path.alpha)
     m = y_path.steps
     window_steps = [32, 64, 128, 256, 512]

@@ -99,6 +99,19 @@ class TestNorms:
         with pytest.raises(ValueError):
             triebel_norm(np.ones(512), 0.5, np.inf, 2.0, part)
 
+    @pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
+    @pytest.mark.parametrize(
+        "s, q, name",
+        [(-2.0, 0.0, "q"), (-2.0, -1.0, "q"), (-2.0, np.nan, "q"), (np.nan, 2.0, "s"),
+         (np.inf, 2.0, "s")],
+        ids=["q_zero", "q_negative", "q_nan", "s_nan", "s_inf"],
+    )
+    def test_refuses_index_out_of_range(self, part, norm, s, q, name):
+        # q outside (0, inf] divided by zero, or summed to a meaningless
+        # number with a RuntimeWarning; a non-finite s gave NaN.
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            norm(np.ones(512), s, 2.0, q, part)
+
     def test_besov_equals_triebel_at_p_q_two(self, grid, part):
         rng = np.random.default_rng(1)
         f = rng.standard_normal(grid.m)

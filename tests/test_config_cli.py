@@ -226,6 +226,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(field) in err and match in err
 
+    @pytest.mark.parametrize("command", ["noise", "pde", "simulate"])
+    def test_unwritable_output_usage_exit(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        out = tmp_path / "missing" / "out.txt"
+        args = {
+            "noise": ["noise", "--hurst", "0.75", "--steps", "8"],
+            "pde": ["pde", "--config", str(cfg)],
+            "simulate": ["simulate", "--config", str(cfg), "--n", "32"],
+        }[command]
+        assert main(args + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(out) in err and "No such file or directory" in err
+
+    def test_converge_into_existing_file_usage_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(out) in err and "File exists" in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--q", "0"), ("--q", "-1"), ("--q", "nan"), ("--s", "nan")],
+        ids=["q_zero", "q_negative", "q_nan", "s_nan"],
+    )
+    def test_besov_index_out_of_range_usage_exit(self, tmp_path, capsys, option, value):
+        field = tmp_path / "field.txt"
+        rows = "\n".join(str(np.sin(2 * np.pi * k / 16)) for k in range(16))
+        field.write_text("# holderflow-field,L=1.0,M=16,d=1,t=0.0\n" + rows + "\n")
+        args = {"--s": "-2.0", "--q": "2.0", option: value}
+        argv = ["besov", "--input", str(field), "--s", args["--s"], "--q", args["--q"]]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {option[2:]} must" in capsys.readouterr().err
+
     def test_unknown_backend_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(TINY_RUN.replace("n_list = 64", "n_list = 64\nforce_backend = gird"))

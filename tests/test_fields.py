@@ -98,9 +98,9 @@ def _reference_step(state, dt, dy, sigma):
     rho_new = state.rho / 3.0 + 2.0 / 3.0 * r3
     v_new = state.v / 3.0 + 2.0 / 3.0 * v3
     g = state.grid
-    sig = sigma.at(state.time, g.nodes().reshape(-1, g.dim), g.box).T.reshape(v_new.shape)
+    sig = sigma.at(g.nodes().reshape(-1, g.dim), g.box).reshape(g.shape)
     for q in range(g.dim):
-        v_new[q] = v_new[q] + sig[q] * dy[q]
+        v_new[q] = v_new[q] + sig * dy[q]
     return replace(state, rho=rho_new, v=v_new, time=state.time + dt)
 
 
@@ -129,8 +129,8 @@ class TestGrid:
         g = Grid(box=1.0, m=16, dim=dim)
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         assert g.ik is g.ik and g.two_thirds is g.two_thirds
-        assert sigma.spectrum(0.0, g) is sigma.spectrum(1.0, g)
-        for cached in (*g.ik, g.two_thirds, sigma.spectrum(0.0, g)):
+        assert sigma.spectrum(g) is sigma.spectrum(g)
+        for cached in (*g.ik, g.two_thirds, sigma.spectrum(g)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[...] = 0
         assert np.array_equal(g.ik[0], _reference_ik(g, 0))
@@ -322,7 +322,7 @@ class TestStepping:
             step_field(_smooth_state(), dt)
 
     def test_non_finite_step_is_numerical_failure(self):
-        with pytest.raises(FloatingPointError, match="non-finite fluid state"):
+        with pytest.raises(FloatingPointError, match="non-finite driver increment"):
             step_field(_smooth_state(), 1e-3, dy=np.array([np.inf]), sigma=SigmaField())
 
     def test_dt_self_convergence_order_at_least_two(self):
@@ -347,7 +347,7 @@ class TestStepping:
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         dy = np.array([0.37])
         kicked, plain = step_field(st_, 1e-3, dy, sigma), step_field(st_, 1e-3)
-        shift = sigma.at(st_.time, st_.grid.nodes()[:, None], st_.grid.box).T * dy[0]
+        shift = sigma.at(st_.grid.nodes()[:, None], st_.grid.box) * dy[0]
         assert np.array_equal(kicked.rho, plain.rho)
         assert np.max(np.abs(kicked.v - plain.v - shift)) <= 1e-14 * np.max(np.abs(shift))
 
@@ -412,16 +412,28 @@ class TestCarriedSpectrum:
 
 
 class TestSigmaField:
+    def test_scalar_at_points(self):
+        pts = np.array([[0.0, 0.3], [0.5, 0.9]])
+        assert np.array_equal(SigmaField(0.2, 0.5).at(pts, 1.0), [0.2 * 1.5, 0.2 * 0.5])
+
+    def test_spectrum_cached_per_value_not_per_instance(self):
+        # No cache lives inside the frozen field: equal fields share one
+        # spectrum, built once.
+        g = Grid(box=1.0, m=32)
+        sigma = SigmaField(0.2, 0.5)
+        assert sigma.spectrum(g) is SigmaField(0.2, 0.5).spectrum(g)
+        assert vars(sigma) == {"amplitude": 0.2, "modulation": 0.5}
+
     def test_grid_and_pointwise_agree(self):
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         for dim in (1, 2):
             g = Grid(box=1.0, m=64, dim=dim)
-            sig_k = sigma.spectrum(0.0, g)
+            sig_k = sigma.spectrum(g)
             # Closed form at the nodes, written out independently of ``at``.
             base = 0.2 * (1.0 + 0.5 * np.cos(2.0 * np.pi * g.coordinate(0) / g.box))
-            assert np.array_equal(sig_k, g.rfft(np.stack([base] * dim)))
-            at_pts = sigma.at(0.0, g.nodes().reshape(-1, dim), g.box)
-            assert np.array_equal(sig_k, g.rfft(at_pts.T.reshape((dim,) + g.shape)))
+            assert np.array_equal(sig_k, g.rfft(base))
+            at_pts = sigma.at(g.nodes().reshape(-1, dim), g.box)
+            assert np.array_equal(sig_k, g.rfft(at_pts.reshape(g.shape)))
 
 
 class TestInterpolation:

@@ -77,6 +77,33 @@ class TestSampledPath:
         t = np.linspace(0.0, 0.7, 2**20 + 1)
         assert SampledPath(t, np.zeros((t.size, 1)), alpha=0.7).steps == 2**20
 
+    def test_index_of_grid_times(self):
+        path = SampledPath(np.linspace(0.0, 1.0, 11), np.zeros((11, 1)), alpha=0.7)
+        assert [path.index(t) for t in (0.0, 0.3, 0.7, 1.0)] == [0, 3, 7, 10]
+        assert path.index(path.times[7]) == 7
+
+    @pytest.mark.parametrize("t", [0.3 + 1e-10, -0.1, 1.1, np.nan, np.inf, -np.inf, 1e308])
+    def test_index_refuses_time_off_the_grid(self, t):
+        path = SampledPath(np.linspace(0.0, 1.0, 11), np.zeros((11, 1)), alpha=0.7)
+        with pytest.raises(ValueError, match=r"^s=.* is not a time of the path's grid"):
+            path.index(t, "s")
+
+    def test_same_grid_within_the_tolerance(self):
+        path = sample_fbm(NoiseSpec(hurst=0.75, horizon=0.7, resolution=64))
+        # A running sum of the step, a few ulps off linspace's times.
+        twin = SampledPath(np.cumsum([0.0] + [0.7 / 64] * 64), path.values, path.alpha)
+        assert not np.array_equal(twin.times, path.times)
+        path.require_same_grid(twin)
+        twin.require_same_grid(path)
+
+    @pytest.mark.parametrize("horizon, steps", [(1.000009, 64), (1.0, 32)],
+                             ids=["horizon", "steps"])
+    def test_same_grid_refuses_other_grid(self, horizon, steps):
+        path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64))
+        other = sample_fbm(NoiseSpec(hurst=0.75, horizon=horizon, resolution=steps))
+        with pytest.raises(ValueError, match="paths must share the time grid"):
+            path.require_same_grid(other)
+
     def test_properties(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, dim=2, horizon=0.5, resolution=64))
         assert path.steps == 64

@@ -13,6 +13,7 @@ from holderflow.besov import deposit_nearest
 from holderflow.convergence import ExperimentConfig, _auto_grid, run_coupled
 from holderflow.fields import FieldInterpolant, Grid, SigmaField
 from holderflow.kernels import KernelFamily, RegimeError, _kernel_spectrum
+from holderflow import particles
 from holderflow.particles import (
     ParticleEnsemble,
     _cic_corners,
@@ -278,7 +279,9 @@ class TestForceMesh:
         with pytest.raises(ValueError, match="read-only"):
             spectra[0][0] = 1.0
 
-    @pytest.mark.parametrize("cache", ["cic_transfer", "force_operators", "kernel_spectrum"])
+    @pytest.mark.parametrize(
+        "cache", ["cic_transfer", "force_operators", "kernel_spectrum", "sigma_spectrum"]
+    )
     def test_concurrent_lookups_build_once(self, cache):
         # The sweep's threads share these caches: eight threads asking for
         # one key at once get one build and the same read-only object.
@@ -287,6 +290,7 @@ class TestForceMesh:
             "cic_transfer": (_cic_transfer, (g,)),
             "force_operators": (_force_operators, (_family(), 4096, g)),
             "kernel_spectrum": (_kernel_spectrum, (_family(), 4096, g, "phi_r")),
+            "sigma_spectrum": (SigmaField.spectrum, (SigmaField(0.2, 0.5), g)),
         }[cache]
         fn.cache_clear()
         start = threading.Barrier(8, timeout=30)
@@ -357,7 +361,7 @@ class TestStep:
         ens = ParticleEnsemble(box=1.0, positions=pos, velocities=np.zeros((n, 1)))
         dy = np.array([0.3])
         new, _ = step(ens, 1e-3, fam, dy=dy, sigma=sigma)
-        want = sigma.at(0.0, new.positions, 1.0)[:, 0] * dy[0]
+        want = sigma.at(new.positions, 1.0) * dy[0]
         assert np.max(np.abs(new.velocities[:, 0] - want)) < 1e-9
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -376,8 +380,18 @@ class TestStep:
         n = 64
         ens = ParticleEnsemble(box=1.0, positions=rng.random((n, 1)),
                                velocities=np.zeros((n, 1)))
-        with pytest.raises(FloatingPointError, match="non-finite particle state"):
+        with pytest.raises(FloatingPointError, match="non-finite driver increment"):
             step(ens, 1e-3, _family(), dy=np.array([np.inf]), sigma=SigmaField())
+
+    def test_non_finite_increment_refused_before_the_force(self, monkeypatch):
+        def force(*args, **kwargs):
+            raise AssertionError("the force ran before the increment was checked")
+
+        monkeypatch.setattr(particles, "interaction_force", force)
+        ens = ParticleEnsemble(box=1.0, positions=np.full((4, 1), 0.5),
+                               velocities=np.zeros((4, 1)))
+        with pytest.raises(FloatingPointError, match="non-finite driver increment"):
+            step(ens, 1e-3, _family(), dy=np.array([np.nan]), sigma=SigmaField())
 
     def test_kick_making_one_component_non_finite_is_refused(self):
         # Positions stay finite; only the velocities of the second component
@@ -386,7 +400,7 @@ class TestStep:
         fam = KernelFamily(beta=0.3, dim=2, bandwidth=0.1)
         ens = ParticleEnsemble(box=1.0, positions=rng.random((32, 2)),
                                velocities=np.zeros((32, 2)))
-        with pytest.raises(FloatingPointError, match="non-finite particle state"):
+        with pytest.raises(FloatingPointError, match="non-finite driver increment"):
             step(ens, 1e-3, fam, dy=np.array([0.1, np.inf]), sigma=SigmaField())
 
     def test_stepped_ensemble_equals_constructed_one(self):

@@ -35,7 +35,7 @@ ENTRY_POINTS = {
     "_cic_corners": (lambda d, x: list(_cic_corners(x, _grid(d))), POINTS),
     "deposit_nearest": (lambda d, x: deposit_nearest(x, _grid(d)), POINTS),
     # ``at`` reads d from its points, so only the (n,) case is malformed.
-    "SigmaField.at": (lambda d, x: SigmaField(0.2, 0.5).at(0.0, x, 1.0), {1: "(n, d)"}),
+    "SigmaField.at": (lambda d, x: SigmaField(0.2, 0.5).at(x, 1.0), {1: "(n, d)"}),
 }
 # KernelFamily.kernel over which x derivative, named as the kernel it evaluates.
 for _which in ("phi", "phi_r"):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holderflow.fields import FieldInterpolant, Grid
-from holderflow.noise import NoiseSpec, SampledPath, restrict, sample_fbm
+from holderflow.noise import NoiseSpec, SampledPath, holder_seminorm, restrict, sample_fbm
 from holderflow import young
 from holderflow.young import (
     IntegrandPath,
@@ -28,7 +28,7 @@ def _smooth_path(m=512, horizon=1.0):
 class TestYoungIntegral:
     def test_refuses_subcritical_exponents(self):
         t = np.linspace(0.0, 1.0, 17)
-        x = IntegrandPath(t, np.zeros((17, 1)), beta=0.4)
+        x = IntegrandPath(np.zeros((17, 1)), beta=0.4)
         y = SampledPath(t, t[:, None], alpha=0.5)
         with pytest.raises(ValueError, match="Young condition"):
             young_integral(x, y)
@@ -36,21 +36,36 @@ class TestYoungIntegral:
     def test_refuses_mismatched_grids(self):
         t1 = np.linspace(0.0, 1.0, 17)
         t2 = np.linspace(0.0, 1.0, 33)
-        x = IntegrandPath(t1, np.ones((17, 1)), beta=1.0)
+        x = IntegrandPath(np.ones((17, 1)), beta=1.0)
         y = SampledPath(t2, t2[:, None], alpha=1.0)
         with pytest.raises(ValueError, match="grid"):
             young_integral(x, y)
 
+    def test_refuses_window_time_just_off_the_grid(self):
+        # 1e-10 off a grid time: inside a 1e-9 * T rule, far outside a few
+        # ulps of the horizon.
+        path = _smooth_path(16)
+        x = IntegrandPath(np.ones((17, 1)), beta=1.0)
+        with pytest.raises(ValueError, match=r"^s=.* is not a time of the path's grid"):
+            young_integral(x, path, path.times[4] + 1e-10)
+
+    def test_accepts_decimal_window_times_of_linspace_grid(self):
+        # linspace(0, 1, 11)[3] is 0.30000000000000004, not 0.3.
+        t = np.linspace(0.0, 1.0, 11)
+        y = SampledPath(t, t[:, None], alpha=1.0)
+        x = IntegrandPath(np.arange(11.0)[:, None], beta=1.0)
+        assert young_integral(x, y, 0.3, 0.7) == pytest.approx(0.1 * (3 + 4 + 5 + 6))
+
     def test_constant_integrand_exact(self):
         # ∫ c dY = c (Y_T - Y_0) with zero quadrature error.
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=128, seed=1))
-        x = IntegrandPath(path.times, np.full((129, 1), 2.5), beta=1.0)
+        x = IntegrandPath(np.full((129, 1), 2.5), beta=1.0)
         got = young_integral(x, path)
         assert got == pytest.approx(2.5 * path.values[-1, 0], abs=1e-14)
 
     def test_subinterval_additivity(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=4))
-        x = IntegrandPath(path.times, np.cos(path.times)[:, None], beta=1.0)
+        x = IntegrandPath(np.cos(path.times)[:, None], beta=1.0)
         mid = path.times[32]
         whole = young_integral(x, path)
         split = young_integral(x, path, 0.0, mid) + young_integral(x, path, mid, path.horizon)
@@ -59,7 +74,7 @@ class TestYoungIntegral:
     def test_matrix_integrand_contracts_increments(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32, seed=7))
         mats = np.tile(np.eye(2), (33, 1, 1))
-        x = IntegrandPath(path.times, mats, beta=1.0)
+        x = IntegrandPath(mats, beta=1.0)
         got = young_integral(x, path)
         assert np.allclose(got, path.values[-1], atol=1e-14)
 
@@ -68,9 +83,9 @@ class TestYoungIntegral:
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=2))
         f = np.sin(path.times)[:, None]
         g = (path.times**2)[:, None]
-        xa = IntegrandPath(path.times, f, beta=1.0)
-        xb = IntegrandPath(path.times, g, beta=1.0)
-        xc = IntegrandPath(path.times, a * f + b * g, beta=1.0)
+        xa = IntegrandPath(f, beta=1.0)
+        xb = IntegrandPath(g, beta=1.0)
+        xc = IntegrandPath(a * f + b * g, beta=1.0)
         lhs = young_integral(xc, path)
         rhs = a * young_integral(xa, path) + b * young_integral(xb, path)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -81,7 +96,7 @@ class TestYoungIntegral:
         gaps = []
         for stride in (16, 4, 1):
             p = restrict(path, stride)
-            x = IntegrandPath(p.times, p.values, beta=p.alpha)
+            x = IntegrandPath(p.values, beta=p.alpha)
             gaps.append(abs(young_integral(x, p, rule="left") - young_integral(x, p, rule="mid")))
         assert gaps[2] < gaps[1] < gaps[0]
 
@@ -111,6 +126,14 @@ class TestIntegrationByParts:
         x = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32, seed=5))
         y = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32, seed=6))
         with pytest.raises(ValueError, match="scalar"):
+            check_integration_by_parts(x, y)
+
+    def test_refuses_paths_on_different_horizons(self):
+        # Equal step counts, horizons 9e-6 apart: np.allclose at its defaults
+        # took the two grids for one.
+        x, y = (sample_fbm(NoiseSpec(hurst=0.75, horizon=h, resolution=8, seed=s))
+                for h, s in ((1.0, 5), (1.000009, 6)))
+        with pytest.raises(ValueError, match="paths must share the time grid"):
             check_integration_by_parts(x, y)
 
     def test_decreases_under_refinement(self):
@@ -181,6 +204,12 @@ class TestItoWentzell:
         y = sample_fbm(NoiseSpec(hurst=0.75, dim=2, resolution=32))
         x = sample_fbm(NoiseSpec(hurst=0.75, resolution=32))
         with pytest.raises(ValueError, match="scalar"):
+            check_ito_wentzell(np.sin, lambda t, g: np.cos(g), y, x)
+
+    def test_refuses_paths_on_different_horizons(self):
+        y, x = (sample_fbm(NoiseSpec(hurst=0.75, horizon=h, resolution=8, seed=s))
+                for h, s in ((1.0, 1), (1.000009, 2)))
+        with pytest.raises(ValueError, match="paths must share the time grid"):
             check_ito_wentzell(np.sin, lambda t, g: np.cos(g), y, x)
 
     def test_residual_small_on_fbm(self):
@@ -298,8 +327,8 @@ def _ito_wentzell_per_step(g0, h, y, x, box=2.0 * np.pi, space_points=256):
             g = g + h_i * (yv[i + 1] - yv[i])
     g_end = g_itp(xs[n:])[0]
     beta = min(x.alpha, y.alpha)
-    total_h = young_integral(IntegrandPath(y.times, h_x, beta), y)
-    total_dg = young_integral(IntegrandPath(x.times, dg_x, beta), x)
+    total_h = young_integral(IntegrandPath(h_x, beta), y)
+    total_dg = young_integral(IntegrandPath(dg_x, beta), x)
     return float(abs(g_end - g_start - total_h - total_dg))
 
 
@@ -335,7 +364,7 @@ def test_field_interpolant_matches_trig_interp(m):
 class TestYoungLoeve:
     def test_constant_integrand_zero_defect(self):
         path = sample_fbm(NoiseSpec(hurst=0.75, resolution=64, seed=9))
-        x = IntegrandPath(path.times, np.ones((65, 1)), beta=1.0)
+        x = IntegrandPath(np.ones((65, 1)), beta=1.0)
         defect, factor = young_loeve_defect(x, path, 0.0, path.horizon)
         assert defect < 1e-15
         assert factor < 1e-12
@@ -345,10 +374,8 @@ class TestYoungLoeve:
         # it must stay O(1) across windows.
         x_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=512, seed=10))
         y_path = sample_fbm(NoiseSpec(hurst=0.75, resolution=512, seed=11))
-        x = IntegrandPath(x_path.times, x_path.values, beta=x_path.alpha)
-        nx = x.seminorm
-        from holderflow.noise import holder_seminorm
-
+        x = IntegrandPath(x_path.values, beta=x_path.alpha)
+        nx = holder_seminorm(x_path, x_path.alpha)
         ny = holder_seminorm(y_path, y_path.alpha)
         factors = []
         for i in range(0, 512 - 32, 32):
