@@ -10,6 +10,7 @@ and ``check`` (fast identity/oracle suite).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -47,20 +48,22 @@ def _cmd_pde(args) -> int:
     from .noise import sample_fbm
 
     config = parse_config(args.config)
-    path = sample_fbm(config.noise_spec(config.seeds[0]))
-    snaps = _fluid_trajectory(config, path, {0, config.master_steps})
-    final = snaps[config.master_steps]
-    d = diagnostics(final)
-    print(f"t={final.time:.6g} mass={d['mass']:.12g} min_rho={d['min_density']:.6g} "
-          f"max_speed={d['max_speed']:.6g}")
-    if args.out:
-        _save_field(args.out, final.rho, final.grid, final.time)
+    # Open the output first: an unwritable path is refused before the run.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        path = sample_fbm(config.noise_spec(config.seeds[0]))
+        snaps = _fluid_trajectory(config, path, {0, config.master_steps})
+        final = snaps[config.master_steps]
+        d = diagnostics(final)
+        print(f"t={final.time:.6g} mass={d['mass']:.12g} min_rho={d['min_density']:.6g} "
+              f"max_speed={d['max_speed']:.6g}")
+        if out:
+            _save_field(out, final.rho, final.grid, final.time)
     return EXIT_OK
 
 
-def _save_field(path, values, grid, t) -> None:
+def _save_field(out, values, grid, t) -> None:
     header = f"holderflow-field,L={grid.box!r},M={grid.m},d={grid.dim},t={t!r}"
-    np.savetxt(path, values.reshape(-1, 1), fmt="%.17g", header=header)
+    np.savetxt(out, values.reshape(-1, 1), fmt="%.17g", header=header)
 
 
 def _load_field(path):
@@ -96,13 +99,14 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--n must be a positive particle count, got {args.n}")
     config = parse_config(args.config)
     seed = config.seeds[0]
-    path = sample_fbm(config.noise_spec(seed))
     n = args.n or config.n_sweep[0]
-    _, ens = next(simulate(config, n, path, seed, {config.master_steps}))
-    if args.out:
-        data = np.column_stack([np.arange(n), ens.positions, ens.velocities])
-        np.savetxt(args.out, data, fmt="%.17g", delimiter=",",
-                   header="k,X...,V...", comments="# ")
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        path = sample_fbm(config.noise_spec(seed))
+        _, ens = next(simulate(config, n, path, seed, {config.master_steps}))
+        if out:
+            data = np.column_stack([np.arange(n), ens.positions, ens.velocities])
+            np.savetxt(out, data, fmt="%.17g", delimiter=",",
+                       header="k,X...,V...", comments="# ")
     vbar = np.mean(ens.velocities, axis=0)
     print(f"simulated N={n} to t={ens.time:.6g}; mean velocity {vbar}")
     return EXIT_OK

@@ -8,6 +8,8 @@ an error naming the violated bound.
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields
+from itertools import groupby
 
 from .convergence import ExperimentConfig
 
@@ -18,49 +20,11 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> (ExperimentConfig field, converter)
-_SCHEMA = {
-    "noise": {
-        "hurst": ("hurst", float),
-        "dim": ("dim", int),
-        "horizon": ("horizon", float),
-        "steps": ("master_steps", int),
-        "seeds": ("seeds", lambda s: tuple(int(x) for x in s.split())),
-    },
-    "kernel": {
-        "base": ("kernel_base", str),
-        "beta": ("beta", float),
-        "bandwidth": ("kernel_bandwidth", float),
-    },
-    "particles": {
-        "n_list": ("n_sweep", lambda s: tuple(int(x) for x in s.split())),
-        "force_backend": ("force_backend", str),
-        "force_grid": ("force_grid", int),
-        "init": ("init_strategy", str),
-    },
-    "pde": {
-        "resolution": ("pde_resolution", int),
-        "cfl": ("cfl", float),
-        "vacuum_floor": ("vacuum_floor", float),
-    },
-    "sigma": {
-        "amplitude": ("sigma_amplitude", float),
-        "modulation": ("sigma_modulation", float),
-    },
-    "analysis": {
-        "eta": ("eta", float),
-        "q_hat": ("q_hat", float),
-        "besov_grid": ("besov_grid", int),
-        "lambda": ("besov_lambda", float),
-        "fine_grid": ("fine_grid", int),
-        "checkpoints": ("checkpoints", int),
-    },
-    "domain": {
-        "box": ("box", float),
-        "rho0_amplitude": ("rho0_amplitude", float),
-        "v0_amplitude": ("v0_amplitude", float),
-    },
-}
+# annotation of an ExperimentConfig field -> converter of its INI text
+_CONVERT = {"float": float, "int": int, "str": str,
+            "tuple": lambda s: tuple(int(x) for x in s.split())}
+# (section, key) -> the ExperimentConfig field that the key sets
+_FIELDS = {tuple(f.metadata["key"].split(".")): f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -74,18 +38,16 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         raise ConfigError(f"{source} is not strict INI: {exc}") from exc
     overrides = {}
     for section, items in sections.items():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in _FIELDS}:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in items:
-            if key not in _SCHEMA[section]:
+            f = _FIELDS.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            field_name, conv = _SCHEMA[section][key]
             try:
-                overrides[field_name] = conv(raw)
+                overrides[f.name] = _CONVERT[f.type](raw)
             except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key} = {raw!r}: {exc}"
-                ) from exc
+                raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
     try:
         return ExperimentConfig(**overrides)
     except ValueError as exc:
@@ -105,11 +67,10 @@ def parse_config(path) -> ExperimentConfig:
 def emit_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse(emit(parse(x))) == parse(x)."""
     lines = []
-    for section in sorted(_SCHEMA):
+    for section, items in groupby(sorted(_FIELDS.items()), key=lambda item: item[0][0]):
         lines.append(f"[{section}]")
-        for key in sorted(_SCHEMA[section]):
-            field_name, conv = _SCHEMA[section][key]
-            value = getattr(config, field_name)
+        for (_, key), f in items:
+            value = getattr(config, f.name)
             if isinstance(value, tuple):
                 value = " ".join(str(v) for v in value)
             lines.append(f"{key} = {value}")

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,37 +85,44 @@ class EnergyRecord:
         return self.kinetic_term + self.density_term
 
 
+def _key(key: str, default):
+    """A field set by the INI key ``key``, ``"section.key"``; its annotation
+    (float, int, str or tuple, a list of ints) picks the converter."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one rate experiment (validated against the
-    regime hypotheses at construction)."""
+    regime hypotheses at construction).  Each field declares its INI key;
+    ``config`` parses and emits every field through that declaration."""
 
-    hurst: float = 0.75
-    dim: int = 1
-    horizon: float = 0.5
-    master_steps: int = 1024
-    seeds: tuple = (0, 1, 2)
-    box: float = 1.0
-    beta: float = 0.6
-    kernel_base: str = "gaussian"  # the only base; kept as a key of configs and the hash
-    kernel_bandwidth: float = 0.05
-    n_sweep: tuple = (256, 512, 1024, 2048, 4096)
-    force_backend: str = "grid"
-    force_grid: int = 8192  # minimum; the mesh adapts upward per N
-    fine_grid: int = 8192  # minimum for the L^2 quadrature grid
-    pde_resolution: int = 256
-    cfl: float = 0.5
-    vacuum_floor: float = 1e-3
-    sigma_amplitude: float = 0.2
-    sigma_modulation: float = 0.5
-    eta: float = 2.0
-    q_hat: float = 2.0
-    besov_grid: int = 16384
-    besov_lambda: float = 1.35
-    checkpoints: int = 16
-    rho0_amplitude: float = 0.2
-    v0_amplitude: float = 0.1
-    init_strategy: str = "quantile"
+    hurst: float = _key("noise.hurst", 0.75)
+    dim: int = _key("noise.dim", 1)
+    horizon: float = _key("noise.horizon", 0.5)
+    master_steps: int = _key("noise.steps", 1024)
+    seeds: tuple = _key("noise.seeds", (0, 1, 2))
+    box: float = _key("domain.box", 1.0)
+    beta: float = _key("kernel.beta", 0.6)
+    kernel_base: str = _key("kernel.base", "gaussian")  # the only base, kept in configs and hash
+    kernel_bandwidth: float = _key("kernel.bandwidth", 0.05)
+    n_sweep: tuple = _key("particles.n_list", (256, 512, 1024, 2048, 4096))
+    force_backend: str = _key("particles.force_backend", "grid")
+    force_grid: int = _key("particles.force_grid", 8192)  # minimum; the mesh adapts upward per N
+    fine_grid: int = _key("analysis.fine_grid", 8192)  # minimum for the L^2 quadrature grid
+    pde_resolution: int = _key("pde.resolution", 256)
+    cfl: float = _key("pde.cfl", 0.5)
+    vacuum_floor: float = _key("pde.vacuum_floor", 1e-3)
+    sigma_amplitude: float = _key("sigma.amplitude", 0.2)
+    sigma_modulation: float = _key("sigma.modulation", 0.5)
+    eta: float = _key("analysis.eta", 2.0)
+    q_hat: float = _key("analysis.q_hat", 2.0)
+    besov_grid: int = _key("analysis.besov_grid", 16384)
+    besov_lambda: float = _key("analysis.lambda", 1.35)
+    checkpoints: int = _key("analysis.checkpoints", 16)
+    rho0_amplitude: float = _key("domain.rho0_amplitude", 0.2)
+    v0_amplitude: float = _key("domain.v0_amplitude", 0.1)
+    init_strategy: str = _key("particles.init", "quantile")
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -257,16 +264,28 @@ def _format_row(seed, n, rec: EnergyRecord, bs, bv, flags) -> str:
     )
 
 
+def _master_dt(config: ExperimentConfig, path: SampledPath) -> float:
+    """The step of the run's clock, the config's grid of ``master_steps`` steps
+    on [0, horizon]; a path off that grid, by its own rule, is refused."""
+    try:  # index refuses a time that is not on the path's grid
+        if path.index(0.0) == 0 and path.steps == config.master_steps == path.index(config.horizon):
+            return config.horizon / config.master_steps
+    except ValueError:
+        pass
+    raise ValueError(
+        f"the path runs {path.steps} steps on [{float(path.times[0])!r}, {path.horizon!r}], "
+        f"but the config's grid is {config.master_steps} steps on [0, {config.horizon!r}]"
+    )
+
+
 def _fluid_trajectory(
     config: ExperimentConfig, path: SampledPath, checkpoint_idx: np.ndarray
 ) -> dict[int, FluidState]:
+    dt = _master_dt(config, path)
     g = config.pde_grid()
     rho0, v0 = config.initial_fields()
-    state = FluidState(
-        grid=g, rho=rho0, v=v0, time=0.0, vacuum_floor=config.vacuum_floor
-    )
+    state = FluidState(grid=g, rho=rho0, v=v0, time=0.0, vacuum_floor=config.vacuum_floor)
     sigma = config.sigma()
-    dt = config.horizon / config.master_steps
     snaps = {0: state}
     for i in range(config.master_steps):
         dy = path.values[i + 1] - path.values[i]
@@ -285,11 +304,12 @@ def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at:
 
     Yields ``(i, ensemble)`` after each step index i in ``at`` (0 is the
     initial ensemble).  ``init = random`` draws its positions from a
-    generator seeded by (seed, N), so every run is reproducible.
+    generator seeded by (seed, N), so every run is reproducible.  A path off
+    the config's grid is a ``ValueError`` at the first ``next``.
     """
+    dt = _master_dt(config, path)
     family = config.kernel()
     sigma = config.sigma()
-    dt = config.horizon / config.master_steps
     rho0, v0 = config.initial_fields()
     ens = init_from_fields(
         rho0, v0, n, config.pde_grid(), strategy=config.init_strategy, seed=[seed, n]

@@ -1,7 +1,11 @@
 """Config grammar, strict parsing, round-trips and the CLI surface."""
 
+import configparser
 import io
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,17 @@ resolution = 128
 besov_grid = 1024
 fine_grid = 1024
 """
+
+
+# A valid value other than the default for every field that has one.
+NON_DEFAULT = {
+    "hurst": 0.8, "dim": 2, "horizon": 0.25, "master_steps": 512, "seeds": (9,), "box": 2.0,
+    "beta": 0.4, "kernel_bandwidth": 0.08, "n_sweep": (32, 64), "force_backend": "direct",
+    "force_grid": 128, "fine_grid": 128, "pde_resolution": 64, "cfl": 0.4,
+    "vacuum_floor": 1e-4, "sigma_amplitude": 0.3, "sigma_modulation": 0.25, "eta": 2.5,
+    "q_hat": 1.5, "besov_grid": 128, "besov_lambda": 1.2, "checkpoints": 8,
+    "rho0_amplitude": 0.1, "v0_amplitude": 0.05, "init_strategy": "random",
+}
 
 
 class TestParsing:
@@ -145,13 +160,31 @@ class TestRoundTrip:
         assert again == cfg
         assert emit_config(again) == text
 
+    def test_every_field_declares_one_key(self):
+        keys = [f.metadata.get("key", "") for f in fields(ExperimentConfig)]
+        assert all(re.fullmatch(r"[a-z]+\.[a-z0-9_]+", key) for key in keys), keys
+        assert len(set(keys)) == len(keys)
+
     def test_emit_covers_every_field(self):
-        # Changing any schema-exposed field must survive the round trip.
-        cfg = ExperimentConfig(
-            hurst=0.8, beta=0.4, sigma_amplitude=0.3, besov_lambda=1.2,
-            n_sweep=(32, 64), seeds=(9,), checkpoints=8, init_strategy="quantile",
-        )
-        assert parse_config_text(emit_config(cfg)) == cfg
+        # Every field but kernel_base, whose only valid value is its default,
+        # is moved off its default; the round trip must keep each one.
+        cfg = ExperimentConfig(**{
+            f.name: NON_DEFAULT.get(f.name, f.default) for f in fields(ExperimentConfig)
+        })
+        assert {f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default} == {
+            "kernel_base"
+        }
+        text = emit_config(cfg)
+        assert parse_config_text(text) == cfg
+        assert len(re.findall(r"^\w+ = ", text, re.M)) == len(fields(cfg))
+
+    def test_desk_scale_example_spells_out_every_default(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "desk_scale.cfg"
+        cp = configparser.ConfigParser()  # strict: a repeated key is an error
+        cp.read(path)
+        listed = sorted(f"{section}.{key}" for section in cp.sections() for key in cp[section])
+        assert listed == sorted(f.metadata["key"] for f in fields(ExperimentConfig))
+        assert parse_config(path) == ExperimentConfig()
 
 
 class TestCli:
@@ -227,7 +260,12 @@ class TestCli:
         assert str(field) in err and match in err
 
     @pytest.mark.parametrize("command", ["noise", "pde", "simulate"])
-    def test_unwritable_output_usage_exit(self, tmp_path, capsys, command):
+    def test_unwritable_output_usage_exit(self, tmp_path, capsys, monkeypatch, command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before its output path was checked")
+
+        monkeypatch.setattr("holderflow.convergence._fluid_trajectory", no_run)
+        monkeypatch.setattr("holderflow.convergence.simulate", no_run)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_RUN)
         out = tmp_path / "missing" / "out.txt"

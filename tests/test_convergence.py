@@ -22,7 +22,7 @@ from holderflow.convergence import (
 )
 from holderflow.fields import FieldInterpolant, FluidState, Grid
 from holderflow.kernels import KernelFamily
-from holderflow.noise import sample_fbm
+from holderflow.noise import NoiseSpec, SampledPath, sample_fbm
 from holderflow.particles import ParticleEnsemble, init_from_fields
 
 
@@ -314,6 +314,28 @@ class TestRunCoupled:
         cfg = _tiny_config(vacuum_floor=0.7999)  # just below the initial minimum, 0.8
         with pytest.raises(FloatingPointError, match="vacuum"):
             run_coupled(cfg)
+
+
+class TestMasterPath:
+    # The master path is the clock of a run: its grid must be the config's,
+    # 64 steps on [0, 0.05] for _tiny_config.
+    @pytest.mark.parametrize(
+        "steps, horizon, start",
+        [(64, 1.0, 0.0), (8, 0.05, 0.0), (128, 0.05, 0.0), (64, 0.05 * (1 + 1e-9), 0.0),
+         (64, 0.05, 0.5)],
+        ids=["other_horizon", "fewer_steps", "more_steps", "horizon_just_off", "late_start"],
+    )
+    @pytest.mark.parametrize("run", ["fluid", "particles"])
+    def test_path_off_the_config_grid_refused(self, steps, horizon, start, run):
+        cfg = _tiny_config()
+        path = sample_fbm(NoiseSpec(hurst=cfg.hurst, horizon=horizon, resolution=steps))
+        path = SampledPath(path.times + start, path.values, path.alpha)
+        grids = rf"the path runs {steps} steps on .*config's grid is 64 steps on \[0, 0.05\]"
+        with pytest.raises(ValueError, match=grids):
+            if run == "fluid":
+                _fluid_trajectory(cfg, path, {64})
+            else:
+                next(simulate(cfg, 64, path, 0, {64}))
 
 
 class TestFitRate:
