@@ -1,6 +1,7 @@
 """Littlewood-Paley dyadic decomposition and Besov / Triebel-Lizorkin norms
 on the periodic grid, including the negative-order distances between
-deposited empirical measures and smooth target fields.
+deposited empirical measures and smooth target fields, from the spectrum of
+their difference.
 
 The low-pass profile chi is a quintic smoothstep between radii r0/lambda and
 r0*lambda; the annulus profile is the telescoping difference
@@ -173,29 +174,24 @@ def deposit_nearest(
 
 
 def negative_distance(
-    measure_field: np.ndarray,
-    target: np.ndarray,
-    eta: float,
-    q_hat: float,
-    part: DyadicPartition,
+    spectrum: np.ndarray, eta: float, q_hat: float, part: DyadicPartition
 ) -> float:
-    """Norm of (measure - target) at smoothness -eta, p = 2, index q_hat.
+    """Norm of (measure - target) at smoothness -eta, p = 2, index q_hat, from
+    ``spectrum``, the half spectrum of measure - target laid out like
+    ``part.grid.rfft``.
 
-    Equal to ``besov_norm(measure_field - target, -eta, 2, q_hat, part)``,
-    from one transform: each block's L^2 norm is a weighted sum over the
-    spectrum (Parseval), with the weights ``part.energy``.  The sums run in
-    ``einsum``, not BLAS, so the result does not depend on the BLAS thread
-    count.  Both fields must be laid out on ``part.grid`` (shape
-    ``grid.shape``), or a ``ValueError`` names the expected shape.  Warns
+    Equal to ``besov_norm(measure - target, -eta, 2, q_hat, part)``: each
+    block's L^2 norm is a weighted sum over the spectrum (Parseval), with the
+    weights ``part.energy``.  The sums run in ``einsum``, not BLAS, so the
+    result does not depend on the BLAS thread count.  A spectrum of another
+    shape is refused with a ``ValueError`` naming the expected one.  Warns
     (without refusing) when eta <= d/2 + 1: point masses are then outside the
     space and the distance has no continuum meaning.
     """
     g = part.grid
-    for name, a in (("measure_field", measure_field), ("target", target)):
-        if np.shape(a) != g.shape:
-            raise ValueError(
-                f"{name} must be an array of shape {g.shape}, got shape {np.shape(a)}"
-            )
+    if np.shape(spectrum) != part.energy.shape[1:]:
+        raise ValueError(f"spectrum must be an array of shape {part.energy.shape[1:]} (the "
+                         f"Grid.rfft layout of part.grid), got shape {np.shape(spectrum)}")
     d = g.dim
     if eta <= d / 2 + 1:
         import warnings
@@ -205,8 +201,7 @@ def negative_distance(
             "not in the space at this smoothness",
             stacklevel=2,
         )
-    fk = g.rfft(measure_field - target)
-    power = (fk.real**2 + fk.imag**2).ravel()
+    power = (spectrum.real**2 + spectrum.imag**2).ravel()
     block_sq = np.einsum("jk,k->j", part.energy.reshape(part.levels, -1), power)
     j = np.arange(-1, part.levels - 1)
     terms = 2.0 ** (-eta * j) * np.sqrt(block_sq * (g.box**d / g.m ** (2 * d)))

@@ -36,6 +36,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         sections = {section: cp.items(section) for section in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{source} is not strict INI: {exc}") from exc
+    if cp.defaults():  # configparser would copy its keys into every section
+        raise ConfigError("section [DEFAULT] is not allowed: set each key in its own section")
     overrides = {}
     for section, items in sections.items():
         if section not in {s for s, _ in _FIELDS}:

@@ -25,6 +25,7 @@ from .fields import (
     FluidState,
     Grid,
     SigmaField,
+    padded_spectrum,
     step_field,
     upsample,
 )
@@ -369,14 +370,14 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 
     failed = threading.Event()
 
-    def particle_run(seed, n, path, cache):
+    def particle_run(seed, n, path, snaps):
         if failed.is_set():  # dequeued after another run raised
             return None
         rows = []
         try:
             fine_m = _auto_grid(family, n, config.box, config.fine_grid, "phi_r")
             for i, ens in simulate(config, n, path, seed, checkpoint_idx):
-                rows.append(_checkpoint_row(config, ens, family, cache[i], part, fine_m))
+                rows.append(_checkpoint_row(config, ens, family, snaps[i], part, fine_m))
         except (FloatingPointError, RegimeError) as exc:
             return rows, f"aborted:{type(exc).__name__}"
         except BaseException:
@@ -392,18 +393,8 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
                 snaps = _fluid_trajectory(config, path, checkpoint_idx)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"seed {seed}, {exc}") from exc
-            # Per checkpoint, what every N compares with.
-            cache = {}
-            for idx, st in snaps.items():
-                g = st.grid
-                rho_besov = upsample(st.rho, g, config.besov_grid)
-                mom_besov = np.stack(
-                    [upsample(st.rho * st.v[q], g, config.besov_grid) for q in range(g.dim)]
-                )
-                cache[idx] = (st, rho_besov, mom_besov)
-
             runs = {
-                n: pool.submit(particle_run, seed, n, path, cache)
+                n: pool.submit(particle_run, seed, n, path, snaps)
                 for n in sorted(config.n_sweep, reverse=True)
             }
             for run in as_completed(runs.values()):
@@ -428,17 +419,16 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     return results
 
 
-def _checkpoint_row(config, ens, family, cached, part, fine_m):
-    fluid, rho_besov, mom_besov = cached
+def _checkpoint_row(config, ens, family, fluid, part, fine_m):
     rec = energy_Q(ens, fluid, family, fine_m)
-    bg = part.grid
-    dep_s = deposit_nearest(ens.positions, bg)
-    bs = negative_distance(dep_s, rho_besov, config.eta, config.q_hat, part)
-    bv = 0.0
-    for q in range(config.dim):
-        dep_v = deposit_nearest(ens.positions, bg, weights=ens.velocities[:, q])
-        bv += negative_distance(dep_v, mom_besov[q], config.eta, config.q_hat, part) ** 2
-    return rec, bs, float(np.sqrt(bv))
+    g, bg = fluid.grid, part.grid
+    # The targets rho and rho v: the fluid's half spectrum padded to the Besov mesh.
+    rows = np.concatenate([fluid.rho[None], fluid.rho * fluid.v])
+    dist = []
+    for w, target in zip([None, *ens.velocities.T], padded_spectrum(g.rfft(rows), g, bg.m)):
+        spectrum = bg.rfft(deposit_nearest(ens.positions, bg, w)) - target
+        dist.append(negative_distance(spectrum, config.eta, config.q_hat, part))
+    return rec, dist[0], float(np.sqrt(sum(b**2 for b in dist[1:])))
 
 
 def _slope(values: dict, subset) -> tuple[float, float]:

@@ -32,6 +32,7 @@ __all__ = [
     "diagnostics",
     "interpolation_coefficients",
     "evaluate_rows",
+    "padded_spectrum",
     "upsample",
 ]
 
@@ -375,7 +376,7 @@ class FieldInterpolant:
     ``lead`` (a velocity: lead = (d,)), and a call returns shape (n,) + lead.
     ``coeff`` is the half spectrum, weighted 2 on the interior modes of the
     last axis; a Nyquist mode is the cosine cos(pi x / h), as in
-    ``upsample``, and the derivative drops it.
+    ``padded_spectrum``, and the derivative drops it.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
@@ -454,33 +455,41 @@ def _phases(x: np.ndarray, m: int, box: float, full: bool) -> np.ndarray:
     return z
 
 
-def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
-    """Zero-padded spectral upsampling onto a finer grid of the same box.
-
-    Agrees with ``FieldInterpolant``: on an even grid the Nyquist mode of a
-    real field is the cosine cos(pi x / h), so its coefficient is split
-    evenly between frequencies +m/2 and -m/2 of the finer grid.
+def padded_spectrum(fk: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
+    """Half spectrum ``fk`` of fields on ``grid`` (stacked on leading axes,
+    laid out like ``Grid.rfft``) zero-padded to a grid of m_fine nodes per side
+    and scaled by (m_fine / m)^d, so that its ``irfft`` there interpolates the
+    fields.  As in ``FieldInterpolant``, a Nyquist mode of an even grid is the
+    cosine cos(pi x / h): its coefficient is split evenly between +m/2 and -m/2.
     """
-    if m_fine == grid.m:
-        return values.copy()
-    if m_fine < grid.m:
-        raise ValueError("upsample: need m_fine >= m")
-    m = grid.m
-    fk = grid.rfft(values)
+    m, d = grid.m, grid.dim
+    if m_fine < m:
+        raise ValueError(f"padded_spectrum: need m_fine >= m = {m}, got {m_fine}")
+    if m_fine == m:
+        return fk.copy()
+    fk = fk * (m_fine / m) ** d
     if m % 2 == 0:
-        for q in range(grid.dim):
-            fk[(slice(None),) * q + (m // 2,)] *= 0.5
+        for q in range(d):
+            fk[(..., m // 2) + (slice(None),) * (d - 1 - q)] *= 0.5
     # Non-negative frequencies keep their index on every axis; on the full
     # (all but last) axes the negative ones move to the end of the finer
     # axis, and the halved Nyquist row goes to both ends.
     j = np.arange(m)
     lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
-    src = [np.concatenate([lo, hi])] * (grid.dim - 1) + [j[: m // 2 + 1]]
-    dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [j[: m // 2 + 1]]
-    out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)
-    out[np.ix_(*dst)] = fk[np.ix_(*src)]
-    fine = Grid(box=grid.box, m=m_fine, dim=grid.dim)
-    return fine.irfft(out) * (m_fine / m) ** grid.dim
+    src = [np.concatenate([lo, hi])] * (d - 1) + [lo]
+    dst = [np.concatenate([lo, hi + m_fine - m])] * (d - 1) + [lo]
+    out = np.zeros(fk.shape[: fk.ndim - d] + (m_fine,) * (d - 1) + (m_fine // 2 + 1,),
+                   dtype=complex)
+    out[(...,) + np.ix_(*dst)] = fk[(...,) + np.ix_(*src)]
+    return out
+
+
+def upsample(values: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
+    """Values interpolated onto m_fine nodes per side: ``padded_spectrum``, inverted."""
+    if m_fine == grid.m:
+        return values.copy()
+    fk = padded_spectrum(grid.rfft(values), grid, m_fine)
+    return Grid(box=grid.box, m=m_fine, dim=grid.dim).irfft(fk)
 
 
 def diagnostics(state: FluidState) -> dict:

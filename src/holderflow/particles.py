@@ -44,6 +44,8 @@ __all__ = [
     "sorted_sum",
 ]
 
+_CDF_NODES = 1 << 14  # least mesh of the d=1 quantile initialization's CDF
+
 
 def sorted_sum(values: np.ndarray) -> float:
     """Reduction in canonical (sorted) order: bitwise label-invariant."""
@@ -95,8 +97,8 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
-def _dense_cdf_1d(rho: np.ndarray, grid: Grid, m_fine: int = 1 << 14):
-    dense = upsample(rho, grid, max(m_fine, grid.m))
+def _dense_cdf_1d(rho: np.ndarray, grid: Grid):
+    dense = upsample(rho, grid, max(_CDF_NODES, grid.m))
     fine = Grid(box=grid.box, m=dense.shape[0])
     x = np.arange(fine.m + 1) * fine.h
     # Spectral antiderivative of the mean-free part: exact for band-limited

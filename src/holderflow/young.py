@@ -165,6 +165,7 @@ def check_chain_rule(
 
 
 _IW_BLOCK = 64  # time steps per batched transform in check_ito_wentzell
+_IW_BOX = 2.0 * np.pi  # the period of check_ito_wentzell's spatial box
 
 
 def _field_samples(f: Callable, name: str, args: tuple, m: int, rows: int = 0) -> np.ndarray:
@@ -187,14 +188,13 @@ def check_ito_wentzell(
     h: Callable[[float, np.ndarray], np.ndarray],
     y: SampledPath,
     x: SampledPath,
-    box: float = 2.0 * np.pi,
     space_points: int = 256,
 ) -> float:
     """Residual of g_t(X_t) = g_0(X_0) + int h_s(X_s) dY_s + int D_x g_s(X_s) dX_s
     where g_t(x) := g_0(x) + int_0^t h_s(x) dY_s on a periodic spatial grid.
 
-    Spatial derivatives are spectral and X is wrapped periodically into the
-    box; scalar driver and scalar state path.  ``g0(nodes)`` must return an
+    Spatial derivatives are spectral and X is wrapped periodically into
+    [0, 2 pi); scalar driver and scalar state path.  ``g0(nodes)`` must return an
     array of shape (space_points,).  ``h`` is called once per block of times,
     with ``t`` a (B, 1) column of the block's times: it returns shape
     (B, space_points), or (space_points,) for a field that does not depend
@@ -209,12 +209,12 @@ def check_ito_wentzell(
     if y.dim != 1 or x.dim != 1:
         raise ValueError("scalar driver and state path expected")
     y.require_same_grid(x)
-    grid = Grid(box=box, m=space_points)
+    grid = Grid(box=_IW_BOX, m=space_points)
     nodes = grid.nodes()
     g = interpolation_coefficients(_field_samples(g0, "g0", (nodes,), space_points), grid)
     n = y.steps
     # X_{n+1} := X_n, so the spatial midpoint of the last row is X_n itself.
-    xs = np.mod(np.append(x.values[:, 0], x.values[-1, 0]), box)
+    xs = np.mod(np.append(x.values[:, 0], x.values[-1, 0]), _IW_BOX)
     # dY_n := 0: g is not advanced past the last step.
     dy = np.append(np.diff(y.values[:, 0]), 0.0)
 

@@ -168,11 +168,11 @@ class TestDeposit:
 class TestNegativeDistance:
     def test_identical_fields_zero(self, grid, part):
         f = np.sin(2 * np.pi * grid.nodes()) + 1.0
-        assert negative_distance(f, f, 2.0, 2.0, part) == 0.0
+        assert negative_distance(grid.rfft(f) - grid.rfft(f), 2.0, 2.0, part) == 0.0
 
     def test_warns_below_measure_threshold(self, grid, part):
         with pytest.warns(UserWarning, match="eta"):
-            negative_distance(np.ones(512), np.zeros(512), 1.0, 2.0, part)
+            negative_distance(grid.rfft(np.ones(512) - np.zeros(512)), 1.0, 2.0, part)
 
     def test_quantile_particles_vs_uniform_density_decreasing(self):
         g = Grid(box=1.0, m=4096, dim=1)
@@ -182,13 +182,14 @@ class TestNegativeDistance:
         for n in (64, 256, 1024):
             pts = ((np.arange(n) + 0.5) / n)[:, None]
             dep = deposit_nearest(pts, g)
-            dists.append(negative_distance(dep, uniform, 2.0, 2.0, p))
+            dists.append(negative_distance(g.rfft(dep) - g.rfft(uniform), 2.0, 2.0, p))
         assert dists[2] < dists[1] < dists[0]
 
 
 class TestParsevalDistance:
-    """``negative_distance`` sums the spectrum; ``besov_norm`` at p = 2 sums
-    the inverse-transformed blocks and is its oracle."""
+    """``negative_distance`` sums the spectrum of measure - target;
+    ``besov_norm`` at p = 2 sums the inverse-transformed blocks of
+    measure - target on the mesh and is its oracle."""
 
     @pytest.mark.parametrize("q_hat", [1.0, 2.0, np.inf])
     @pytest.mark.parametrize("dim, m", [(1, 64), (1, 63), (2, 16), (2, 15)])
@@ -198,16 +199,17 @@ class TestParsevalDistance:
         measure, target = np.random.default_rng(m).standard_normal((2,) + g.shape)
         eta = dim / 2 + 1.5
         want = besov_norm(measure - target, -eta, 2.0, q_hat, p)
-        assert negative_distance(measure, target, eta, q_hat, p) == pytest.approx(want, rel=1e-13)
+        got = negative_distance(g.rfft(measure) - g.rfft(target), eta, q_hat, p)
+        assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("dim, m", [(1, 63), (2, 16), (2, 15)])
     def test_equal_fields_exactly_zero_and_warning_kept(self, dim, m):
         g = Grid(box=1.0, m=m, dim=dim)
         p = build_partition(g)
         f = np.random.default_rng(m).random(g.shape)
-        assert negative_distance(f, f.copy(), dim / 2 + 1.5, 2.0, p) == 0.0
+        assert negative_distance(g.rfft(f) - g.rfft(f.copy()), dim / 2 + 1.5, 2.0, p) == 0.0
         with pytest.warns(UserWarning, match="eta"):
-            assert negative_distance(f, f, dim / 2 + 1, 2.0, p) == 0.0
+            assert negative_distance(g.rfft(f) - g.rfft(f), dim / 2 + 1, 2.0, p) == 0.0
 
     @pytest.mark.parametrize(
         "dim, measure_shape, target_shape, bad",
@@ -221,11 +223,21 @@ class TestParsevalDistance:
         ],
     )
     def test_wrong_layout_refused(self, dim, measure_shape, target_shape, bad):
+        # A field off the mesh layout has a spectrum off the spectral layout
+        # (here its rfftn over every axis), which is refused.
         g = Grid(box=1.0, m=64, dim=dim)
         p = build_partition(g)
-        want = re.escape(f"{bad} must be an array of shape {g.shape}")
+        field = np.ones(measure_shape) if bad == "measure_field" else np.zeros(target_shape)
+        want = re.escape(f"spectrum must be an array of shape {g.shape[:-1] + (33,)}")
         with pytest.raises(ValueError, match=want):
-            negative_distance(np.ones(measure_shape), np.zeros(target_shape), 2.5, 2.0, p)
+            negative_distance(np.fft.rfftn(field), 2.5, 2.0, p)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mesh_field_refused(self, dim):
+        # A field on the mesh is not its spectrum.
+        g = Grid(box=1.0, m=64, dim=dim)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {g.shape}")):
+            negative_distance(np.ones(g.shape), 2.5, 2.0, build_partition(g))
 
     def test_bytes_independent_of_blas_threads(self):
         code = (
@@ -235,7 +247,8 @@ class TestParsevalDistance:
             "g = Grid(box=1.0, m=16384, dim=1)\n"
             "dep = deposit_nearest(np.random.default_rng(3).random((4096, 1)), g)\n"
             "target = 1.0 + 0.2 * np.sin(2 * np.pi * g.nodes())\n"
-            "print(negative_distance(dep, target, 2.0, 2.0, build_partition(g)).hex())\n"
+            "spectrum = g.rfft(dep) - g.rfft(target)\n"
+            "print(negative_distance(spectrum, 2.0, 2.0, build_partition(g)).hex())\n"
         )
         path = [str(Path(holderflow.__file__).resolve().parents[1])]
         if os.environ.get("PYTHONPATH"):

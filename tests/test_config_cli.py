@@ -66,6 +66,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"unknown key"):
             parse_config_text("[noise]\nhorst = 0.75\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nhurst = 0.4\n",
+         "[DEFAULT]\nhurst = 0.8\n[noise]\nsteps = 64\n[kernel]\nbeta = 0.5\n"],
+        ids=["alone", "with_sections"],
+    )
+    def test_default_section_refused(self, text):
+        # configparser reads [DEFAULT] as keys of every section: alone it was
+        # ignored, and beside other sections its key was blamed on one of them.
+        with pytest.raises(ConfigError, match=r"section \[DEFAULT\] is not allowed"):
+            parse_config_text(text)
+
     def test_text_that_is_not_ini_is_config_error(self):
         with pytest.raises(ConfigError, match="^<string> is not strict INI: .*no section headers"):
             parse_config_text("hurst = 1\n")

@@ -196,6 +196,29 @@ class TestRunCoupled:
         # The N run on a thread pool, so the builds come in no fixed order.
         assert sorted(built) == sorted(want)
 
+    def test_checkpoint_memory_does_not_grow_with_checkpoints(self):
+        # The Besov targets are padded in each checkpoint row, not held for
+        # every checkpoint of a seed: 60 more checkpoints cost less than one
+        # field on the 16384-node Besov mesh (at the parent, 60 pairs of them).
+        import tracemalloc
+
+        def peak(checkpoints):
+            cfg = _tiny_config(horizon=0.03125, n_sweep=(256,), checkpoints=checkpoints,
+                               pde_resolution=16, besov_grid=16384)
+            run_coupled(cfg)  # the operator caches fill outside the trace
+            tracemalloc.start()
+            try:
+                results = run_coupled(cfg)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [len(r["records"]) for r in results] == [checkpoints + 1]
+            assert all(r["flag"] == "ok" for r in results)
+            return top
+
+        besov_field = 16384 * np.dtype(float).itemsize
+        assert peak(64) - peak(4) < besov_field
+
     def test_particle_abort_recorded_not_raised(self):
         # A kernel too wide for the box at small N fails that run only;
         # the sweep records the reason and continues with larger N.

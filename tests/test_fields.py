@@ -17,6 +17,7 @@ from holderflow.fields import (
     _phases,
     diagnostics,
     max_signal_speed,
+    padded_spectrum,
     pressure_forms_gap,
     rhs_deterministic,
     step_field,
@@ -558,6 +559,46 @@ class TestSpectralUtilities:
         fine = Grid(box=1.0, m=16, dim=2)
         want = FieldInterpolant(f, g)(fine.nodes().reshape(-1, 2)).reshape(fine.shape)
         assert np.max(np.abs(up - want)) < 1e-12
+
+    @pytest.mark.parametrize("dim, m, m_fine", [(1, 64, 256), (1, 63, 256), (1, 15, 40),
+                                                (2, 16, 64), (2, 15, 32), (2, 12, 30)])
+    def test_padded_spectrum_is_spectrum_of_upsample(self, dim, m, m_fine):
+        # Three stacked fields with every mode, the Nyquist modes included.
+        g, fine = Grid(box=1.3, m=m, dim=dim), Grid(box=1.3, m=m_fine, dim=dim)
+        rows = np.random.default_rng(m).standard_normal((3,) + g.shape)
+        got = padded_spectrum(g.rfft(rows), g, m_fine)
+        want = np.stack([fine.rfft(upsample(row, g, m_fine)) for row in rows])
+        assert got.shape == want.shape == (3,) + fine.shape[:-1] + (m_fine // 2 + 1,)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim, m, m_fine", [(1, 8, 16), (1, 256, 16384), (1, 64, 1024),
+                                                (2, 8, 16), (2, 16, 64), (2, 32, 128)])
+    def test_upsample_bitwise_at_power_of_two_ratios(self, dim, m, m_fine):
+        # The factor (m_fine / m)^d applied before the inverse transform, not
+        # after it as in the reference: a power of two scales every rounding
+        # exactly, so the bits agree.
+        def reference(values, grid, m_fine):
+            fk = grid.rfft(values)
+            for q in range(grid.dim):
+                fk[(slice(None),) * q + (m // 2,)] *= 0.5
+            j = np.arange(m)
+            lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
+            src = [np.concatenate([lo, hi])] * (grid.dim - 1) + [lo]
+            dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [lo]
+            out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)
+            out[np.ix_(*dst)] = fk[np.ix_(*src)]
+            fine = Grid(box=grid.box, m=m_fine, dim=grid.dim)
+            return fine.irfft(out) * (m_fine / m) ** grid.dim
+
+        g = Grid(box=1.0, m=m, dim=dim)
+        for scale in (1.0, 1e-7, 3e5):
+            f = scale * np.random.default_rng(m).standard_normal(g.shape)
+            assert np.array_equal(upsample(f, g, m_fine), reference(f, g, m_fine))
+
+    def test_padded_spectrum_keeps_an_equal_mesh(self):
+        g = Grid(box=1.0, m=8, dim=2)
+        fk = g.rfft(np.random.default_rng(0).standard_normal((2,) + g.shape))
+        assert np.array_equal(padded_spectrum(fk, g, 8), fk)
 
     def test_upsample_refuses_downsampling(self):
         g = Grid(box=1.0, m=32, dim=1)

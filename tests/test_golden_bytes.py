@@ -38,7 +38,7 @@ fine_grid = 8192
 checkpoints = 4
 """
 
-GOLDEN_SHA256 = "efa54abd49bc436e75a2470516bfc307b5e892cb1d73d729b041ad7f81a36a22"
+GOLDEN_SHA256 = "5fc9295add4edbd1f85fa0bcefef10a8dd1e5c3d2f88add100b6e5949696a9d3"
 
 
 def test_small_coupled_run_records_are_golden(tmp_path):
