@@ -177,6 +177,11 @@ class ExperimentConfig:
                 Grid(box=self.box, m=getattr(self, name), dim=self.dim)
             except ValueError as exc:
                 raise ValueError(f"{name}={getattr(self, name)}, box={self.box}: {exc}") from None
+        if self.besov_grid < self.pde_resolution:
+            raise ValueError(
+                f"besov_grid={self.besov_grid} is below [pde] resolution={self.pde_resolution}: "
+                f"the Besov targets are the PDE spectrum zero-padded onto the Besov mesh"
+            )
         rho_min = (1.0 - abs(self.rho0_amplitude)) / self.box**self.dim
         if rho_min <= self.vacuum_floor:
             raise ValueError(
@@ -348,8 +353,9 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     and the particle runs that have not started then never start.
 
     Each seed's particle runs are independent given its noise path and
-    fluid trajectory, so they run on a pool of threads (numpy's FFTs release
-    the interpreter lock), largest N first; rows are written in sweep order,
+    fluid trajectory, so they run on a pool of threads, largest N first
+    (numpy's FFTs release the interpreter lock, so the largest N, whose
+    force meshes are largest, gains most); rows are written in sweep order,
     so the output does not depend on the pool size.
     """
     # Imported here, not paid by `import holderflow`.

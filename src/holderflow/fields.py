@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "as_points",
@@ -30,6 +31,7 @@ __all__ = [
     "pressure_forms_gap",
     "step_field",
     "diagnostics",
+    "nufft_type2",
     "interpolation_coefficients",
     "evaluate_rows",
     "padded_spectrum",
@@ -365,53 +367,133 @@ def step_field(
     return out
 
 
-_PHASE_BLOCK = 1 << 16  # complex entries (1 MiB) per phase array of FieldInterpolant
-
-
 class FieldInterpolant:
     """Trigonometric interpolation of a periodic gridded field and its gradient.
 
     Exact for band-limited fields; built once per field, then evaluated at
-    arbitrary (n, d) point sets.  ``values`` may stack fields on leading axes
-    ``lead`` (a velocity: lead = (d,)), and a call returns shape (n,) + lead.
-    ``coeff`` is the half spectrum, weighted 2 on the interior modes of the
-    last axis; a Nyquist mode is the cosine cos(pi x / h), as in
+    arbitrary (n, d) point sets by ``nufft_type2``.  ``values`` may stack
+    fields on leading axes ``lead`` (a velocity: lead = (d,)), and a call
+    returns shape (n,) + lead.  ``coeff`` is their half spectrum, laid out
+    like ``Grid.rfft``; a Nyquist mode is the cosine cos(pi x / h), as in
     ``padded_spectrum``, and the derivative drops it.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
-        self.coeff = interpolation_coefficients(values, grid)
+        self.coeff = grid.rfft(values)
 
     def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
-        g = self.grid
-        pts = as_points(pts, g.dim)
         c = self.coeff
         if derivative is not None:
-            c = g.ik[derivative] * c
-        # Contract one mesh axis at a time, the last first, each by a stack
-        # of (1, n) @ (n, 1) products: numpy evaluates a stack one dot
-        # product per item, so a point's value does not depend on the points
-        # that share its call (a single matrix product would, through the
-        # BLAS kernel chosen for its shape).  Points go in blocks that keep
-        # each phase array near _PHASE_BLOCK entries; at 4096 points on a
-        # 256-node mesh one array would take 8.5 MB.
-        lead = c.shape[: c.ndim - g.dim]
-        out = np.empty((len(pts),) + lead)
-        rows = max(1, _PHASE_BLOCK // g.m)
-        for start in range(0, len(pts), rows):
-            block = pts[start : start + rows]
-            acc = c
-            for q in reversed(range(g.dim)):
-                phase = _phases(block[:, q], g.m, g.box, full=q < g.dim - 1)
-                phase = phase.reshape((len(block),) + (1,) * (len(lead) + q) + (1, -1))
-                acc = (phase @ acc[..., None])[..., 0, 0]
-            out[start : start + rows] = acc.real
-        return out
+            c = self.grid.ik[derivative] * c
+        return nufft_type2(c, self.grid, pts)
+
+
+NUFFT_TOL = 1e-15  # truncation error of nufft_type2, relative to the sum of |fk| / m^d
+_ES_WIDTH = math.ceil(-math.log10(NUFFT_TOL)) + 1  # kernel nodes per axis
+_ES_BETA = 2.30 * _ES_WIDTH  # the ES shape at 2x oversampling
+_OVERSAMPLE = 2  # nodes per side of the type-2 mesh, per node of the field's mesh
+_GATHER_BLOCK = 1 << 14  # point-node entries (128 KiB per float array) per gather block
+
+
+def nufft_type2(fk: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
+    """Fields of the half spectrum ``fk`` at an (n, d) point set, shape (n,) + lead.
+
+    ``fk`` stacks half spectra of fields on ``grid`` on its leading axes
+    ``lead``, laid out like ``Grid.rfft``.  The value at x is that of the
+    fields' trigonometric interpolant, the one ``upsample`` evaluates at
+    finer nodes, with a Nyquist mode as the cosine.
+
+    A type-2 NUFFT with the "exponential of semicircle" kernel psi(z) =
+    exp(beta (sqrt(1 - z^2) - 1)) (Barnett, Magland & af Klinteberg, SIAM
+    J. Sci. Comput. 41, 2019): ``fk`` divided by psi's transform on each
+    axis, one inverse transform onto the ``Grid`` of 2 m nodes per side,
+    then at each point the sum over its w^d nearest nodes weighted by the
+    separable kernel.  w = ceil(log10(1 / NUFFT_TOL)) + 1 nodes per axis
+    give a relative error near ``NUFFT_TOL``, 16 nodes at 1e-15.  Points go
+    in blocks of about ``_GATHER_BLOCK`` point-nodes.  A point's value is
+    elementwise arithmetic on its own nodes, summed node by node in a fixed
+    order, so it does not depend on the other points of the call.
+    """
+    g, d, w = grid, grid.dim, _ES_WIDTH
+    pts = as_points(pts, d)
+    lead = fk.shape[: fk.ndim - d]
+    table, j = _es_deconvolution(g.m, w), np.arange(g.m)
+    for q in range(d):  # the table is indexed by |frequency|
+        fk = fk * g.along(table[np.minimum(j, g.m - j)[: fk.shape[q - d]]], q)
+    fine = Grid(box=g.box, m=_OVERSAMPLE * g.m, dim=d)
+    b = fine.irfft(padded_spectrum(fk, g, fine.m)).reshape((-1,) + fine.shape)
+    # The mesh extended by w - 1 nodes past its end on every axis, with a
+    # node's fields in one row: windows[i] are the fields on the w^d nodes
+    # from node i on, a view.
+    wrap = np.arange(fine.m + w - 1) % fine.m
+    b = np.moveaxis(b, 0, -1)[np.ix_(*[wrap] * d)]
+    windows = sliding_window_view(b, (w,) * d, axis=tuple(range(d)))
+    out = np.empty((len(pts), b.shape[-1]))
+    offsets = np.arange(w)
+    rows = _GATHER_BLOCK // w**d
+    for start in range(0, len(pts), rows):
+        u = pts[start : start + rows] * fine.m / g.box  # in fine cells
+        first = np.ceil(u - 0.5 * w)  # the point's first node on each axis
+        frac = u - first
+        acc = windows[tuple(np.mod(first, fine.m).astype(np.intp).T)]  # (block, fields) + (w,) * d
+        for q in reversed(range(d)):  # sum over the last node axis, in node order
+            weight = _es_kernel((frac[:, q, None] - offsets) * (2.0 / w))
+            weight = weight.reshape((-1,) + (1,) * (acc.ndim - 2) + (w,))
+            s = acc[..., 0] * weight[..., 0]
+            for k in range(1, w):
+                s += acc[..., k] * weight[..., k]
+            acc = s
+        out[start : start + rows] = acc
+    return out.reshape((len(pts),) + lead)
+
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """psi(z) = exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1, with the exponent
+    written -beta z^2 / (1 + sqrt(1 - z^2)): no cancellation where psi is
+    near 1, and so a rounding error of a few units in the last place."""
+    zz = z * z
+    s = np.subtract(1.0, zz)
+    np.maximum(s, 0.0, out=s)  # |z| may pass 1 by a rounding
+    np.sqrt(s, out=s)
+    s += 1.0
+    zz /= s
+    zz *= -_ES_BETA
+    return np.exp(zz, out=zz)
+
+
+@_single_flight(16)
+def _es_deconvolution(m: int, w: int) -> np.ndarray:
+    """The factor that ``nufft_type2`` applies to frequency +-k of an m-node
+    axis, for k = 0 .. m // 2: h / phi_hat(k) = 2 / (w psi_hat(pi k w / M)),
+    with phi(theta) = psi(2 theta / (w h)) the kernel on the M = 2 m mesh of
+    angular step h = 2 pi / M, and psi_hat(a) the integral of psi(z) cos(a z)
+    over [-1, 1] by Gauss-Legendre quadrature.  Read-only."""
+    z, weight = _gauss_legendre(3 * w + 4)
+    a = (np.pi * w / (_OVERSAMPLE * m)) * np.arange(m // 2 + 1)
+    psi_hat = (np.cos(a[:, None] * z) * (weight * _es_kernel(z))).sum(axis=1)
+    return _read_only(2.0 / (w * psi_hat))
+
+
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1]: Newton's
+    method on the three-term recurrence of the Legendre polynomial P_q, which
+    converges from the guess cos(pi (i - 1/4) / (q + 1/2)) in a few steps."""
+    x = np.cos(np.pi * (np.arange(q) + 0.75) / (q + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(q), x
+        for k in range(2, q + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = q * (x * p1 - p0) / (x * x - 1.0)  # P_q'(x)
+        step = p1 / slope
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
 def interpolation_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of ``FieldInterpolant`` for mesh fields stacked on the
+    """Coefficients of ``evaluate_rows`` for mesh fields stacked on the
     leading axes of ``values`` (the mesh axes trail): the half spectrum over
     m^d, weighted 2 on the interior modes of the last axis."""
     coeff = grid.rfft(values) / grid.m**grid.dim

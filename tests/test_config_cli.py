@@ -327,6 +327,18 @@ class TestCli:
         assert "the compact bump base was removed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_besov_grid_below_resolution_refused_before_any_output(self, tmp_path, capsys):
+        # The targets are the PDE spectrum padded onto the Besov mesh, which
+        # cannot be coarser; the refusal comes at parse, not after the fluid run.
+        cfg = tmp_path / "coarse_besov.cfg"
+        cfg.write_text(TINY_RUN.replace("besov_grid = 1024", "besov_grid = 64"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "besov_grid=64 is below [pde] resolution=128" in err
+        assert not out.exists()
+        assert parse_config_text("[pde]\nresolution = 128\n[analysis]\nbesov_grid = 128\n")
+
     def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfl.cfg"
         cfg.write_text(TINY_RUN.replace("horizon = 0.05\nsteps = 64", "horizon = 0.125\nsteps = 4"))

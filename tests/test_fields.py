@@ -10,13 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holderflow.fields import (
+    _ES_WIDTH,
+    _GATHER_BLOCK,
     FieldInterpolant,
     FluidState,
     Grid,
     SigmaField,
+    _gauss_legendre,
     _phases,
     diagnostics,
     max_signal_speed,
+    nufft_type2,
     padded_spectrum,
     pressure_forms_gap,
     rhs_deterministic,
@@ -440,14 +444,18 @@ class TestSigmaField:
 class TestInterpolation:
     @pytest.mark.parametrize("dim, m", [(1, 256), (2, 32)])
     def test_point_alone_equals_point_in_batch(self, dim, m):
-        # 300 points span two blocks at m = 256.
+        # Points past one gather block, and coincident points.
         rng = np.random.default_rng(11)
         g = Grid(box=1.0, m=m, dim=dim)
         itp = FieldInterpolant(rng.standard_normal(g.shape), g)
-        pts = rng.uniform(0.0, 1.0, (300, dim))
+        n = _GATHER_BLOCK // _ES_WIDTH**dim + 40
+        pts = rng.uniform(0.0, 1.0, (n, dim))
+        pts[n // 2 :: 7] = pts[3]
         for derivative in (None, 0):
             alone = [itp(p[None], derivative)[0] for p in pts]
             assert np.array_equal(itp(pts, derivative), alone)
+            batch = itp(pts, derivative)
+            assert np.array_equal(batch[n // 2 :: 7], np.full(len(batch[n // 2 :: 7]), batch[3]))
 
     def test_exact_at_nodes(self):
         g = Grid(box=1.0, m=64, dim=1)
@@ -494,9 +502,10 @@ class TestInterpolation:
             want = _full_spectrum_interp(f, g, pts, derivative=q)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
-    def test_phase_memory_bounded(self):
-        # 4096 points on a 256-node mesh: one phase array of all points
-        # would take 8.5 MB.
+    def test_type2_memory_bounded(self):
+        # 4096 points on a 256-node mesh: the gather goes in blocks of
+        # _GATHER_BLOCK point-nodes, whatever the number of points; the
+        # kernel weights of all points at once would take 0.5 MB per array.
         g = Grid(box=1.0, m=256, dim=1)
         itp = FieldInterpolant(np.random.default_rng(0).standard_normal(g.m), g)
         pts = np.random.default_rng(1).random((4096, 1))
@@ -527,6 +536,62 @@ class TestInterpolation:
         for got, want in ((itp(pts), value), (itp(pts, derivative=0), slope)):
             want = want.astype(float)
             assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+
+
+def _long_double_interp(values, g, pts, derivative=None):
+    """Reference in long double: Re sum_k c_k exp(i k.x) over the full
+    spectrum, with the Nyquist mode of an even mesh as the cosine and no
+    derivative; pi and every phase carry the extra precision."""
+    ld = np.longdouble
+    c = np.fft.fftn(values.astype(ld)) / values.size
+    k = 2 * np.arccos(ld(-1)) / ld(g.box) * np.fft.fftfreq(g.m, 1.0 / g.m).astype(ld)
+    nyquist = np.arange(g.m) == (g.m // 2 if g.m % 2 == 0 else -1)
+    out = c
+    for q in reversed(range(g.dim)):  # contract the last mesh axis left
+        phase = np.exp(1j * np.outer(pts[:, q].astype(ld), k))
+        phase[:, nyquist] = phase[:, nyquist].real
+        if derivative == q:
+            phase = phase * (1j * np.where(nyquist, 0, k))
+        out = np.einsum("j...k,jk->j...", out if q < g.dim - 1 else out[None], phase)
+    return out.real.astype(float)
+
+
+class TestNufftType2:
+    @pytest.mark.parametrize("dim, m", [(1, 256), (1, 255), (2, 32), (2, 15)])
+    def test_matches_long_double_sum(self, dim, m):
+        # White noise: every mode carries weight, the Nyquist modes included;
+        # more points than one gather block holds.
+        g = Grid(box=1.3, m=m, dim=dim)
+        rng = np.random.default_rng(m + dim)
+        f = rng.standard_normal(g.shape)
+        pts = rng.random((_GATHER_BLOCK // _ES_WIDTH**dim + 50, dim)) * g.box
+        fk = g.rfft(f)
+        for derivative in (None, *range(dim)):
+            got = nufft_type2(fk if derivative is None else g.ik[derivative] * fk, g, pts)
+            want = _long_double_interp(f, g, pts, derivative)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim, m", [(1, 64), (1, 63), (2, 16), (2, 15)])
+    def test_stacked_fields_match_full_spectrum_formula(self, dim, m):
+        # Fields stacked on leading axes (2, 3): a call returns (n, 2, 3).
+        g = Grid(box=1.3, m=m, dim=dim)
+        rng = np.random.default_rng(20 + m)
+        f = g.irfft(g.rfft(rng.standard_normal((2, 3) + g.shape)) * g.two_thirds)
+        pts = rng.random((300, dim)) * g.box - 0.5 * g.box  # some left of the box
+        got = nufft_type2(g.rfft(f), g, pts)
+        assert got.shape == (300, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                want = _full_spectrum_interp(f[i, j], g, pts)
+                assert np.max(np.abs(got[:, i, j] - want)) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("q", [1, 2, 7, 3 * _ES_WIDTH + 4])
+    def test_gauss_legendre_matches_leggauss(self, q):
+        x, w = _gauss_legendre(q)
+        want_x, want_w = np.polynomial.legendre.leggauss(q)
+        order = np.argsort(x)
+        assert np.max(np.abs(x[order] - want_x)) < 1e-15
+        assert np.max(np.abs(w[order] - want_w)) < 1e-14
 
 
 class TestSpectralUtilities:

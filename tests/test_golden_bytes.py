@@ -38,7 +38,7 @@ fine_grid = 8192
 checkpoints = 4
 """
 
-GOLDEN_SHA256 = "5fc9295add4edbd1f85fa0bcefef10a8dd1e5c3d2f88add100b6e5949696a9d3"
+GOLDEN_SHA256 = "2c513366f9234733522d3bdaf1f452a87f7c1a7ef42d5751c98f9cdde737e655"
 
 
 def test_small_coupled_run_records_are_golden(tmp_path):

@@ -47,6 +47,36 @@ def test_no_default_tolerance_comparisons_in_package():
     assert not stray, "comparison with a default tolerance:\n" + "\n".join(stray)
 
 
+def _polynomial_uses(tree):
+    """Lines of ``tree`` that import or read numpy.polynomial."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(re.match(r"(numpy|np)\.polynomial\b", name) for name in names):
+            yield node.lineno
+
+
+def test_no_numpy_polynomial_in_package():
+    # numpy.polynomial and one leggauss call add about 1.5 MiB to the peak
+    # resident memory of every run, and time to its set-up; the
+    # Gauss-Legendre rule of the NUFFT kernel is fields._gauss_legendre.
+    src = Path(holderflow.__file__).parent
+    stray = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno in _polynomial_uses(ast.parse(path.read_text()))
+    ]
+    assert not stray, "numpy.polynomial used in src/:\n" + "\n".join(stray)
+    probe = "import numpy as np\nfrom numpy import polynomial\nnp.polynomial.legendre\n"
+    assert list(_polynomial_uses(ast.parse(probe))) == [2, 3]
+
+
 def _public_names(tree):
     """The names a module lists in ``__all__``."""
     for node in tree.body:
