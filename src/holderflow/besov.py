@@ -41,10 +41,8 @@ class DyadicPartition:
 
     ``profiles`` has shape (J + 2,) + the shape of ``Grid.rfft``; index 0 is
     j = -1 (the low-pass chi).  The profiles sum to one at every resolved
-    frequency.  ``energy`` is w * phi_j^2, with w the number of modes of the
-    full spectrum that a half-spectrum mode stands for: 2 on the interior
-    modes of the last axis, 1 on its zero mode and, for even m, on its
-    Nyquist plane.  Then ||Delta_j f||_{L^2}^2 is L^d m^{-2d} times the sum
+    frequency.  ``energy`` is w * phi_j^2, with w the Parseval weights
+    ``Grid.half_weights``.  Then ||Delta_j f||_{L^2}^2 is L^d m^{-2d} times the sum
     of energy[j] |f_k|^2 over the half spectrum of f (Parseval).  Both
     arrays are read-only, so they cannot drift apart.
     """
@@ -91,11 +89,7 @@ def build_partition(grid: Grid, lam: float = 1.35) -> DyadicPartition:
     for j in range(0, j_max + 1):
         scale = 0.5**j
         profiles[j + 1] = chi(radii * scale / 2.0) - chi(radii * scale)
-    w = np.full(grid.m // 2 + 1, 2.0)
-    w[0] = 1.0
-    if grid.m % 2 == 0:
-        w[-1] = 1.0
-    energy = _read_only(profiles**2 * grid.along(w, grid.dim - 1))
+    energy = _read_only(profiles**2 * grid.half_weights)
     return DyadicPartition(grid, lam, r0, profiles=_read_only(profiles), energy=energy)
 
 

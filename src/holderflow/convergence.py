@@ -27,7 +27,6 @@ from .fields import (
     SigmaField,
     padded_spectrum,
     step_field,
-    upsample,
 )
 from .kernels import KernelFamily, RegimeError
 from .noise import NoiseSpec, SampledPath, sample_fbm
@@ -244,23 +243,25 @@ def energy_Q(
 ) -> EnergyRecord:
     """Modulated energy of the ensemble against the fluid state.
 
-    v is interpolated at the particles; the density term is an L^2 quadrature
-    on a fine grid of fine_m nodes per side that resolves phi_N^r, with rho
-    spectrally upsampled onto it.  Reductions run in sorted order for label
-    invariance.
+    v is interpolated at the particles.  The density term is the L^2 norm of
+    S^N * phi_N^r - rho on fine_m nodes per side, by Parseval from the half
+    spectra (``empirical_density`` less rho's, padded), in a fixed order, so
+    both terms are bitwise label-invariant.  Any time mismatch is refused.
     """
-    if abs(ens.time - fluid.time) > 1e-9:
-        raise ValueError(f"time mismatch: particles at {ens.time}, fluid at {fluid.time}")
+    if ens.time != fluid.time:
+        raise ValueError(f"time mismatch: particles at {ens.time!r}, fluid at {fluid.time!r}")
     g = fluid.grid
     v_at = FieldInterpolant(fluid.v, g)(ens.positions)
     mism = np.sum((ens.velocities - v_at) ** 2, axis=1)
     kinetic = sorted_sum(mism) / ens.count
 
     fine = Grid(box=g.box, m=fine_m, dim=g.dim)
-    emp = empirical_density(ens, family, fine)
-    diff2 = (emp - upsample(fluid.rho, g, fine_m)) ** 2
-    density = sorted_sum(diff2) / diff2.size * g.box**g.dim
-    return EnergyRecord(t=ens.time, kinetic_term=kinetic, density_term=density)
+    # rho's spectrum first: in the other order about one run in five had glibc
+    # trim a sweep thread's heap, and so re-fault it, at every force step.
+    rho_k = padded_spectrum(g.rfft(fluid.rho), g, fine_m)
+    diff = empirical_density(ens, family, fine) - rho_k
+    power = float(np.sum(fine.half_weights * (diff.real**2 + diff.imag**2)))
+    return EnergyRecord(ens.time, kinetic, power * g.box**g.dim / fine_m ** (2 * g.dim))
 
 
 def _format_row(seed, n, rec: EnergyRecord, bs, bv, flags) -> str:

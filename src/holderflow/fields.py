@@ -195,6 +195,19 @@ class Grid:
             mask = mask & (np.abs(self.frequencies(q) * self.m) <= self.m // 3)
         return _read_only(mask)
 
+    @property
+    def half_weights(self) -> np.ndarray:
+        """Parseval weights w of the half spectrum, along the last axis, read-only:
+        1 at zero frequency and at an even mesh's Nyquist mode, 2 elsewhere, so
+        the sum of f^2 over the nodes is m^-d times the sum of w |f_k|^2 over
+        ``rfft(f)``.  Built per access: cached on a Grid kept as a cache key, the
+        block lived all run and was seen to make glibc trim sweep-thread heaps."""
+        w = np.full(self.m // 2 + 1, 2.0)
+        w[0] = 1.0
+        if self.m % 2 == 0:
+            w[-1] = 1.0
+        return _read_only(self.along(w, self.dim - 1))
+
     def cell_volume(self) -> float:
         return self.h**self.dim
 
@@ -511,29 +524,21 @@ def evaluate_rows(
     """
     if derivative:
         coeff = grid.ik[0] * coeff
-    return np.einsum("rk,rk->r", _phases(x, grid.m, grid.box, full=False), coeff).real
+    return np.einsum("rk,rk->r", _phases(x, grid.m, grid.box), coeff).real
 
 
-def _phases(x: np.ndarray, m: int, box: float, full: bool) -> np.ndarray:
-    """exp(i k x) for every point x and every wavenumber k of one mesh axis
-    laid out like ``Grid.rfft``: the m frequencies of a full axis or the
-    m // 2 + 1 of the half (last) axis.
+def _phases(x: np.ndarray, m: int, box: float) -> np.ndarray:
+    """exp(i k x) for every point x and each of the m // 2 + 1 wavenumbers k
+    of the half (last) axis of an m-node mesh, laid out like ``Grid.rfft``.
 
     The powers of exp(2 pi i x / L), one exponential per point and a running
     product over the modes; the error grows like the mode index times the
-    rounding unit, about 4e-13 at m = 4096.  The negative modes of a full
-    axis are the conjugates, and its Nyquist column is the cosine.
+    rounding unit, about 4e-13 at m = 4096.
     """
-    half = m // 2 + 1
-    z = np.empty((x.size, m if full else half), dtype=complex)
+    z = np.empty((x.size, m // 2 + 1), dtype=complex)
     z[:, 0] = 1.0
-    z[:, 1:half] = np.exp((2j * np.pi / box) * x)[:, None]
-    powers = z[:, :half] if full else z
-    np.multiply.accumulate(powers, axis=1, out=powers)  # np.cumprod, without its dispatch
-    if full:
-        if m % 2 == 0:
-            z[:, m // 2].imag = 0.0
-        z[:, half:] = z[:, m - half : 0 : -1].conj()
+    z[:, 1:] = np.exp((2j * np.pi / box) * x)[:, None]
+    np.multiply.accumulate(z, axis=1, out=z)  # np.cumprod, without its dispatch
     return z
 
 

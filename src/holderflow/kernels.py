@@ -1,4 +1,4 @@
-"""Moderate-interaction mollifier family, its regime refusals and FFT mollification.
+"""Moderate-interaction mollifier family, its regime refusals and spectral mollification.
 
 The base density phi_1^r is a Gaussian probability density whose
 self-convolution, the Gaussian of twice the variance, gives the interaction
@@ -141,16 +141,16 @@ def periodic_kernel_samples(
 
 
 def mollify(
-    values: np.ndarray, box: float, family: KernelFamily, n: int, which: str = "phi_r"
+    fk: np.ndarray, grid: Grid, family: KernelFamily, n: int, which: str = "phi_r"
 ) -> np.ndarray:
-    """Periodic FFT convolution of a gridded field with phi_N^r (or phi_N).
+    """Half spectrum of the periodic convolution of a mesh field with phi_N^r
+    (or phi_N), from ``fk``, the field's half spectrum laid out like
+    ``grid.rfft``: ``fk`` times the kernel's spectrum and the cell volume.
 
     Refused (``require_support``) when the kernel is wider than half the box.
     """
-    require_support(family, n, box, which)
-    grid = Grid(box=box, m=values.shape[0], dim=family.dim)
-    spectrum = _kernel_spectrum(family, n, grid, which)
-    return grid.irfft(grid.rfft(values) * spectrum) * grid.cell_volume()
+    require_support(family, n, grid.box, which)
+    return fk * _kernel_spectrum(family, n, grid, which) * grid.cell_volume()
 
 
 @_single_flight(8)

@@ -327,8 +327,8 @@ def step(
 def empirical_density(
     ens: ParticleEnsemble, family: KernelFamily, grid: Grid
 ) -> np.ndarray:
-    """S^N * phi_N^r on the grid: CIC deposit then FFT mollification."""
+    """Half spectrum of S^N * phi_N^r on the grid, laid out like ``grid.rfft``:
+    the CIC deposit's spectrum, its window divided out, mollified."""
     require_resolved(family, ens.count, grid.box, grid.m, "phi_r")
-    dep = deposit_cic(ens.positions, grid)
-    dens = grid.irfft(grid.rfft(dep) / _cic_transfer(grid))
-    return mollify(dens, grid.box, family, ens.count, which="phi_r")
+    dk = grid.rfft(deposit_cic(ens.positions, grid)) / _cic_transfer(grid)
+    return mollify(dk, grid, family, ens.count, which="phi_r")

@@ -20,10 +20,16 @@ from holderflow.convergence import (
     run_coupled,
     simulate,
 )
-from holderflow.fields import FieldInterpolant, FluidState, Grid
-from holderflow.kernels import KernelFamily
+from holderflow.fields import FieldInterpolant, FluidState, Grid, upsample
+from holderflow.kernels import KernelFamily, periodic_kernel_samples
 from holderflow.noise import NoiseSpec, SampledPath, sample_fbm
-from holderflow.particles import ParticleEnsemble, init_from_fields
+from holderflow.particles import (
+    ParticleEnsemble,
+    _cic_transfer,
+    deposit_cic,
+    init_from_fields,
+    sorted_sum,
+)
 
 
 def _tiny_config(**overrides):
@@ -104,9 +110,83 @@ class TestEnergy:
         assert rec.kinetic_term < 1e-20
         assert rec.density_term >= 0.0
 
+    def test_any_time_mismatch_rejected(self):
+        # Both clocks add the same dt the same number of times, so the two
+        # times of one checkpoint are bitwise equal; a 1e-12 offset is refused.
+        fluid, ens, fam = _energy_case(1, 64, 77)
+        fluid = replace(fluid, time=0.5)
+        with pytest.raises(ValueError, match="time mismatch"):
+            energy_Q(replace(ens, time=0.5 + 1e-12), fluid, fam, 1024)
+        energy_Q(replace(ens, time=0.5), fluid, fam, 1024)
+
+    @pytest.mark.parametrize(
+        "dim, m, fine_m, n", [(1, 64, 4096, 1024), (1, 63, 4095, 1000), (2, 32, 256, 256),
+                              (2, 15, 129, 40)]
+    )
+    def test_density_term_matches_node_quadrature(self, dim, m, fine_m, n):
+        fluid, ens, fam = _energy_case(dim, m, n)
+        want = _node_density_term(ens, fluid, fam, fine_m)
+        got = energy_Q(ens, fluid, fam, fine_m).density_term
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_one_fine_transform_per_call(self, monkeypatch):
+        fluid, ens, fam = _energy_case(1, 64, 100)
+        fine_m = 1024  # not the 2 m mesh of the velocity interpolant
+        energy_Q(ens, fluid, fam, fine_m)  # fills the kernel and window caches
+        calls = []
+        for name in ("rfft", "irfft"):
+            orig = getattr(Grid, name)
+
+            def counting(self, f, orig=orig, name=name):
+                if self.m == fine_m:
+                    calls.append(name)
+                return orig(self, f)
+
+            monkeypatch.setattr(Grid, name, counting)
+        energy_Q(ens, fluid, fam, fine_m)
+        assert calls == ["rfft"]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bitwise_label_invariant_with_coincident_particles(self, dim):
+        fluid, ens, fam = _energy_case(dim, 32, 200)
+        pos = np.concatenate([ens.positions, ens.positions[:50]])
+        vel = np.concatenate([ens.velocities, ens.velocities[:50]])
+        perm = np.random.default_rng(dim).permutation(len(pos))
+        fine_m = 2048 if dim == 1 else 256
+        a = energy_Q(replace(ens, positions=pos, velocities=vel), fluid, fam, fine_m)
+        b = energy_Q(replace(ens, positions=pos[perm], velocities=vel[perm]), fluid, fam, fine_m)
+        assert a == b
+
     def test_record_q_is_sum(self):
         rec = EnergyRecord(t=0.5, kinetic_term=0.25, density_term=0.5)
         assert rec.q == pytest.approx(0.75)
+
+
+def _energy_case(dim, m, n):
+    """A fluid density that fills every mode of its mesh, the Nyquist modes
+    included, about a smooth profile, and n particles at its quantiles with
+    velocities off the fluid's: the density term is then a small difference
+    of two large spectra, as in a run."""
+    g = Grid(box=1.0, m=m, dim=dim)
+    rng = np.random.default_rng(m + n)
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * g.coordinate(0)) + 1e-3 * rng.standard_normal(g.shape)
+    fluid = FluidState(grid=g, rho=rho / np.mean(rho), v=np.zeros((dim,) + g.shape))
+    ens = init_from_fields(fluid.rho, fluid.v, n, g)
+    ens = replace(ens, velocities=0.1 * rng.standard_normal((n, dim)))
+    return fluid, ens, KernelFamily(beta=0.6, dim=dim, bandwidth=0.1)
+
+
+def _node_density_term(ens, fluid, family, fine_m):
+    """Reference: the density term as a quadrature on the fine nodes, S^N *
+    phi_N^r (CIC deposit, window divided out, mollified) less rho upsampled,
+    squared and summed in sorted order."""
+    g = fluid.grid
+    fine = Grid(box=g.box, m=fine_m, dim=g.dim)
+    dens = fine.irfft(fine.rfft(deposit_cic(ens.positions, fine)) / _cic_transfer(fine))
+    kern = periodic_kernel_samples(family, ens.count, fine.box, fine_m, which="phi_r")
+    emp = fine.irfft(fine.rfft(dens) * fine.rfft(kern)) * fine.cell_volume()
+    diff2 = (emp - upsample(fluid.rho, g, fine_m)) ** 2
+    return sorted_sum(diff2) / diff2.size * g.box**g.dim
 
 
 @pytest.fixture(scope="module")

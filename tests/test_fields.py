@@ -135,11 +135,19 @@ class TestGrid:
         sigma = SigmaField(amplitude=0.2, modulation=0.5)
         assert g.ik is g.ik and g.two_thirds is g.two_thirds
         assert sigma.spectrum(g) is sigma.spectrum(g)
-        for cached in (*g.ik, g.two_thirds, sigma.spectrum(g)):
+        for cached in (*g.ik, g.two_thirds, g.half_weights, sigma.spectrum(g)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[...] = 0
         assert np.array_equal(g.ik[0], _reference_ik(g, 0))
         assert np.array_equal(g.two_thirds, _reference_two_thirds(g))
+
+    @pytest.mark.parametrize("dim, m", [(1, 16), (1, 17), (2, 16), (2, 15)])
+    def test_half_weights_give_parseval(self, dim, m):
+        # White noise: every mode carries weight, the Nyquist modes included.
+        g = Grid(box=1.0, m=m, dim=dim)
+        f = np.random.default_rng(m).standard_normal(g.shape)
+        power = np.abs(g.rfft(f)) ** 2
+        assert np.sum(g.half_weights * power) / m**dim == pytest.approx(np.sum(f**2), rel=1e-13)
 
 
 class TestFieldLayout:
@@ -166,17 +174,22 @@ def _deriv(f, g, axis):
     return g.irfft(g.ik[axis] * g.rfft(f))
 
 
-def _full_spectrum_interp(values, g, pts, derivative=None):
-    """Reference: Re sum_k c_k exp(i k.x) over the full complex spectrum."""
-    c = np.fft.fftn(values) / values.size
-    k = 2.0 * np.pi * np.fft.fftfreq(g.m, d=g.h)
-    if derivative is not None:
-        c = 1j * g.along(k, derivative) * c
-    out = np.exp(1j * np.outer(pts[:, 0], k)) @ c.reshape(g.m, -1)
-    for q in range(1, g.dim):
-        phase = np.exp(1j * np.outer(pts[:, q], k))
-        out = np.einsum("pk,pkr->pr", phase, out.reshape(len(pts), g.m, -1))
-    return out[:, 0].real
+def _long_double_interp(values, g, pts, derivative=None):
+    """Reference in long double: Re sum_k c_k exp(i k.x) over the full
+    spectrum, with the Nyquist mode of an even mesh as the cosine and no
+    derivative; pi and every phase carry the extra precision."""
+    ld = np.longdouble
+    c = np.fft.fftn(values.astype(ld)) / values.size
+    k = 2 * np.arccos(ld(-1)) / ld(g.box) * np.fft.fftfreq(g.m, 1.0 / g.m).astype(ld)
+    nyquist = np.arange(g.m) == (g.m // 2 if g.m % 2 == 0 else -1)
+    out = c
+    for q in reversed(range(g.dim)):  # contract the last mesh axis left
+        phase = np.exp(1j * np.outer(pts[:, q].astype(ld), k))
+        phase[:, nyquist] = phase[:, nyquist].real
+        if derivative == q:
+            phase = phase * (1j * np.where(nyquist, 0, k))
+        out = np.einsum("j...k,jk->j...", out if q < g.dim - 1 else out[None], phase)
+    return out.real.astype(float)
 
 
 class TestSpectralLayout:
@@ -222,10 +235,10 @@ class TestSpectralLayout:
         f = g.irfft(g.rfft(rng.standard_normal(g.shape)) * g.two_thirds)
         pts = rng.random((50, dim)) * g.box
         itp = FieldInterpolant(f, g)
-        assert np.max(np.abs(itp(pts) - _full_spectrum_interp(f, g, pts))) < 1e-12
+        assert np.max(np.abs(itp(pts) - _long_double_interp(f, g, pts))) < 1e-12
         for q in range(dim):
             got = itp(pts, derivative=q)
-            want = _full_spectrum_interp(f, g, pts, derivative=q)
+            want = _long_double_interp(f, g, pts, derivative=q)
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -474,17 +487,13 @@ class TestInterpolation:
         assert np.max(np.abs(itp(pts) - np.sin(k * pts[:, 0]))) < 1e-12
         assert np.max(np.abs(itp(pts, derivative=0) - k * np.cos(k * pts[:, 0]))) < 1e-10
 
-    @pytest.mark.parametrize("full", [True, False])
     @pytest.mark.parametrize("m", [16, 17, 4095, 4096])
-    def test_phases_match_exp_of_outer(self, m, full):
+    def test_phases_match_exp_of_outer(self, m):
         box = 1.3
         rng = np.random.default_rng(m)
         x = np.concatenate([[-0.75, -0.0, 0.0, 0.3, 0.999 * box], rng.random(40) * box])
-        k = 2.0 * np.pi * (np.fft.fftfreq if full else np.fft.rfftfreq)(m, d=box / m)
-        want = np.exp(1j * np.outer(x, k))
-        if full and m % 2 == 0:
-            want[:, m // 2] = want[:, m // 2].real  # the Nyquist column of a full axis
-        got = _phases(x, m, box, full)
+        want = np.exp(1j * np.outer(x, 2.0 * np.pi * np.fft.rfftfreq(m, d=box / m)))
+        got = _phases(x, m, box)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -496,10 +505,10 @@ class TestInterpolation:
         f = g.irfft(g.rfft(rng.standard_normal(g.shape)) * g.two_thirds)
         pts = rng.random((n, dim)) * g.box
         itp = FieldInterpolant(f, g)
-        assert np.max(np.abs(itp(pts) - _full_spectrum_interp(f, g, pts))) < 1e-12
+        assert np.max(np.abs(itp(pts) - _long_double_interp(f, g, pts))) < 1e-12
         for q in range(dim):
             got = itp(pts, derivative=q)
-            want = _full_spectrum_interp(f, g, pts, derivative=q)
+            want = _long_double_interp(f, g, pts, derivative=q)
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_type2_memory_bounded(self):
@@ -538,24 +547,6 @@ class TestInterpolation:
             assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
-def _long_double_interp(values, g, pts, derivative=None):
-    """Reference in long double: Re sum_k c_k exp(i k.x) over the full
-    spectrum, with the Nyquist mode of an even mesh as the cosine and no
-    derivative; pi and every phase carry the extra precision."""
-    ld = np.longdouble
-    c = np.fft.fftn(values.astype(ld)) / values.size
-    k = 2 * np.arccos(ld(-1)) / ld(g.box) * np.fft.fftfreq(g.m, 1.0 / g.m).astype(ld)
-    nyquist = np.arange(g.m) == (g.m // 2 if g.m % 2 == 0 else -1)
-    out = c
-    for q in reversed(range(g.dim)):  # contract the last mesh axis left
-        phase = np.exp(1j * np.outer(pts[:, q].astype(ld), k))
-        phase[:, nyquist] = phase[:, nyquist].real
-        if derivative == q:
-            phase = phase * (1j * np.where(nyquist, 0, k))
-        out = np.einsum("j...k,jk->j...", out if q < g.dim - 1 else out[None], phase)
-    return out.real.astype(float)
-
-
 class TestNufftType2:
     @pytest.mark.parametrize("dim, m", [(1, 256), (1, 255), (2, 32), (2, 15)])
     def test_matches_long_double_sum(self, dim, m):
@@ -582,7 +573,7 @@ class TestNufftType2:
         assert got.shape == (300, 2, 3)
         for i in range(2):
             for j in range(3):
-                want = _full_spectrum_interp(f[i, j], g, pts)
+                want = _long_double_interp(f[i, j], g, pts)
                 assert np.max(np.abs(got[:, i, j] - want)) < 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("q", [1, 2, 7, 3 * _ES_WIDTH + 4])

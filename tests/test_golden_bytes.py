@@ -38,7 +38,7 @@ fine_grid = 8192
 checkpoints = 4
 """
 
-GOLDEN_SHA256 = "2c513366f9234733522d3bdaf1f452a87f7c1a7ef42d5751c98f9cdde737e655"
+GOLDEN_SHA256 = "d4fcfb8c245f2aa915f44373808559e434a73471baf204aec7182024f19e83b2"
 
 
 def test_small_coupled_run_records_are_golden(tmp_path):
