@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,9 @@ def _cmd_simulate(args) -> int:
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be a positive particle count, got {args.n}")
     config = parse_config(args.config)
-    seed = config.seeds[0]
-    n = args.n or config.n_sweep[0]
+    if args.n is not None:  # --n passes the checks of a config N
+        config = replace(config, n_sweep=(args.n,))
+    seed, n = config.seeds[0], config.n_sweep[0]
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
         path = sample_fbm(config.noise_spec(seed))
         _, ens = next(simulate(config, n, path, seed, {config.master_steps}))

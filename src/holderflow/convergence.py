@@ -35,6 +35,7 @@ from .particles import (
     empirical_density,
     init_from_fields,
     interaction_force,
+    quantile_sides,
     sorted_sum,
     step,
 )
@@ -156,6 +157,12 @@ class ExperimentConfig:
             raise ValueError(f"force_backend must be grid or direct, got {self.force_backend!r}")
         if self.init_strategy not in ("quantile", "random"):
             raise ValueError(f"init must be quantile or random, got {self.init_strategy!r}")
+        if self.init_strategy == "quantile":
+            for n in self.n_sweep:
+                sides = quantile_sides(n, self.dim)
+                if max(sides) > 4 * min(sides):
+                    raise ValueError(f"n={n}: quantile strata {' x '.join(map(str, sides))}, "
+                                     "one side over 4 times another; pick an N near a square")
         if self.checkpoints < 1:
             raise ValueError(f"checkpoints={self.checkpoints}: need at least 1")
         if self.cfl <= 0:
@@ -165,6 +172,8 @@ class ExperimentConfig:
         for name in ("pde_resolution", "besov_grid", "force_grid", "fine_grid"):
             m = getattr(self, name)
             if name in ("force_grid", "fine_grid"):  # minima that _auto_grid rounds up
+                if m < 4:
+                    raise ValueError(f"{name}={m}: a mesh needs at least 4 nodes per side")
                 m = 1 << (m - 1).bit_length()
             if m**self.dim > MAX_GRID:
                 raise ValueError(

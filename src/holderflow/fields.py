@@ -32,7 +32,6 @@ __all__ = [
     "step_field",
     "diagnostics",
     "nufft_type2",
-    "interpolation_coefficients",
     "evaluate_rows",
     "padded_spectrum",
     "upsample",
@@ -505,23 +504,16 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def interpolation_coefficients(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients of ``evaluate_rows`` for mesh fields stacked on the
-    leading axes of ``values`` (the mesh axes trail): the half spectrum over
-    m^d, weighted 2 on the interior modes of the last axis."""
-    coeff = grid.rfft(values) / grid.m**grid.dim
-    coeff[..., 1 : (grid.m + 1) // 2] *= 2.0
-    return coeff
-
-
 def evaluate_rows(
     coeff: np.ndarray, grid: Grid, x: np.ndarray, derivative: bool = False
 ) -> np.ndarray:
-    """Row r of stacked 1-d ``interpolation_coefficients`` (rows, m // 2 + 1)
-    at the point x[r], or its derivative, shape (rows,).
+    """Row r of stacked 1-d half spectra ``coeff`` (rows, m // 2 + 1), laid
+    out like ``Grid.rfft``, at the point x[r], or its derivative, shape (rows,).
 
+    The interpolant's real part weights each mode by ``half_weights / m``.
     A row-wise ``einsum``: no BLAS, so a row does not depend on the others.
     """
+    coeff = coeff * (grid.half_weights / grid.m)
     if derivative:
         coeff = grid.ik[0] * coeff
     return np.einsum("rk,rk->r", _phases(x, grid.m, grid.box), coeff).real

@@ -1,14 +1,14 @@
 """Exact fractional Brownian motion sampling and Hölder-path utilities.
 
 Paths are sampled on a uniform grid and are exact in distribution at the
-grid points.  Two samplers are available.  ``"cholesky"`` (small grids)
-returns L z with L the Cholesky factor of the fBm covariance, applied
-without forming it: the Durbin-Levinson (Hosking) recursion on the
-fractional Gaussian noise autocovariance, in O(M^2) time and O(M) memory;
-paths that share (H, M) share one recursion (``sample_fbm_paths``).
-``"davies-harte"`` (large grids) is circulant embedding of the increment
-process, in O(M log M).  Both are exact; they are cross-validated against
-each other in the test suite.
+grid points.  The resolution alone picks one of two samplers.  Up to
+``CHOLESKY_MAX_STEPS`` steps, the Cholesky sampler returns L z with L the
+Cholesky factor of the fBm covariance, applied without forming it: the
+Durbin-Levinson (Hosking) recursion on the fractional Gaussian noise
+autocovariance, in O(M^2) time and O(M) memory; paths that share (H, M)
+share one recursion (``sample_fbm_paths``).  Above it, Davies-Harte is
+circulant embedding of the increment process, in O(M log M).  Both are
+exact; the test suite checks each against the fBm marginal variance.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _sample_davies_harte(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def sample_fbm_paths(specs: Iterable[NoiseSpec], method: str | None = None) -> list[SampledPath]:
+def sample_fbm_paths(specs: Iterable[NoiseSpec]) -> list[SampledPath]:
     """``sample_fbm`` of every spec, in spec order, with one Durbin-Levinson
     pass per (hurst, resolution) for the Cholesky sampler.
 
@@ -231,19 +231,13 @@ def sample_fbm_paths(specs: Iterable[NoiseSpec], method: str | None = None) -> l
     """
     specs = list(specs)
     groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        chosen = method
-        if chosen is None:
-            chosen = "cholesky" if spec.resolution <= CHOLESKY_MAX_STEPS else "davies-harte"
-        if chosen not in ("cholesky", "davies-harte"):
-            raise ValueError(f"unknown sampling method {chosen!r}")
-        groups.setdefault((chosen, spec.hurst, spec.resolution), []).append(i)
     values = [None] * len(specs)
-    for (chosen, hurst, n), members in groups.items():
-        if chosen == "davies-harte":
-            for i in members:
-                values[i] = _sample_davies_harte(specs[i], np.random.default_rng(specs[i].seed))
-            continue
+    for i, spec in enumerate(specs):
+        if spec.resolution > CHOLESKY_MAX_STEPS:
+            values[i] = _sample_davies_harte(spec, np.random.default_rng(spec.seed))
+        else:
+            groups.setdefault((spec.hurst, spec.resolution), []).append(i)
+    for (hurst, n), members in groups.items():
         dims = [specs[i].dim for i in members]
         fgn = np.concatenate([
             np.random.default_rng(specs[i].seed).standard_normal((d, n))
@@ -263,15 +257,15 @@ def sample_fbm_paths(specs: Iterable[NoiseSpec], method: str | None = None) -> l
     ]
 
 
-def sample_fbm(spec: NoiseSpec, method: str | None = None) -> SampledPath:
+def sample_fbm(spec: NoiseSpec) -> SampledPath:
     """One realization of d independent fBm components on the uniform grid.
 
-    Exact in distribution at grid points; deterministic given the seed.
-    ``method`` forces ``"cholesky"`` or ``"davies-harte"``; by default the
-    Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps.  Paths that
-    share (H, M) are cheaper together, through ``sample_fbm_paths``.
+    Exact in distribution at grid points; deterministic given the seed.  The
+    Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps, Davies-Harte
+    above.  Paths that share (H, M) are cheaper together, through
+    ``sample_fbm_paths``.
     """
-    return sample_fbm_paths([spec], method)[0]
+    return sample_fbm_paths([spec])[0]
 
 
 def holder_seminorm(path: SampledPath, alpha: float) -> float:

@@ -38,13 +38,14 @@ from .kernels import (
 __all__ = [
     "ParticleEnsemble",
     "init_from_fields",
+    "quantile_sides",
     "interaction_force",
     "step",
     "empirical_density",
     "sorted_sum",
 ]
 
-_CDF_NODES = 1 << 14  # least mesh of the d=1 quantile initialization's CDF
+_CDF_NODES = 1 << 14  # least mesh of each CDF of init_from_fields
 
 
 def sorted_sum(values: np.ndarray) -> float:
@@ -115,6 +116,19 @@ def _dense_cdf_1d(rho: np.ndarray, grid: Grid):
     return x, cdf
 
 
+def quantile_sides(n: int, d: int) -> list[int]:
+    """Sides of the near-cubic tensor grid of n strata in [0, 1)^d that the
+    ``quantile`` initialization places its points on, one per axis."""
+    sides, rest = [], n
+    for q in range(d - 1):
+        side = int(round(rest ** (1.0 / (d - q))))
+        while rest % side:
+            side -= 1
+        sides.append(side)
+        rest //= side
+    return sides + [rest]
+
+
 def init_from_fields(
     rho0: np.ndarray,
     v0: np.ndarray,
@@ -125,10 +139,13 @@ def init_from_fields(
 ) -> ParticleEnsemble:
     """Particles sampled from rho0 with velocities v0(X) by interpolation.
 
-    d=1 ``quantile``: deterministic midpoint-quantile placement, which makes
-    the initial energy floor decay with the mollification error rather than
-    the Monte-Carlo rate.  d=2 ``quantile``: stratified inverse-CDF on a
-    tensor grid.  ``random`` draws i.i.d. samples (requires a seed).
+    Each point inverts, axis by axis, the CDF of rho0 summed over the later
+    axes, on the row of its cell in the earlier axes (the conditional
+    inverse CDF of Rosenblatt, *Ann. Math. Stat.* 23, 1952), each CDF that of
+    ``_dense_cdf_1d``.  ``quantile`` inverts the midpoints of the strata of
+    ``quantile_sides``, which makes the initial energy floor decay with the
+    mollification error rather than the Monte-Carlo rate; ``random`` inverts
+    i.i.d. uniforms (requires a seed).
     """
     rho0 = np.asarray(rho0, dtype=float)
     if np.min(rho0) <= 0:
@@ -137,37 +154,21 @@ def init_from_fields(
     if strategy == "random":
         u = np.random.default_rng(seed).random((n, d))
     elif strategy == "quantile":
-        # Midpoints of a near-cubic tensor grid of n strata in [0, 1)^d.
-        sides, rest = [], n
-        for q in range(d - 1):
-            side = int(round(rest ** (1.0 / (d - q))))
-            while rest % side:
-                side -= 1
-            sides.append(side)
-            rest //= side
-        mids = [(np.arange(side) + 0.5) / side for side in sides + [rest]]
+        mids = [(np.arange(side) + 0.5) / side for side in quantile_sides(n, d)]
         u = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(n, d)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if d == 1:
-        x_cdf, cdf = _dense_cdf_1d(rho0, grid)
-        pos = np.interp(u[:, 0], cdf, x_cdf)[:, None]
-    else:
-        # Marginal in x, then conditional in y per sampled x-column.
-        edges = np.arange(grid.m + 1) * grid.h
-        marg_x = np.sum(rho0, axis=1) * grid.h
-        cdf_x = np.concatenate([[0.0], np.cumsum(marg_x) * grid.h])
-        cdf_x /= cdf_x[-1]
-        px = np.interp(u[:, 0], cdf_x, edges)
-        cols = np.minimum((px / grid.h).astype(int), grid.m - 1)
-        pos = np.empty((n, 2))
-        pos[:, 0] = px
-        for c in np.unique(cols):
-            sel = cols == c
-            cdf_y = np.concatenate([[0.0], np.cumsum(rho0[c]) * grid.h])
-            cdf_y /= cdf_y[-1]
-            pos[sel, 1] = np.interp(u[sel, 1], cdf_y, edges)
+    line = Grid(box=grid.box, m=grid.m)
+    pos = np.empty((n, d))
+    cell = np.zeros(n, dtype=int)  # flat index of the point's cell in the axes before q
+    for q in range(d):
+        rows = np.sum(rho0, axis=tuple(range(q + 1, d))).reshape(-1, grid.m)
+        for c in np.flatnonzero(np.bincount(cell)):  # np.unique imports numpy.ma: +1.4 MB
+            sel = cell == c
+            x_cdf, cdf = _dense_cdf_1d(rows[c], line)
+            pos[sel, q] = np.interp(u[sel, q], cdf, x_cdf)
+        cell = cell * grid.m + np.minimum((pos[:, q] / grid.h).astype(int), grid.m - 1)
     ens = ParticleEnsemble(box=grid.box, positions=pos, velocities=np.zeros_like(pos))
 
     vel = FieldInterpolant(np.asarray(v0, dtype=float), grid)(ens.positions)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Grid, evaluate_rows, interpolation_coefficients
+from .fields import Grid, evaluate_rows
 from .noise import SampledPath, holder_seminorm
 
 __all__ = [
@@ -211,7 +211,7 @@ def check_ito_wentzell(
     y.require_same_grid(x)
     grid = Grid(box=_IW_BOX, m=space_points)
     nodes = grid.nodes()
-    g = interpolation_coefficients(_field_samples(g0, "g0", (nodes,), space_points), grid)
+    g = grid.rfft(_field_samples(g0, "g0", (nodes,), space_points))
     n = y.steps
     # X_{n+1} := X_n, so the spatial midpoint of the last row is X_n itself.
     xs = np.mod(np.append(x.values[:, 0], x.values[-1, 0]), _IW_BOX)
@@ -225,7 +225,7 @@ def check_ito_wentzell(
     for s in range(0, n + 1, _IW_BLOCK):
         e = min(s + _IW_BLOCK, n + 1)
         samples = _field_samples(h, "h", (y.times[s:e, None], nodes), space_points, e - s)
-        ch = interpolation_coefficients(samples, grid)
+        ch = grid.rfft(samples)
         h_x[s:e, 0] = evaluate_rows(ch, grid, xs[s:e])
         # Rows g_s .. g_{e-1}: g_s plus the running sum of h_j dY_j; g_e carries on.
         terms = ch * dy[s:e, None]

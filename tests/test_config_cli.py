@@ -20,6 +20,19 @@ MINIMAL = """
 hurst = 0.75
 """
 
+D2_MESHES = """
+[noise]
+dim = 2
+[analysis]
+eta = 2.5
+besov_grid = 64
+fine_grid = 64
+[pde]
+resolution = 64
+[particles]
+force_grid = 64
+"""  # a d=2 run on 64^2 meshes; a test appends its other [particles] keys
+
 TINY_RUN = """
 [noise]
 hurst = 0.75
@@ -118,6 +131,14 @@ class TestParsing:
              "fine_grid = 300\n[particles]\nforce_grid = 300\n[pde]\nresolution = 64\n",
              "force_grid=300: a d=2 mesh of 512"),
             ("[analysis]\nfine_grid = 262144\n", "fine_grid=262144"),
+            # Minima below the least mesh, which _auto_grid used to round up.
+            ("[particles]\nforce_grid = -8\n", "force_grid=-8: a mesh needs at least 4"),
+            ("[analysis]\nfine_grid = 0\n", "fine_grid=0: a mesh needs at least 4"),
+            ("[analysis]\nfine_grid = 3\n", "fine_grid=3: a mesh needs at least 4"),
+            # 257 is prime: 1 x 257 strata put every particle on one line x.
+            (D2_MESHES + "n_list = 256 257\n",
+             "n=257: quantile strata 1 x 257"),
+            (D2_MESHES + "n_list = 74\n", "n=74: quantile strata 2 x 37"),
             ("[analysis]\ncheckpoints = 0\n", "checkpoints=0"),
             ("[analysis]\ncheckpoints = -2\n", "checkpoints=-2"),
             ("[noise]\nseeds =\n", "seeds"),
@@ -140,7 +161,9 @@ class TestParsing:
             ("[domain]\nbox = 2\n[pde]\nvacuum_floor = 0.4\n", "falls to 0.4, at or below"),
         ],
         ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde",
-             "d2_minimum_rounds_past_cap", "d1_fine",
+             "d2_minimum_rounds_past_cap", "d1_fine", "force_grid_negative",
+             "fine_grid_zero", "fine_grid_three", "d2_quantile_one_line",
+             "d2_quantile_thin_strata",
              "checkpoints_zero", "checkpoints_negative", "seeds_empty", "cfl_zero",
              "cfl_negative", "q_hat_zero", "unknown_base", "box_zero", "box_negative",
              "resolution_small", "besov_grid_small", "seed_negative", "seeds_repeated",
@@ -150,6 +173,13 @@ class TestParsing:
     def test_unrunnable_settings_refused_at_parse(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
+
+    def test_d2_strata_rule_bounds_the_side_ratio(self):
+        # 2 x 7 and 3 x 11 are within the bound; random draws need no strata.
+        for n in (14, 16, 33, 64, 256, 512, 1024, 2048, 4096):
+            assert parse_config_text(D2_MESHES + f"n_list = {n}\n")
+        assert parse_config_text(D2_MESHES + "n_list = 257\ninit = random\n")
+        assert parse_config_text("[particles]\nn_list = 257\n")  # one stratum side in d=1
 
     @pytest.mark.parametrize(
         "text", ["[pde]\ncfl = nan\n", "[pde]\nvacuum_floor = nan\n", "[domain]\nbox = inf\n"]
@@ -338,6 +368,20 @@ class TestCli:
         assert "besov_grid=64 is below [pde] resolution=128" in err
         assert not out.exists()
         assert parse_config_text("[pde]\nresolution = 128\n[analysis]\nbesov_grid = 128\n")
+
+    def test_degenerate_d2_quantile_n_refused_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "one_line.cfg"
+        cfg.write_text(D2_MESHES + "n_list = 257\n")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n=257: quantile strata 1 x 257" in captured.err
+        assert not out.exists()
+        cfg.write_text(D2_MESHES)
+        assert main(["simulate", "--config", str(cfg), "--n", "257", "--out", str(out)]) == EXIT_USAGE
+        assert "n=257: quantile strata 1 x 257" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfl.cfg"

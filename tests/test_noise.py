@@ -146,20 +146,19 @@ class TestSampling:
 
     @pytest.mark.parametrize("method", ["cholesky", "davies-harte"])
     def test_marginal_variance_both_samplers(self, method):
-        # Pooled variance of B_T over many seeds must match T^{2H}.
+        # Pooled variance of B_T over many seeds must match T^{2H}.  32 steps
+        # pick the Cholesky sampler; Davies-Harte is called directly.
         hurst, horizon = 0.75, 1.0
-        vals = [
-            sample_fbm(NoiseSpec(hurst=hurst, horizon=horizon, resolution=32, seed=s),
-                       method=method).values[-1, 0]
-            for s in range(400)
-        ]
+        specs = [NoiseSpec(hurst=hurst, horizon=horizon, resolution=32, seed=s)
+                 for s in range(400)]
+        if method == "cholesky":
+            vals = [sample_fbm(spec).values[-1, 0] for spec in specs]
+        else:
+            vals = [noise._sample_davies_harte(spec, np.random.default_rng(spec.seed))[-1, 0]
+                    for spec in specs]
         var = np.mean(np.square(vals))
         se = np.sqrt(2.0 / 400) * horizon ** (2 * hurst)
         assert abs(var - horizon ** (2 * hurst)) < 5 * se
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            sample_fbm(NoiseSpec(hurst=0.75, resolution=32), method="euler")
 
     def test_components_independent(self):
         # Cross-covariance of a d=2 path at T should be near zero.
@@ -189,7 +188,7 @@ class TestCholeskyRecursion:
     def test_matches_dense_cholesky(self, steps, hurst, dim):
         # Same draws, same factor: equal up to rounding (worst seen 3e-10).
         spec = NoiseSpec(hurst=hurst, dim=dim, horizon=0.5, resolution=steps, seed=7)
-        got = sample_fbm(spec, method="cholesky").values
+        got = sample_fbm(spec).values
         want = _dense_cholesky_fbm(spec)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
 
@@ -229,7 +228,7 @@ class TestCholeskyRecursion:
         monkeypatch.setattr(noise, "_fgn_autocovariance",
                             lambda n, hurst: np.ones(n + 1))
         with pytest.raises(RuntimeError, match=r"H=0\.75, M=16"):
-            sample_fbm(NoiseSpec(hurst=0.75, resolution=16), method="cholesky")
+            sample_fbm(NoiseSpec(hurst=0.75, resolution=16))
 
 
 class TestBatchedPaths:
@@ -260,14 +259,6 @@ class TestBatchedPaths:
         specs = [NoiseSpec(hurst=0.75, resolution=8, seed=s) for s in range(1000)]
         for path, spec in zip(sample_fbm_paths(specs), specs):
             assert np.array_equal(path.values, sample_fbm(spec).values)
-
-    @pytest.mark.parametrize("method", ["cholesky", "davies-harte"])
-    def test_forced_method_applies_to_every_spec(self, method):
-        specs = [
-            NoiseSpec(hurst=0.75, dim=d, resolution=64, seed=s) for s, d in enumerate((1, 2, 1))
-        ]
-        for path, spec in zip(sample_fbm_paths(specs, method), specs):
-            assert np.array_equal(path.values, sample_fbm(spec, method).values)
 
 
 class TestHolderSeminorm:

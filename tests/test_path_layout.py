@@ -77,6 +77,59 @@ def test_no_numpy_polynomial_in_package():
     assert list(_polynomial_uses(ast.parse(probe))) == [2, 3]
 
 
+def _is_dimension(node):
+    return (isinstance(node, ast.Name) and node.id in ("d", "dim")) or (
+        isinstance(node, ast.Attribute) and node.attr == "dim"
+    )
+
+
+def _is_int_literal(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _dimension_forks(tree):
+    """Lines of ``tree`` with an ``if`` or a conditional expression whose test
+    compares a dimension (a name ``d`` or ``dim``, an attribute ``.dim``) by
+    == or != with an integer literal.  An ``if`` whose body only raises is a
+    refusal, not a fork, and ``dim in (1, 2)`` is a membership check."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        if isinstance(node, ast.If) and not node.orelse and all(
+            isinstance(stmt, ast.Raise) for stmt in node.body
+        ):
+            continue
+        for cmp in ast.walk(node.test):
+            if not isinstance(cmp, ast.Compare):
+                continue
+            sides = [cmp.left] + cmp.comparators
+            for op, *pair in zip(cmp.ops, sides, sides[1:]):
+                if (isinstance(op, (ast.Eq, ast.NotEq)) and any(map(_is_dimension, pair))
+                        and any(map(_is_int_literal, pair))):
+                    yield node.lineno
+
+
+def test_no_dimension_fork_in_package():
+    # Every helper works in any d, the quantile sampler of init_from_fields
+    # included; a branch per dimension would let the two drift apart.
+    src = Path(holderflow.__file__).parent
+    stray = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno in _dimension_forks(ast.parse(path.read_text()))
+    ]
+    assert not stray, "branch on the dimension in src/:\n" + "\n".join(stray)
+    probe = (
+        "if d == 1:\n    a = 1\nelse:\n    a = 2\n"  # the sampler's old fork
+        "b = 0 if grid.dim != 2 else 1\n"
+        "if 1 == dim:\n    pass\n"
+        "if dim in (1, 2):\n    pass\n"
+        "if x.dim != 1:\n    raise ValueError\n"
+        "if m == 1 or d == 1.0:\n    pass\n"
+    )
+    assert sorted(_dimension_forks(ast.parse(probe))) == [1, 5, 6]
+
+
 def _public_names(tree):
     """The names a module lists in ``__all__``."""
     for node in tree.body:
