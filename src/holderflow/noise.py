@@ -5,10 +5,10 @@ grid points.  The resolution alone picks one of two samplers.  Up to
 ``CHOLESKY_MAX_STEPS`` steps, the Cholesky sampler returns L z with L the
 Cholesky factor of the fBm covariance, applied without forming it: the
 Durbin-Levinson (Hosking) recursion on the fractional Gaussian noise
-autocovariance, in O(M^2) time and O(M) memory; paths that share (H, M)
-share one recursion (``sample_fbm_paths``).  Above it, Davies-Harte is
-circulant embedding of the increment process, in O(M log M).  Both are
-exact; the test suite checks each against the fBm marginal variance.
+autocovariance, in O(M^2) time.  Above it, Davies-Harte is circulant
+embedding of the increment process, in O(M log M).  Both are exact; the
+test suite checks each against the fGn autocovariance.  Paths that share
+(H, M) share one sampler pass over their stacked rows (``sample_fbm_paths``).
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * k**h2)
 
 
-def _durbin_levinson(fgn: np.ndarray, hurst: float) -> None:
+def _durbin_levinson(fgn: np.ndarray, hurst: float) -> np.ndarray:
     """Replace the innovations z in each row of ``fgn`` by fractional Gaussian
-    noise x = chol(G) z, in place, by the Durbin-Levinson recursion.
+    noise x = chol(G) z, in place and returned, by the Durbin-Levinson recursion.
 
     The fBm covariance is C G C^T with C the cumulative-sum matrix and G the
     Toeplitz covariance of the increments, so its Cholesky factor is C
@@ -188,6 +188,7 @@ def _durbin_levinson(fgn: np.ndarray, hurst: float) -> None:
             )
         weights[n] = math.sqrt(var)
         fgn[:, j] = np.einsum("qi,i->q", fgn[:, :j + 1], weights[n - j:])
+    return fgn
 
 
 def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
@@ -202,59 +203,49 @@ def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
     return eigs
 
 
-def _sample_davies_harte(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    n = spec.resolution
-    dt = spec.horizon / n
-    eigs = _fgn_circulant_eigs(n, spec.hurst)
-    m = 2 * n
-    out = np.zeros((n + 1, spec.dim))
-    for q in range(spec.dim):
-        w = np.zeros(m, dtype=complex)
-        w[0] = rng.standard_normal()
-        w[n] = rng.standard_normal()
-        v = rng.standard_normal((n - 1, 2))
-        w[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-        w[n + 1:] = np.conj(w[1:n][::-1])
-        fgn = np.fft.ifft(np.sqrt(eigs) * w).real[:n] * np.sqrt(m)
-        out[1:, q] = np.cumsum(fgn) * dt**spec.hurst
-    return out
+def _davies_harte(z: np.ndarray, hurst: float) -> np.ndarray:
+    """Fractional Gaussian noise rows of M steps from innovation rows z of 2M
+    standard normals, by one ``ifft`` over the rows of sqrt(eigs) w, with
+    w the Hermitian white noise whose w_0, w_M are z_0, z_1 and whose w_1,
+    ..., w_{M-1} take their real and imaginary parts from the rest of z."""
+    n = z.shape[1] // 2
+    eigs = _fgn_circulant_eigs(n, hurst)
+    w = np.empty((z.shape[0], 2 * n), dtype=complex)
+    w[:, 0] = z[:, 0]
+    w[:, n] = z[:, 1]
+    w[:, 1:n] = (z[:, 2::2] + 1j * z[:, 3::2]) / np.sqrt(2.0)
+    w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
+    w *= np.sqrt(eigs)
+    return np.fft.ifft(w).real[:, :n] * np.sqrt(2 * n)
 
 
 def sample_fbm_paths(specs: Iterable[NoiseSpec]) -> list[SampledPath]:
-    """``sample_fbm`` of every spec, in spec order, with one Durbin-Levinson
-    pass per (hurst, resolution) for the Cholesky sampler.
+    """``sample_fbm`` of every spec, in spec order, with one sampler pass per
+    (hurst, resolution).
 
-    Each spec draws its innovations from its own ``default_rng(seed)``; the
-    recursion runs once over the innovations of every spec of a group,
-    stacked by rows, so each path is bitwise the path ``sample_fbm`` gives
-    alone.  Davies-Harte specs are sampled one by one.
+    Each spec draws d rows of innovations from its own ``default_rng(seed)``;
+    the sampler runs once over the stacked rows of a group, so each path is
+    bitwise the path ``sample_fbm`` gives alone.  A group's memory is its
+    stacked rows: M floats per row for Cholesky, 2M complex for Davies-Harte.
     """
     specs = list(specs)
     groups: dict[tuple, list[int]] = {}
-    values = [None] * len(specs)
     for i, spec in enumerate(specs):
-        if spec.resolution > CHOLESKY_MAX_STEPS:
-            values[i] = _sample_davies_harte(spec, np.random.default_rng(spec.seed))
-        else:
-            groups.setdefault((spec.hurst, spec.resolution), []).append(i)
+        groups.setdefault((spec.hurst, spec.resolution), []).append(i)
+    paths = [None] * len(specs)
     for (hurst, n), members in groups.items():
+        sampler, width = (_davies_harte, 2 * n) if n > CHOLESKY_MAX_STEPS else (_durbin_levinson, n)
         dims = [specs[i].dim for i in members]
-        fgn = np.concatenate([
-            np.random.default_rng(specs[i].seed).standard_normal((d, n))
+        fgn = sampler(np.concatenate([
+            np.random.default_rng(specs[i].seed).standard_normal((d, width))
             for i, d in zip(members, dims)
-        ])
-        _durbin_levinson(fgn, hurst)
+        ]), hurst)
         for i, rows in zip(members, np.split(fgn, np.cumsum(dims)[:-1])):
-            values[i] = np.zeros((n + 1, specs[i].dim))
-            values[i][1:] = np.cumsum(rows, axis=1).T * (specs[i].horizon / n) ** hurst
-    return [
-        SampledPath(
-            times=np.linspace(0.0, spec.horizon, spec.resolution + 1),
-            values=vals,
-            alpha=spec.hurst - ALPHA_OFFSET,
-        )
-        for spec, vals in zip(specs, values)
-    ]
+            values = np.zeros((n + 1, specs[i].dim))
+            values[1:] = np.cumsum(rows, axis=1).T * (specs[i].horizon / n) ** hurst
+            times = np.linspace(0.0, specs[i].horizon, n + 1)
+            paths[i] = SampledPath(times=times, values=values, alpha=hurst - ALPHA_OFFSET)
+    return paths
 
 
 def sample_fbm(spec: NoiseSpec) -> SampledPath:
@@ -268,6 +259,12 @@ def sample_fbm(spec: NoiseSpec) -> SampledPath:
     return sample_fbm_paths([spec])[0]
 
 
+def _sup_increment(values: np.ndarray, lag: int) -> float:
+    """max over i of |values[i + lag] - values[i]|, the Euclidean norm of a row."""
+    diff = values[lag:] - values[:-lag]
+    return np.sqrt(np.max(np.sum(diff * diff, axis=1)))
+
+
 def holder_seminorm(path: SampledPath, alpha: float) -> float:
     """sup over grid pairs s < t of |phi_t - phi_s| / (t - s)^alpha.
 
@@ -275,14 +272,10 @@ def holder_seminorm(path: SampledPath, alpha: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    vals = path.values
     dt = path.dt
-    m = path.steps
     best = 0.0
-    for lag in range(1, m + 1):
-        diff = vals[lag:] - vals[:-lag]
-        sup = np.sqrt(np.max(np.sum(diff * diff, axis=1)))
-        best = max(best, sup / (lag * dt) ** alpha)
+    for lag in range(1, path.steps + 1):
+        best = max(best, _sup_increment(path.values, lag) / (lag * dt) ** alpha)
     return best
 
 
@@ -296,15 +289,11 @@ def estimate_holder_exponent(path: SampledPath, max_lag_fraction: int = 64) -> f
     estimate is noisy on a single path (scatter ~0.05); average over
     several independent paths for a tight check.
     """
-    vals = path.values
     m = path.steps
     lags, sups = [], []
     lag = 1
     while lag <= m // max_lag_fraction:
-        diff = vals[lag:] - vals[:-lag]
-        sup = np.sqrt(np.max(np.sum(diff * diff, axis=1)))
-        sup /= np.sqrt(2.0 * np.log(2.0 * m / lag))
-        sups.append(sup)
+        sups.append(_sup_increment(path.values, lag) / np.sqrt(2.0 * np.log(2.0 * m / lag)))
         lags.append(lag * path.dt)
         lag *= 2
     if len(lags) < 2:
@@ -357,7 +346,8 @@ def _header_items(source, items) -> dict:
 
 
 def load_path(file) -> SampledPath:
-    """Read back a ``save_path`` file; a malformed header is a ``ValueError`` naming it."""
+    """Read back a ``save_path`` file; a malformed header, or a table whose M,
+    d or T is not the header's, is a ``ValueError`` naming the file."""
     if hasattr(file, "read"):
         source = getattr(file, "name", "path stream")
         text = file.read()
@@ -369,9 +359,16 @@ def load_path(file) -> SampledPath:
     if not lines or not lines[0].startswith("# holderflow-path"):
         raise ValueError(f"{source} is not a holderflow path file")
     meta = _header_items(source, lines[0].split(",")[1:])
+    header = {}
     try:
-        alpha = float(meta["alpha"])
+        for key in ("alpha", "M", "d", "T"):
+            header[key] = float(meta[key])
     except (KeyError, ValueError):
-        raise ValueError(f"{source}: a path header needs a numeric alpha, got {meta}") from None
+        raise ValueError(f"{source}: a path header needs a numeric {key}, got {meta}") from None
     data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",", ndmin=2)
-    return SampledPath(times=data[:, 0], values=data[:, 1:], alpha=alpha)
+    path = SampledPath(times=data[:, 0], values=data[:, 1:], alpha=header["alpha"])
+    for key, found in (("M", path.steps), ("d", path.dim), ("T", path.horizon)):
+        if header[key] != found:
+            raise ValueError(f"{source}: the header has {key}={meta[key]}, "
+                             f"but the table has {key}={found!r}")
+    return path

@@ -1,5 +1,6 @@
 """Fractional Brownian motion sampling and Hölder-path utilities."""
 
+import hashlib
 import io
 import os
 import re
@@ -154,11 +155,29 @@ class TestSampling:
         if method == "cholesky":
             vals = [sample_fbm(spec).values[-1, 0] for spec in specs]
         else:
-            vals = [noise._sample_davies_harte(spec, np.random.default_rng(spec.seed))[-1, 0]
-                    for spec in specs]
+            z = np.concatenate([np.random.default_rng(spec.seed).standard_normal((1, 64))
+                                for spec in specs])
+            vals = np.sum(noise._davies_harte(z, hurst), axis=1) * (horizon / 32) ** hurst
         var = np.mean(np.square(vals))
         se = np.sqrt(2.0 / 400) * horizon ** (2 * hurst)
         assert abs(var - horizon ** (2 * hurst)) < 5 * se
+
+    @pytest.mark.parametrize("hurst", [0.6, 0.9])
+    @pytest.mark.parametrize("sampler, width", [("_durbin_levinson", 1), ("_davies_harte", 2)],
+                             ids=["cholesky", "davies-harte"])
+    def test_fgn_autocovariance(self, sampler, width, hurst):
+        # E x_j x_{j+k} of unit-step fGn is gamma(k) at every position j of a
+        # row, lags 0-3; rows are independent, so each product's mean over
+        # 20000 rows is within 5 standard errors of gamma(k).
+        m, rows = 12, 20000
+        z = np.random.default_rng(1).standard_normal((rows, width * m))
+        fgn = getattr(noise, sampler)(z, hurst)
+        assert fgn.shape == (rows, m)
+        gamma = noise._fgn_autocovariance(m, hurst)
+        for k in range(4):
+            prods = fgn[:, :m - k] * fgn[:, k:]
+            se = np.std(prods, axis=0) / np.sqrt(rows)
+            assert np.all(np.abs(np.mean(prods, axis=0) - gamma[k]) < 5 * se), k
 
     def test_components_independent(self):
         # Cross-covariance of a d=2 path at T should be near zero.
@@ -234,26 +253,41 @@ class TestCholeskyRecursion:
 class TestBatchedPaths:
     def test_each_path_is_its_own_sample(self, monkeypatch):
         # Dims 1-3 and two horizons in every (H, M) group, the groups
-        # interleaved, and one Davies-Harte spec among them.
+        # interleaved, Cholesky and Davies-Harte groups alike, and one
+        # Davies-Harte group of a single spec.
         specs = [
             NoiseSpec(hurst=hurst, dim=dim, horizon=horizon, resolution=m, seed=seed)
             for hurst in (0.6, 0.9)
-            for m in (2, 7, 8, 4096)
+            for m in (2, 7, 8, 4096, 8192)
             for seed, (dim, horizon) in enumerate([(1, 1.0), (3, 0.5), (2, 1.0), (1, 0.5)])
         ]
         specs.append(NoiseSpec(hurst=0.75, dim=2, resolution=8192, seed=1))
         specs = [specs[i] for i in np.random.default_rng(0).permutation(len(specs))]
-        passes = []
-        recursion = noise._durbin_levinson
+        passes, embeddings = [], []
+        recursion, eigs = noise._durbin_levinson, noise._fgn_circulant_eigs
         monkeypatch.setattr(noise, "_durbin_levinson",
                             lambda fgn, hurst: passes.append(fgn.shape) or recursion(fgn, hurst))
+        monkeypatch.setattr(noise, "_fgn_circulant_eigs",
+                            lambda n, hurst: embeddings.append((hurst, n)) or eigs(n, hurst))
         got = sample_fbm_paths(specs)
         assert sorted(passes) == sorted([(7, m) for m in (2, 7, 8, 4096)] * 2)
+        assert sorted(embeddings) == [(0.6, 8192), (0.75, 8192), (0.9, 8192)]
         assert len(got) == len(specs)
         for path, spec in zip(got, specs):
             want = sample_fbm(spec)
             assert np.array_equal(path.times, want.times)
             assert np.array_equal(path.values, want.values) and path.alpha == want.alpha
+
+    @pytest.mark.parametrize("spec, digest", [
+        (NoiseSpec(hurst=0.75, dim=2, horizon=0.5, resolution=8192, seed=1),
+         "22f8d1a7d42678a2418bb95d7170d592c0d54fd865cea049b7dd5bd19be97f95"),
+        (NoiseSpec(hurst=0.75, dim=1, horizon=0.5, resolution=4096, seed=0),
+         "c129b194c511f99f916c98133bc44db6d54a1f0409823157ff3f8dac04551a50"),
+    ], ids=["davies-harte", "cholesky"])
+    def test_pinned_realization(self, spec, digest):
+        # A change of sampler or of its innovation stream moves these bytes;
+        # such a change updates the digests on purpose.
+        assert hashlib.sha256(sample_fbm(spec).values.tobytes()).hexdigest() == digest
 
     def test_many_rows_are_their_own_samples(self):
         specs = [NoiseSpec(hurst=0.75, resolution=8, seed=s) for s in range(1000)]
@@ -335,3 +369,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(match)) as info:
             load_path(str(f))
         assert str(f) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "header, table, match",
+        [
+            ("alpha=0.74,T=1.0,M=8,d=1", "t,y0\n0,0\n0.5,0.1\n1,0.5\n",
+             "the header has M=8, but the table has M=2"),
+            ("alpha=0.74,T=1.0,M=2,d=1", "t\n0\n0.5\n1\n",
+             "the header has d=1, but the table has d=0"),
+            ("alpha=0.74,T=1.0,M=2,d=1", "t,y0,y1\n0,0,0\n0.5,0.1,0\n1,0.5,0\n",
+             "the header has d=1, but the table has d=2"),
+            ("alpha=0.74,T=0.5,M=2,d=1", "t,y0\n0,0\n0.5,0.1\n1,0.5\n",
+             "the header has T=0.5, but the table has T=1.0"),
+            ("alpha=0.74,M=2,d=1", "t,y0\n0,0\n0.5,0.1\n1,0.5\n",
+             "a path header needs a numeric T"),
+        ],
+        ids=["steps", "no_component", "components", "horizon", "no_horizon"],
+    )
+    def test_load_refuses_table_unlike_header(self, tmp_path, header, table, match):
+        f = tmp_path / "p.csv"
+        f.write_text(f"# holderflow-path,{header}\n{table}")
+        with pytest.raises(ValueError, match=re.escape(match)) as info:
+            load_path(str(f))
+        assert str(f) in str(info.value)
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["holder_exponent_study.py", "--hurst", "0.75", "--paths", "1", "--resolution", "8192"],
+     ["0.75"]),
+    (["young_refinement_study.py", "--max-level", "13", "--levels", "1"], ["4096", "8192"]),
+], ids=["holder_exponent_study", "young_refinement_study"])
+def test_study_scripts_run_through_davies_harte(argv, rows):
+    # 8192 steps are above CHOLESKY_MAX_STEPS: both scripts sample
+    # Davies-Harte paths, as the benchmark's young study does.
+    run = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and not run.stderr, run.stderr
+    firsts = [line.split()[0] for line in run.stdout.splitlines() if line.split()]
+    assert all(row in firsts for row in rows), run.stdout

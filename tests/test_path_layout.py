@@ -77,6 +77,31 @@ def test_no_numpy_polynomial_in_package():
     assert list(_polynomial_uses(ast.parse(probe))) == [2, 3]
 
 
+def _reads_of(name, tree):
+    """Lines of ``tree`` that read ``name``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name in (
+            getattr(node, "id", None), getattr(node, "attr", None)
+        ):
+            yield node.lineno
+
+
+def test_sampler_threshold_read_in_one_place():
+    # Which fBm sampler draws a path, and so which realization a seed gives,
+    # is decided by one comparison with CHOLESKY_MAX_STEPS in
+    # noise.sample_fbm_paths; a second reader could pick another sampler for
+    # the same resolution.
+    src = Path(holderflow.__file__).parent
+    reads = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno in _reads_of("CHOLESKY_MAX_STEPS", ast.parse(path.read_text()))
+    ]
+    assert len(reads) == 1, "CHOLESKY_MAX_STEPS read in src/ at:\n" + "\n".join(reads)
+    probe = "CHOLESKY_MAX_STEPS = 4\nn > CHOLESKY_MAX_STEPS\nm = noise.CHOLESKY_MAX_STEPS\n"
+    assert sorted(_reads_of("CHOLESKY_MAX_STEPS", ast.parse(probe))) == [2, 3]
+
+
 def _is_dimension(node):
     return (isinstance(node, ast.Name) and node.id in ("d", "dim")) or (
         isinstance(node, ast.Attribute) and node.attr == "dim"
