@@ -20,14 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .besov import build_partition, deposit_nearest, negative_distance, require_lambda
-from .fields import (
-    FieldInterpolant,
-    FluidState,
-    Grid,
-    SigmaField,
-    padded_spectrum,
-    step_field,
-)
+from .fields import FluidState, Grid, SigmaField, nufft_type2, padded_spectrum, step_field
 from .kernels import KernelFamily, RegimeError
 from .noise import NoiseSpec, SampledPath, sample_fbm
 from .particles import (
@@ -190,6 +183,8 @@ class ExperimentConfig:
                 f"besov_grid={self.besov_grid} is below [pde] resolution={self.pde_resolution}: "
                 f"the Besov targets are the PDE spectrum zero-padded onto the Besov mesh"
             )
+        if self.vacuum_floor < 0:
+            raise ValueError(f"vacuum_floor={self.vacuum_floor}: the vacuum floor must be >= 0")
         rho_min = (1.0 - abs(self.rho0_amplitude)) / self.box**self.dim
         if rho_min <= self.vacuum_floor:
             raise ValueError(
@@ -252,22 +247,24 @@ def energy_Q(
 ) -> EnergyRecord:
     """Modulated energy of the ensemble against the fluid state.
 
-    v is interpolated at the particles.  The density term is the L^2 norm of
-    S^N * phi_N^r - rho on fine_m nodes per side, by Parseval from the half
-    spectra (``empirical_density`` less rho's, padded), in a fixed order, so
-    both terms are bitwise label-invariant.  Any time mismatch is refused.
+    Both terms read the fluid's carried half spectrum ``fluid.spectrum``:
+    v at the particles is ``nufft_type2`` of its v rows.  The density term
+    is the L^2 norm of S^N * phi_N^r - rho on fine_m nodes per side, by
+    Parseval from the half spectra (``empirical_density`` less rho's row,
+    padded), in a fixed order, so both terms are bitwise label-invariant.
+    Any time mismatch is refused.
     """
     if ens.time != fluid.time:
         raise ValueError(f"time mismatch: particles at {ens.time!r}, fluid at {fluid.time!r}")
     g = fluid.grid
-    v_at = FieldInterpolant(fluid.v, g)(ens.positions)
+    v_at = nufft_type2(fluid.spectrum[1:], g, ens.positions)
     mism = np.sum((ens.velocities - v_at) ** 2, axis=1)
     kinetic = sorted_sum(mism) / ens.count
 
     fine = Grid(box=g.box, m=fine_m, dim=g.dim)
     # rho's spectrum first: in the other order about one run in five had glibc
     # trim a sweep thread's heap, and so re-fault it, at every force step.
-    rho_k = padded_spectrum(g.rfft(fluid.rho), g, fine_m)
+    rho_k = padded_spectrum(fluid.spectrum[0], g, fine_m)
     diff = empirical_density(ens, family, fine) - rho_k
     power = float(np.sum(fine.half_weights * (diff.real**2 + diff.imag**2)))
     return EnergyRecord(ens.time, kinetic, power * g.box**g.dim / fine_m ** (2 * g.dim))
@@ -438,10 +435,11 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 def _checkpoint_row(config, ens, family, fluid, part, fine_m):
     rec = energy_Q(ens, fluid, family, fine_m)
     g, bg = fluid.grid, part.grid
-    # The targets rho and rho v: the fluid's half spectrum padded to the Besov mesh.
-    rows = np.concatenate([fluid.rho[None], fluid.rho * fluid.v])
+    # The targets rho and rho v: their half spectra padded to the Besov mesh,
+    # rho's carried by the fluid state.
+    spectra = np.concatenate([fluid.spectrum[:1], g.rfft(fluid.rho * fluid.v)])
     dist = []
-    for w, target in zip([None, *ens.velocities.T], padded_spectrum(g.rfft(rows), g, bg.m)):
+    for w, target in zip([None, *ens.velocities.T], padded_spectrum(spectra, g, bg.m)):
         spectrum = bg.rfft(deposit_nearest(ens.positions, bg, w)) - target
         dist.append(negative_distance(spectrum, config.eta, config.q_hat, part))
     return rec, dist[0], float(np.sqrt(sum(b**2 for b in dist[1:])))

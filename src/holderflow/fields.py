@@ -326,7 +326,7 @@ def pressure_forms_gap(state: FluidState) -> float:
     gap = 0.0
     for q in range(g.dim):
         a = g.irfft(g.ik[q] * g.rfft(0.5 * state.rho**2)) / state.rho
-        b = g.irfft(g.ik[q] * g.rfft(state.rho))
+        b = g.irfft(g.ik[q] * state.spectrum[0])
         gap = max(gap, float(np.max(np.abs(a - b))))
     return gap
 
@@ -380,25 +380,18 @@ def step_field(
 
 
 class FieldInterpolant:
-    """Trigonometric interpolation of a periodic gridded field and its gradient.
-
-    Exact for band-limited fields; built once per field, then evaluated at
-    arbitrary (n, d) point sets by ``nufft_type2``.  ``values`` may stack
-    fields on leading axes ``lead`` (a velocity: lead = (d,)), and a call
-    returns shape (n,) + lead.  ``coeff`` is their half spectrum, laid out
-    like ``Grid.rfft``; a Nyquist mode is the cosine cos(pi x / h), as in
-    ``padded_spectrum``, and the derivative drops it.
+    """Trigonometric interpolation of a periodic gridded field: ``nufft_type2``
+    of its half spectrum ``coeff`` (laid out like ``Grid.rfft``) at an (n, d)
+    point set.  ``values`` may stack fields on leading axes ``lead`` (a
+    velocity: lead = (d,)), and a call returns shape (n,) + lead.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
         self.coeff = grid.rfft(values)
 
-    def __call__(self, pts: np.ndarray, derivative: int | None = None) -> np.ndarray:
-        c = self.coeff
-        if derivative is not None:
-            c = self.grid.ik[derivative] * c
-        return nufft_type2(c, self.grid, pts)
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return nufft_type2(self.coeff, self.grid, pts)
 
 
 NUFFT_TOL = 1e-15  # truncation error of nufft_type2, relative to the sum of |fk| / m^d
@@ -538,7 +531,7 @@ def padded_spectrum(fk: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
     """Half spectrum ``fk`` of fields on ``grid`` (stacked on leading axes,
     laid out like ``Grid.rfft``) zero-padded to a grid of m_fine nodes per side
     and scaled by (m_fine / m)^d, so that its ``irfft`` there interpolates the
-    fields.  As in ``FieldInterpolant``, a Nyquist mode of an even grid is the
+    fields.  As in ``nufft_type2``, a Nyquist mode of an even grid is the
     cosine cos(pi x / h): its coefficient is split evenly between +m/2 and -m/2.
     """
     m, d = grid.m, grid.dim

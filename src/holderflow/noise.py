@@ -72,7 +72,7 @@ class NoiseSpec:
 class SampledPath:
     """A d-vector path on a uniform time grid with a nominal Hölder exponent.
 
-    ``values`` has shape (M+1, d) with M >= 1 and starts at the origin; any
+    ``values`` has shape (M+1, d) with M, d >= 1 and starts at the origin; any
     other shape is refused where the path is built.  The owner of the grid
     rule: two times are equal within ``64 * eps * max(|t_0|, |t_M|)``, every
     step of ``times`` equals the first, which is positive, and ``index`` and
@@ -86,9 +86,10 @@ class SampledPath:
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 2 or times.shape != values.shape[:1]:
+        shape_ok = values.ndim == 2 and values.shape[0] >= 2 and values.shape[1] >= 1
+        if not shape_ok or times.shape != values.shape[:1]:
             raise ValueError(
-                "path values must be an array of shape (M+1, d) with M >= 1 on "
+                "path values must be an array of shape (M+1, d) with M >= 1 and d >= 1 on "
                 f"M+1 times, got values {values.shape} on times {times.shape}"
             )
         object.__setattr__(self, "times", times)
@@ -365,10 +366,16 @@ def load_path(file) -> SampledPath:
             header[key] = float(meta[key])
     except (KeyError, ValueError):
         raise ValueError(f"{source}: a path header needs a numeric {key}, got {meta}") from None
-    data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",", ndmin=2)
-    path = SampledPath(times=data[:, 0], values=data[:, 1:], alpha=header["alpha"])
-    for key, found in (("M", path.steps), ("d", path.dim), ("T", path.horizon)):
+
+    def check(key, found):
         if header[key] != found:
             raise ValueError(f"{source}: the header has {key}={meta[key]}, "
                              f"but the table has {key}={found!r}")
+
+    data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",", ndmin=2)
+    if len(data):  # before SampledPath, whose refusal of d = 0 would not name the file
+        check("M", len(data) - 1)
+        check("d", data.shape[1] - 1)
+    path = SampledPath(times=data[:, 0], values=data[:, 1:], alpha=header["alpha"])
+    check("T", path.horizon)
     return path

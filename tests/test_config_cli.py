@@ -159,6 +159,8 @@ class TestParsing:
             ("[domain]\nrho0_amplitude = 1.5\n", "at or below vacuum_floor"),
             # (1 - 0.2) / 2 equals the floor exactly.
             ("[domain]\nbox = 2\n[pde]\nvacuum_floor = 0.4\n", "falls to 0.4, at or below"),
+            # A negative floor let a run write rows from a negative density.
+            ("[pde]\nvacuum_floor = -1\n", "vacuum_floor=-1.0: the vacuum floor"),
         ],
         ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde",
              "d2_minimum_rounds_past_cap", "d1_fine", "force_grid_negative",
@@ -168,7 +170,7 @@ class TestParsing:
              "cfl_negative", "q_hat_zero", "unknown_base", "box_zero", "box_negative",
              "resolution_small", "besov_grid_small", "seed_negative", "seeds_repeated",
              "n_repeated", "lambda_one", "lambda_above_sqrt2", "rho0_below_zero",
-             "rho0_at_floor"],
+             "rho0_at_floor", "vacuum_floor_negative"],
     )
     def test_unrunnable_settings_refused_at_parse(self, text, match):
         with pytest.raises(ConfigError, match=match):

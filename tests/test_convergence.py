@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holderflow.besov import build_partition
 from holderflow.convergence import (
     CSV_COLUMNS,
     EnergyRecord,
     ExperimentConfig,
     _auto_grid,
+    _checkpoint_row,
     _fluid_trajectory,
     emit_report,
     energy_Q,
@@ -20,7 +22,7 @@ from holderflow.convergence import (
     run_coupled,
     simulate,
 )
-from holderflow.fields import FieldInterpolant, FluidState, Grid, upsample
+from holderflow.fields import FluidState, Grid, upsample
 from holderflow.kernels import KernelFamily, periodic_kernel_samples
 from holderflow.noise import NoiseSpec, SampledPath, sample_fbm
 from holderflow.particles import (
@@ -160,6 +162,79 @@ class TestEnergy:
     def test_record_q_is_sum(self):
         rec = EnergyRecord(t=0.5, kinetic_term=0.25, density_term=0.5)
         assert rec.q == pytest.approx(0.75)
+
+    def test_kinetic_term_galilean_invariant_on_direct(self):
+        """With a constant sigma (modulation 0) the noise is a Galilean boost:
+        on one path, the run at sigma = 0.2 is the sigma = 0 run with every
+        velocity raised by sigma Y_t and every position moved by the shift
+        dt sigma sum_{j<i} Y_{t_j} that the Verlet scheme applies.  The fluid
+        moves with it, so the kinetic term of Q does not change.  Desk dt, 256
+        steps, N = 128, the exact force; measured spreads: positions 1.2e-15,
+        velocities 2.8e-13, kinetic term 1.8e-12 of its value (1.39e-3 at T).
+
+        The grid force fails the same test: positions by 1.0e-6, velocities
+        by 1.4e-4 and the kinetic term by 7.6e-5 of its value.  That is the
+        particle-mesh force's own error, which is not Galilean invariant
+        because the particles move against the fixed mesh, not a case this
+        test leaves out.
+        """
+        n, steps, amplitude = 128, 256, 0.2
+        at = set(range(0, steps + 1, steps // 4))
+        runs = []
+        for sigma in (0.0, amplitude):
+            cfg = ExperimentConfig(
+                horizon=steps * 0.5 / 1024, master_steps=steps, seeds=(0,), n_sweep=(n,),
+                checkpoints=4, force_backend="direct", dim=1,
+                sigma_amplitude=sigma, sigma_modulation=0.0,
+            )
+            path = sample_fbm(cfg.noise_spec(0))
+            snaps = _fluid_trajectory(cfg, path, at)
+            family = cfg.kernel()
+            fine_m = _auto_grid(family, n, cfg.box, cfg.fine_grid, "phi_r")
+            runs.append([(i, ens, energy_Q(ens, snaps[i], family, fine_m).kinetic_term)
+                         for i, ens in simulate(cfg, n, path, 0, at)])
+        y = path.values[:, 0]
+        shift = cfg.horizon / steps * amplitude * np.concatenate([[0.0], np.cumsum(y)[:-1]])
+        assert [row[0] for row in runs[1]] == sorted(at)
+        for (i, still, k_still), (_, kicked, k_kicked) in zip(*runs):
+            dx = kicked.positions - shift[i] - still.positions
+            dx = (dx + 0.5 * cfg.box) % cfg.box - 0.5 * cfg.box
+            assert np.max(np.abs(dx)) < 1e-13
+            dv = kicked.velocities - amplitude * y[i] - still.velocities
+            assert np.max(np.abs(dv)) < 1e-11
+            assert abs(k_kicked - k_still) <= 1e-10 * k_still
+        assert k_still > 1e-3  # the velocities have left the fluid's by T
+
+
+class TestCheckpointRow:
+    def test_one_pde_mesh_transform_per_row(self, monkeypatch):
+        # A step_field output carries its half spectrum: the row reads rho's
+        # and v's from it and transforms only rho v on the PDE mesh.
+        cfg = _tiny_config()
+        end, n = cfg.master_steps, cfg.n_sweep[0]
+        path = sample_fbm(cfg.noise_spec(0))
+        fluid = _fluid_trajectory(cfg, path, {end})[end]
+        ((_, ens),) = simulate(cfg, n, path, 0, {end})
+        family = cfg.kernel()
+        part = build_partition(Grid(box=cfg.box, m=cfg.besov_grid), lam=cfg.besov_lambda)
+        fine_m = _auto_grid(family, n, cfg.box, cfg.fine_grid, "phi_r")
+        calls = []
+        rfft = Grid.rfft
+
+        def counted(self, f):
+            if self == fluid.grid:
+                calls.append(np.shape(f))
+            return rfft(self, f)
+
+        monkeypatch.setattr(Grid, "rfft", counted)
+        row = _checkpoint_row(cfg, ens, family, fluid, part, fine_m)
+        assert calls == [(1, cfg.pde_resolution)]
+        # The carried spectrum is that of the state's nodes up to rounding.
+        fresh = _checkpoint_row(cfg, ens, family, replace(fluid), part, fine_m)
+        rec, fresh_rec = row[0], fresh[0]
+        assert rec.kinetic_term == pytest.approx(fresh_rec.kinetic_term, rel=1e-11)
+        assert rec.density_term == pytest.approx(fresh_rec.density_term, rel=1e-11)
+        assert row[1:] == pytest.approx(fresh[1:], rel=1e-11)
 
 
 def _energy_case(dim, m, n):

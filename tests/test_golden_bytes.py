@@ -38,7 +38,7 @@ fine_grid = 8192
 checkpoints = 4
 """
 
-GOLDEN_SHA256 = "d4fcfb8c245f2aa915f44373808559e434a73471baf204aec7182024f19e83b2"
+GOLDEN_SHA256 = "cbf6322f6d1800fcfa3fca35b0e79affc6a96b6b0dc9557205111e6a9be6b81e"
 
 
 def test_small_coupled_run_records_are_golden(tmp_path):

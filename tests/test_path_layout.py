@@ -265,6 +265,11 @@ def _one_row_file():
     return load_path(io.StringIO(text))
 
 
+def _no_component_file():
+    text = "# holderflow-path,alpha=0.74,T=1.0,M=2,d=0\nt\n0\n0.5\n1\n"
+    return load_path(io.StringIO(text))
+
+
 def _step(d, dy):
     rng = np.random.default_rng(0)
     ens = ParticleEnsemble(box=1.0, positions=rng.random((256, d)),
@@ -287,7 +292,11 @@ REFUSALS = {
     "SampledPath-1d-values": (lambda: SampledPath(_times(5), np.zeros(5), 0.7), "(M+1, d)"),
     "SampledPath-single-time": (lambda: SampledPath(_times(1), np.zeros((1, 1)), 0.7),
                                 "M >= 1"),
+    # No component: NoiseSpec refuses dim < 1; a hand-built path or file is refused here.
+    "SampledPath-no-component": (lambda: SampledPath(_times(3), np.zeros((3, 0)), 0.7),
+                                 "(M+1, d) with M >= 1 and d >= 1"),
     "load_path-one-row": (_one_row_file, "M >= 1"),
+    "load_path-no-component": (_no_component_file, "d >= 1"),
     "estimate_holder_exponent-short": (
         lambda: estimate_holder_exponent(sample_fbm(NoiseSpec(hurst=0.75, resolution=32))),
         "M >= 2 * max_lag_fraction = 128",
