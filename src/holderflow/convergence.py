@@ -292,7 +292,7 @@ def _master_dt(config: ExperimentConfig, path: SampledPath) -> float:
 
 
 def _fluid_trajectory(
-    config: ExperimentConfig, path: SampledPath, checkpoint_idx: np.ndarray
+    config: ExperimentConfig, path: SampledPath, checkpoint_idx: set
 ) -> dict[int, FluidState]:
     dt = _master_dt(config, path)
     g = config.pde_grid()
@@ -369,9 +369,8 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     from concurrent.futures import ThreadPoolExecutor, as_completed
 
     family = config.kernel()
-    stride = max(1, config.master_steps // config.checkpoints)
-    checkpoint_idx = set(range(0, config.master_steps + 1, stride))
-    checkpoint_idx.add(config.master_steps)
+    steps, count = config.master_steps, config.checkpoints
+    checkpoint_idx = {j * steps // count for j in range(count + 1)}
 
     bg = Grid(box=config.box, m=config.besov_grid, dim=config.dim)
     part = build_partition(bg, lam=config.besov_lambda)

@@ -6,8 +6,8 @@ the velocity drift reduces to -(v . grad) v_q - d_q rho; the gap between the
 two pressure forms is a diagnostic function, ``pressure_forms_gap``, that no
 run evaluates.  The noise enters as an additive velocity kick
 v_q += sigma(x) dY^q after each SSP-RK3 step.  The step advances the
-half spectrum of (rho, v) and visits the nodes only for the products.
-Pre-shock smooth regime only.
+half spectrum of (rho, v) and visits the nodes only for the products, which
+the 2/3 rule 3|k| < m dealiases.  Pre-shock smooth regime only.
 """
 
 from __future__ import annotations
@@ -161,51 +161,51 @@ class Grid:
             fk = np.fft.ifft(fk, axis=axis)
         return np.fft.irfft(fk, n=self.m)
 
+    def modes(self, axis: int = 0) -> np.ndarray:
+        """Integer frequency k of each entry along ``axis``, laid out like ``rfft``:
+        0 .. m // 2 on the last axis; 0 .. (m - 1) // 2, then -(m // 2) .. -1 on
+        the others.  The one source of the mode layout."""
+        m, half = self.m, self.m // 2
+        k = np.arange(half + 1) if axis == self.dim - 1 else (np.arange(m) + half) % m - half
+        return self.along(k, axis)
+
     def frequencies(self, axis: int = 0) -> np.ndarray:
         """Frequencies along ``axis`` in cycles per cell, laid out like ``rfft``."""
-        return self.along(self._fftfreq(axis)(self.m), axis)
+        return self.modes(axis) * (1.0 / self.m)
 
     def wavenumbers(self, axis: int = 0) -> np.ndarray:
         """Wavenumbers along ``axis`` in rad per length, laid out like ``rfft``."""
-        return self.along(2.0 * np.pi * self._fftfreq(axis)(self.m, d=self.h), axis)
-
-    def _fftfreq(self, axis: int):
-        return np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+        return 2.0 * np.pi * (self.modes(axis) * (1.0 / (self.m * self.h)))
 
     @cached_property
     def ik(self) -> tuple[np.ndarray, ...]:
         """Multipliers i k_q of d/dx_q, one per axis, laid out like
-        ``wavenumbers``, without the Nyquist mode of an even mesh, whose
+        ``wavenumbers``, zero at an even mesh's Nyquist mode 2|k| = m, whose
         derivative vanishes at every node (Trefethen, *Spectral Methods in
         MATLAB*, 2000, ch. 3)."""
-        out = []
-        for axis in range(self.dim):
-            k = self.wavenumbers(axis).copy()
-            if self.m % 2 == 0:
-                k.flat[self.m // 2] = 0.0
-            out.append(_read_only(1j * k))
-        return tuple(out)
+        ik = [np.where(2 * np.abs(self.modes(q)) == self.m, 0.0, self.wavenumbers(q))
+              for q in range(self.dim)]
+        return tuple(_read_only(1j * k) for k in ik)
 
     @cached_property
     def two_thirds(self) -> np.ndarray:
-        """Spectral mask of the 2/3 rule: |frequency| <= m // 3 on every axis."""
+        """Spectral mask of the 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971): keep
+        3|k| < m on every axis.  Two kept modes sum to |k| < 2m/3, and a sum
+        that wraps lands at |k - m| > m/3: a product aliases onto no kept mode."""
         mask = True
         for q in range(self.dim):
-            mask = mask & (np.abs(self.frequencies(q) * self.m) <= self.m // 3)
+            mask = mask & (3 * np.abs(self.modes(q)) < self.m)
         return _read_only(mask)
 
     @property
     def half_weights(self) -> np.ndarray:
         """Parseval weights w of the half spectrum, along the last axis, read-only:
-        1 at zero frequency and at an even mesh's Nyquist mode, 2 elsewhere, so
+        1 at k = 0 and at an even mesh's Nyquist mode 2k = m, 2 elsewhere, so
         the sum of f^2 over the nodes is m^-d times the sum of w |f_k|^2 over
         ``rfft(f)``.  Built per access: cached on a Grid kept as a cache key, the
         block lived all run and was seen to make glibc trim sweep-thread heaps."""
-        w = np.full(self.m // 2 + 1, 2.0)
-        w[0] = 1.0
-        if self.m % 2 == 0:
-            w[-1] = 1.0
-        return _read_only(self.along(w, self.dim - 1))
+        k = self.modes(self.dim - 1)
+        return _read_only(np.where((k == 0) | (2 * k == self.m), 1.0, 2.0))
 
     def cell_volume(self) -> float:
         return self.h**self.dim
@@ -423,9 +423,9 @@ def nufft_type2(fk: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     g, d, w = grid, grid.dim, _ES_WIDTH
     pts = as_points(pts, d)
     lead = fk.shape[: fk.ndim - d]
-    table, j = _es_deconvolution(g.m, w), np.arange(g.m)
+    table = _es_deconvolution(g.m, w)
     for q in range(d):  # the table is indexed by |frequency|
-        fk = fk * g.along(table[np.minimum(j, g.m - j)[: fk.shape[q - d]]], q)
+        fk = fk * table[np.abs(g.modes(q))]
     fine = Grid(box=g.box, m=_OVERSAMPLE * g.m, dim=d)
     b = fine.irfft(padded_spectrum(fk, g, fine.m)).reshape((-1,) + fine.shape)
     # The mesh extended by w - 1 nodes past its end on every axis, with a

@@ -285,6 +285,18 @@ class TestRunCoupled:
             assert r["records"][0].t == 0.0
             assert r["records"][-1].t == pytest.approx(cfg.horizon)
 
+    def test_checkpoint_count_when_steps_not_divisible(self):
+        # 100 steps in 16 intervals: 17 rows, t = 0 and the horizon included,
+        # each interval 6 or 7 steps long.
+        cfg = _tiny_config(master_steps=100, horizon=0.078125, checkpoints=16, n_sweep=(64,),
+                           pde_resolution=32, force_grid=256, fine_grid=256, besov_grid=256)
+        dt = cfg.horizon / cfg.master_steps
+        for r in run_coupled(cfg):
+            steps = np.rint(np.array([rec.t for rec in r["records"]]) / dt)
+            assert len(steps) == cfg.checkpoints + 1
+            assert steps[0] == 0 and steps[-1] == cfg.master_steps
+            assert set(np.diff(steps)) == {6, 7}
+
     def test_csv_format(self, tiny_run):
         cfg, results, text = tiny_run
         lines = text.splitlines()

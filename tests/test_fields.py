@@ -47,9 +47,10 @@ def _wavy_state(dim, m):
 
 
 def _near_cut_state(m):
-    """The d=1 wavy state plus a density mode at the 2/3 cut m // 3 and a
-    velocity mode just below it: their products reach past the cut at once,
-    so a step that skips a 2/3 mask differs at the first step."""
+    """The d=1 wavy state plus a density mode at m // 3 and a velocity mode
+    one below it (at m = 48, mode 16 just past the kept band 3|k| < m and
+    mode 15, its top): their products reach past the cut at once, so a step
+    that skips a 2/3 mask differs at the first step."""
     st_ = _wavy_state(1, m)
     x, k = 2 * np.pi * st_.grid.coordinate(0), m // 3
     return replace(st_, rho=st_.rho + 0.02 * np.cos(k * x), v=st_.v + 0.01 * np.sin((k - 1) * x))
@@ -72,7 +73,7 @@ def _reference_ik(g, axis):
 def _reference_two_thirds(g):
     mask = True
     for q in range(g.dim):
-        mask = mask & (np.abs(g.frequencies(q) * g.m) <= g.m // 3)
+        mask = mask & (3 * np.abs(np.rint(g.frequencies(q) * g.m)) < g.m)
     return mask
 
 
@@ -195,20 +196,65 @@ def _long_double_interp(values, g, pts, derivative=None):
 class TestSpectralLayout:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_layout_is_rfftn(self, dim):
-        # Transforms over the trailing mesh axes; frequency arrays computed as
-        # fftfreq(m) and 2 pi fftfreq(m, d=h), halved (rfftfreq) on the last axis.
+        # Transforms over the trailing mesh axes, with the frequency arrays
+        # laid out to match.
         g = Grid(box=2.0, m=12, dim=dim)
         f = np.random.default_rng(dim).standard_normal((3,) + g.shape)
         fk = g.rfft(f)
         assert np.array_equal(fk, np.fft.rfftn(f, axes=tuple(range(1, dim + 1))))
         assert np.max(np.abs(g.irfft(fk) - f)) < 1e-14
-        full, half = np.fft.fftfreq(12), np.fft.rfftfreq(12)
         for q in range(dim):
-            last = q == dim - 1
-            assert np.array_equal(g.frequencies(q), g.along(half if last else full, q))
-            k = 2.0 * np.pi * (np.fft.rfftfreq if last else np.fft.fftfreq)(12, d=g.h)
-            assert np.array_equal(g.wavenumbers(q), g.along(k, q))
             assert g.wavenumbers(q).shape[q] == fk.shape[1 + q]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_frequency_arrays_are_numpy_fftfreq(self, dim):
+        # Bitwise np.fft.fftfreq(m) and 2 pi fftfreq(m, d=h), rfftfreq on the
+        # last axis, reshaped, on every mesh from 4 to 300 nodes.
+        for m in range(4, 301):
+            g = Grid(box=1.3, m=m, dim=dim)
+            for q in range(dim):
+                freq = np.fft.rfftfreq if q == dim - 1 else np.fft.fftfreq
+                assert np.array_equal(g.frequencies(q), g.along(freq(m), q))
+                assert np.array_equal(g.wavenumbers(q), g.along(2.0 * np.pi * freq(m, d=g.h), q))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_modes_are_integer_layout(self, dim):
+        for m in range(4, 301):
+            g = Grid(box=1.3, m=m, dim=dim)
+            for q in range(dim):
+                freq = np.fft.rfftfreq if q == dim - 1 else np.fft.fftfreq
+                modes = g.modes(q)
+                assert modes.dtype.kind == "i"
+                assert np.array_equal(modes, g.along(np.rint(freq(m) * m).astype(int), q))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_two_thirds_keeps_every_mode_below_the_cut(self, dim):
+        # Every k with 3|k| < m on all axes is kept (m = 10, 20, 160, ...
+        # once lost the mode m // 3 to a float rounding of k / m * m).
+        for m in range(4, 301):
+            g = Grid(box=1.0, m=m, dim=dim)
+            below = True
+            for q in range(dim):
+                below = below & (3 * np.abs(np.rint(g.frequencies(q) * m)) < m)
+            assert np.all(g.two_thirds[np.broadcast_to(below, g.two_thirds.shape)]), m
+
+    @pytest.mark.parametrize(
+        "dim, m", [(1, 20), (1, 24), (1, 48), (1, 96), (1, 128), (1, 255), (1, 256),
+                   (2, 15), (2, 24), (2, 32)]
+    )
+    def test_two_thirds_product_is_alias_free(self, dim, m):
+        # Two fields whose spectra fill the kept band: the masked spectrum of
+        # their product on the mesh equals the kept modes of the exact
+        # product, taken on a mesh of 2m nodes, where it cannot alias.
+        g, fine = Grid(box=1.0, m=m, dim=dim), Grid(box=1.0, m=2 * m, dim=dim)
+        rng = np.random.default_rng(m + dim)
+        u, v = g.irfft(g.rfft(rng.standard_normal((2,) + g.shape)) * g.two_thirds)
+        got = g.two_thirds * g.rfft(u * v)
+        exact = fine.rfft(np.prod(fine.irfft(padded_spectrum(g.rfft([u, v]), g, fine.m)), axis=0))
+        index = np.ix_(*[np.rint(g.frequencies(q) * m).astype(int).ravel() % fine.m
+                         for q in range(dim)])
+        want = g.two_thirds * exact[index] / 2**dim
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_derivative_exact_on_modes(self):
         a, b = 2 * np.pi * 3, 2 * np.pi * 5
