@@ -63,7 +63,7 @@ def _auto_grid(family: KernelFamily, n: int, box: float, minimum: int, which: st
     """
     m = max(minimum, int(np.ceil(KERNEL_CELLS * box / family.width(n, which))))
     cap = 1 << (MAX_GRID.bit_length() - 1) // family.dim
-    return min(cap, 1 << int(np.ceil(np.log2(m))))
+    return min(cap, 1 << (m - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ class ExperimentConfig:
                 if max(sides) > 4 * min(sides):
                     raise ValueError(f"n={n}: quantile strata {' x '.join(map(str, sides))}, "
                                      "one side over 4 times another; pick an N near a square")
-        if self.checkpoints < 1:
-            raise ValueError(f"checkpoints={self.checkpoints}: need at least 1")
+        if not 1 <= self.checkpoints <= self.master_steps:
+            raise ValueError(f"checkpoints={self.checkpoints}: need 1 to [noise] "
+                             f"steps={self.master_steps}, at most one per step")
         if self.cfl <= 0:
             raise ValueError(f"cfl={self.cfl}: the CFL number must be positive")
         if self.q_hat < 1:
@@ -183,6 +184,16 @@ class ExperimentConfig:
                 f"besov_grid={self.besov_grid} is below [pde] resolution={self.pde_resolution}: "
                 f"the Besov targets are the PDE spectrum zero-padded onto the Besov mesh"
             )
+        family = self.kernel()
+        for n in self.n_sweep:
+            fine_m = _auto_grid(family, n, self.box, self.fine_grid, "phi_r")
+            if fine_m < self.pde_resolution:
+                raise ValueError(
+                    f"n={n}: the fine mesh of {fine_m} nodes per side (fine_grid="
+                    f"{self.fine_grid}, adapted to the kernel) is below [pde] resolution="
+                    f"{self.pde_resolution}: the energy's density is the PDE spectrum "
+                    f"zero-padded onto the fine mesh"
+                )
         if self.vacuum_floor < 0:
             raise ValueError(f"vacuum_floor={self.vacuum_floor}: the vacuum floor must be >= 0")
         rho_min = (1.0 - abs(self.rho0_amplitude)) / self.box**self.dim

@@ -147,6 +147,11 @@ class Grid:
         """Node coordinates, shape (m,) * d + (d,); squeezed to (m,) in 1-d."""
         return np.stack([self.coordinate(q) for q in range(self.dim)], axis=-1).squeeze()
 
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Shape of a half spectrum laid out like ``rfft``: ``modes`` per axis."""
+        return self.shape[:-1] + (self.m // 2 + 1,)
+
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum over the mesh axes, the trailing d axes of ``f``: the
         steps of ``rfftn``, without its per-call cost of argument handling."""
@@ -423,7 +428,7 @@ def nufft_type2(fk: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     g, d, w = grid, grid.dim, _ES_WIDTH
     pts = as_points(pts, d)
     lead = fk.shape[: fk.ndim - d]
-    table = _es_deconvolution(g.m, w)
+    table = _es_deconvolution(g, w)
     for q in range(d):  # the table is indexed by |frequency|
         fk = fk * table[np.abs(g.modes(q))]
     fine = Grid(box=g.box, m=_OVERSAMPLE * g.m, dim=d)
@@ -468,14 +473,14 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
 
 
 @_single_flight(16)
-def _es_deconvolution(m: int, w: int) -> np.ndarray:
-    """The factor that ``nufft_type2`` applies to frequency +-k of an m-node
-    axis, for k = 0 .. m // 2: h / phi_hat(k) = 2 / (w psi_hat(pi k w / M)),
+def _es_deconvolution(grid: Grid, w: int) -> np.ndarray:
+    """The factor that ``nufft_type2`` applies to frequency +-k of ``grid``, for
+    each k of its half axis: h / phi_hat(k) = 2 / (w psi_hat(pi k w / M)),
     with phi(theta) = psi(2 theta / (w h)) the kernel on the M = 2 m mesh of
     angular step h = 2 pi / M, and psi_hat(a) the integral of psi(z) cos(a z)
     over [-1, 1] by Gauss-Legendre quadrature.  Read-only."""
     z, weight = _gauss_legendre(3 * w + 4)
-    a = (np.pi * w / (_OVERSAMPLE * m)) * np.arange(m // 2 + 1)
+    a = (np.pi * w / (_OVERSAMPLE * grid.m)) * grid.modes(grid.dim - 1).ravel()
     psi_hat = (np.cos(a[:, None] * z) * (weight * _es_kernel(z))).sum(axis=1)
     return _read_only(2.0 / (w * psi_hat))
 
@@ -500,8 +505,8 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 def evaluate_rows(
     coeff: np.ndarray, grid: Grid, x: np.ndarray, derivative: bool = False
 ) -> np.ndarray:
-    """Row r of stacked 1-d half spectra ``coeff`` (rows, m // 2 + 1), laid
-    out like ``Grid.rfft``, at the point x[r], or its derivative, shape (rows,).
+    """Row r of stacked 1-d half spectra ``coeff``, (rows,) + ``grid.spectrum_shape``,
+    laid out like ``Grid.rfft``, at the point x[r], or its derivative, shape (rows,).
 
     The interpolant's real part weights each mode by ``half_weights / m``.
     A row-wise ``einsum``: no BLAS, so a row does not depend on the others.
@@ -509,20 +514,20 @@ def evaluate_rows(
     coeff = coeff * (grid.half_weights / grid.m)
     if derivative:
         coeff = grid.ik[0] * coeff
-    return np.einsum("rk,rk->r", _phases(x, grid.m, grid.box), coeff).real
+    return np.einsum("rk,rk->r", _phases(x, grid), coeff).real
 
 
-def _phases(x: np.ndarray, m: int, box: float) -> np.ndarray:
-    """exp(i k x) for every point x and each of the m // 2 + 1 wavenumbers k
-    of the half (last) axis of an m-node mesh, laid out like ``Grid.rfft``.
+def _phases(x: np.ndarray, grid: Grid) -> np.ndarray:
+    """exp(i k x) for every point x and each wavenumber k of the half (last)
+    axis of ``grid``, laid out like ``Grid.rfft``.
 
     The powers of exp(2 pi i x / L), one exponential per point and a running
     product over the modes; the error grows like the mode index times the
     rounding unit, about 4e-13 at m = 4096.
     """
-    z = np.empty((x.size, m // 2 + 1), dtype=complex)
+    z = np.empty((x.size, grid.spectrum_shape[-1]), dtype=complex)
     z[:, 0] = 1.0
-    z[:, 1:] = np.exp((2j * np.pi / box) * x)[:, None]
+    z[:, 1:] = np.exp((2j * np.pi / grid.box) * x)[:, None]
     np.multiply.accumulate(z, axis=1, out=z)  # np.cumprod, without its dispatch
     return z
 
@@ -531,28 +536,26 @@ def padded_spectrum(fk: np.ndarray, grid: Grid, m_fine: int) -> np.ndarray:
     """Half spectrum ``fk`` of fields on ``grid`` (stacked on leading axes,
     laid out like ``Grid.rfft``) zero-padded to a grid of m_fine nodes per side
     and scaled by (m_fine / m)^d, so that its ``irfft`` there interpolates the
-    fields.  As in ``nufft_type2``, a Nyquist mode of an even grid is the
-    cosine cos(pi x / h): its coefficient is split evenly between +m/2 and -m/2.
+    fields.  Each entry moves to its mode k modulo m_fine on every axis.  As
+    in ``nufft_type2``, a Nyquist mode 2|k| = m is the cosine cos(pi x / h):
+    its coefficient is halved, and on a full (not last) axis the -m/2 entry
+    is written at +m/2 too.
     """
     m, d = grid.m, grid.dim
     if m_fine < m:
         raise ValueError(f"padded_spectrum: need m_fine >= m = {m}, got {m_fine}")
     if m_fine == m:
         return fk.copy()
-    fk = fk * (m_fine / m) ** d
-    if m % 2 == 0:
-        for q in range(d):
-            fk[(..., m // 2) + (slice(None),) * (d - 1 - q)] *= 0.5
-    # Non-negative frequencies keep their index on every axis; on the full
-    # (all but last) axes the negative ones move to the end of the finer
-    # axis, and the halved Nyquist row goes to both ends.
-    j = np.arange(m)
-    lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
-    src = [np.concatenate([lo, hi])] * (d - 1) + [lo]
-    dst = [np.concatenate([lo, hi + m_fine - m])] * (d - 1) + [lo]
-    out = np.zeros(fk.shape[: fk.ndim - d] + (m_fine,) * (d - 1) + (m_fine // 2 + 1,),
-                   dtype=complex)
-    out[(...,) + np.ix_(*dst)] = fk[(...,) + np.ix_(*src)]
+    fine = Grid(box=grid.box, m=m_fine, dim=d)
+    modes = [grid.modes(q).ravel() for q in range(d)]
+    out = np.zeros(fk.shape[: fk.ndim - d] + fine.spectrum_shape, dtype=complex)
+    out[(...,) + np.ix_(*[k % m_fine for k in modes])] = fk * (m_fine / m) ** d
+    for q, k in enumerate(modes):
+        rest = (slice(None),) * (d - 1 - q)
+        nyquist = k[2 * np.abs(k) == m]  # none on an odd grid
+        out[(..., nyquist % m_fine) + rest] *= 0.5
+        negative = nyquist[nyquist < 0]
+        out[(..., -negative) + rest] = out[(..., negative % m_fine) + rest]
     return out
 
 

@@ -130,14 +130,19 @@ def periodic_kernel_samples(
     The scalar kernels are rescaled to exact unit discrete mass so FFT
     mollification preserves constants to rounding.
     """
-    d = family.dim
-    x = np.moveaxis(np.indices((m,) * d), 0, -1) * (box / m)
-    pts = np.where(x > box / 2, x - box, x)
-    vals = family.kernel(n, pts, which, derivative)
+    g = Grid(box=box, m=m, dim=family.dim)
+    # Each axis wrapped before the stack: wrapping the stacked nodes, the same
+    # bits, was seen to tip sweep threads into glibc heap trimming.
+    x = np.stack([_min_image(g.coordinate(q), box) for q in range(g.dim)], axis=-1)
+    vals = family.kernel(n, x, which, derivative)
     if not derivative:
-        cell = (box / m) ** d
-        vals = vals / (np.sum(vals) * cell)
+        vals = vals / (np.sum(vals) * g.cell_volume())
     return vals
+
+
+def _min_image(diff: np.ndarray, box: float) -> np.ndarray:
+    """Displacements ``diff`` wrapped to their nearest periodic image in the box."""
+    return diff - box * np.round(diff / box)
 
 
 def mollify(

@@ -29,6 +29,7 @@ from .fields import (
 )
 from .kernels import (
     KernelFamily,
+    _min_image,
     mollify,
     periodic_kernel_samples,
     require_resolved,
@@ -173,10 +174,6 @@ def init_from_fields(
 
     vel = FieldInterpolant(np.asarray(v0, dtype=float), grid)(ens.positions)
     return replace(ens, velocities=vel)
-
-
-def _min_image(diff: np.ndarray, box: float) -> np.ndarray:
-    return diff - box * np.round(diff / box)
 
 
 def _force_direct(ens: ParticleEnsemble, family: KernelFamily, n_scale: int) -> np.ndarray:

@@ -141,6 +141,15 @@ class TestParsing:
             (D2_MESHES + "n_list = 74\n", "n=74: quantile strata 2 x 37"),
             ("[analysis]\ncheckpoints = 0\n", "checkpoints=0"),
             ("[analysis]\ncheckpoints = -2\n", "checkpoints=-2"),
+            # More checkpoints than steps used to collapse onto fewer rows.
+            ("[noise]\nsteps = 8\n[analysis]\ncheckpoints = 32\n",
+             r"checkpoints=32: need 1 to \[noise\] steps=8"),
+            # At N=16 _auto_grid adapts fine_grid = 64 to 512 < 1024; the run used
+            # to integrate the whole fluid before padded_spectrum refused it.
+            ("[kernel]\nbandwidth = 0.2\n[particles]\nn_list = 16\n[pde]\nresolution = 1024\n"
+             "[analysis]\nfine_grid = 64\n[noise]\nsteps = 64\nhorizon = 0.0125\n",
+             r"n=16: the fine mesh of 512 nodes per side \(fine_grid=64, .*\) is below "
+             r"\[pde\] resolution=1024"),
             ("[noise]\nseeds =\n", "seeds"),
             ("[pde]\ncfl = 0\n", "cfl=0"),
             ("[pde]\ncfl = -0.5\n", "cfl=-0.5"),
@@ -166,7 +175,8 @@ class TestParsing:
              "d2_minimum_rounds_past_cap", "d1_fine", "force_grid_negative",
              "fine_grid_zero", "fine_grid_three", "d2_quantile_one_line",
              "d2_quantile_thin_strata",
-             "checkpoints_zero", "checkpoints_negative", "seeds_empty", "cfl_zero",
+             "checkpoints_zero", "checkpoints_negative", "checkpoints_above_steps",
+             "fine_mesh_below_pde", "seeds_empty", "cfl_zero",
              "cfl_negative", "q_hat_zero", "unknown_base", "box_zero", "box_negative",
              "resolution_small", "besov_grid_small", "seed_negative", "seeds_repeated",
              "n_repeated", "lambda_one", "lambda_above_sqrt2", "rho0_below_zero",
@@ -387,7 +397,8 @@ class TestCli:
 
     def test_cfl_violation_numerical_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfl.cfg"
-        cfg.write_text(TINY_RUN.replace("horizon = 0.05\nsteps = 64", "horizon = 0.125\nsteps = 4"))
+        cfg.write_text(TINY_RUN.replace("horizon = 0.05\nsteps = 64", "horizon = 0.125\nsteps = 4")
+                       + "checkpoints = 4\n")
         assert main(["pde", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "violates CFL" in capsys.readouterr().err
 

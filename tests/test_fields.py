@@ -77,6 +77,26 @@ def _reference_two_thirds(g):
     return mask
 
 
+def _reference_padded_spectrum(fk, m, m_fine, d):
+    """Zero-padding of the half spectra ``fk`` (stacked on leading axes) of an
+    m-node mesh onto m_fine nodes, unscaled, by index arithmetic: the first
+    m // 2 + 1 entries of an axis keep their index, the last (m - 1) // 2 of
+    a full axis move to its end, and an even mesh's Nyquist entry is halved
+    and, on a full axis, written at both ends."""
+    fk = fk.copy()
+    if m % 2 == 0:
+        for q in range(d):
+            fk[(..., m // 2) + (slice(None),) * (d - 1 - q)] *= 0.5
+    j = np.arange(m)
+    lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
+    src = [np.concatenate([lo, hi])] * (d - 1) + [lo]
+    dst = [np.concatenate([lo, hi + m_fine - m])] * (d - 1) + [lo]
+    out = np.zeros(fk.shape[: fk.ndim - d] + (m_fine,) * (d - 1) + (m_fine // 2 + 1,),
+                   dtype=complex)
+    out[(...,) + np.ix_(*dst)] = fk[(...,) + np.ix_(*src)]
+    return out
+
+
 def _reference_rhs(state):
     g, rho, v = state.grid, state.rho, state.v
     if float(np.min(rho)) <= state.vacuum_floor:
@@ -202,6 +222,7 @@ class TestSpectralLayout:
         f = np.random.default_rng(dim).standard_normal((3,) + g.shape)
         fk = g.rfft(f)
         assert np.array_equal(fk, np.fft.rfftn(f, axes=tuple(range(1, dim + 1))))
+        assert fk.shape[1:] == g.spectrum_shape
         assert np.max(np.abs(g.irfft(fk) - f)) < 1e-14
         for q in range(dim):
             assert g.wavenumbers(q).shape[q] == fk.shape[1 + q]
@@ -541,7 +562,7 @@ class TestInterpolation:
         rng = np.random.default_rng(m)
         x = np.concatenate([[-0.75, -0.0, 0.0, 0.3, 0.999 * box], rng.random(40) * box])
         want = np.exp(1j * np.outer(x, 2.0 * np.pi * np.fft.rfftfreq(m, d=box / m)))
-        got = _phases(x, m, box)
+        got = _phases(x, Grid(box=box, m=m))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -681,23 +702,29 @@ class TestSpectralUtilities:
         # The factor (m_fine / m)^d applied before the inverse transform, not
         # after it as in the reference: a power of two scales every rounding
         # exactly, so the bits agree.
-        def reference(values, grid, m_fine):
-            fk = grid.rfft(values)
-            for q in range(grid.dim):
-                fk[(slice(None),) * q + (m // 2,)] *= 0.5
-            j = np.arange(m)
-            lo, hi = j[: m // 2 + 1], j[(m + 1) // 2 :]
-            src = [np.concatenate([lo, hi])] * (grid.dim - 1) + [lo]
-            dst = [np.concatenate([lo, hi + m_fine - m])] * (grid.dim - 1) + [lo]
-            out = np.zeros((m_fine,) * (grid.dim - 1) + (m_fine // 2 + 1,), dtype=complex)
-            out[np.ix_(*dst)] = fk[np.ix_(*src)]
-            fine = Grid(box=grid.box, m=m_fine, dim=grid.dim)
-            return fine.irfft(out) * (m_fine / m) ** grid.dim
-
-        g = Grid(box=1.0, m=m, dim=dim)
+        g, fine = Grid(box=1.0, m=m, dim=dim), Grid(box=1.0, m=m_fine, dim=dim)
         for scale in (1.0, 1e-7, 3e5):
             f = scale * np.random.default_rng(m).standard_normal(g.shape)
-            assert np.array_equal(upsample(f, g, m_fine), reference(f, g, m_fine))
+            want = fine.irfft(_reference_padded_spectrum(g.rfft(f), m, m_fine, dim))
+            assert np.array_equal(upsample(f, g, m_fine), want * (m_fine / m) ** dim)
+
+    @pytest.mark.parametrize("dim, top", [(1, 300), (2, 40)])
+    def test_padded_spectrum_bitwise_equal_to_index_scatter(self, dim, top):
+        # Every mesh from 4 to top, odd and even, onto finer meshes of every
+        # parity; three stacked rows holding signed zeros.
+        for m in range(4, top + 1):
+            g = Grid(box=1.3, m=m, dim=dim)
+            fk = g.rfft(np.random.default_rng(m).standard_normal((3,) + g.shape))
+            fk.real[..., ::7] = -0.0
+            fk.imag[..., ::5] = -0.0
+            for m_fine in (m + 1, m + 2, 2 * m, 2 * m + 1, 3 * m):
+                got = padded_spectrum(fk, g, m_fine)
+                want = _reference_padded_spectrum(fk * (m_fine / m) ** dim, m, m_fine, dim)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (m, m_fine)
+                for part in ("real", "imag"):
+                    assert np.array_equal(np.signbit(getattr(got, part)),
+                                          np.signbit(getattr(want, part))), (m, m_fine)
 
     def test_padded_spectrum_keeps_an_equal_mesh(self):
         g = Grid(box=1.0, m=8, dim=2)

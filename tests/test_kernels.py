@@ -133,6 +133,34 @@ class TestGradients:
         assert np.allclose(a, -b, atol=1e-14)
 
 
+def _reference_kernel_samples(family, n, box, m, which, derivative):
+    """The kernel samples from integer node indices and a one-sided wrap of
+    every coordinate past box / 2, with no ``Grid``."""
+    x = np.moveaxis(np.indices((m,) * family.dim), 0, -1) * (box / m)
+    vals = family.kernel(n, np.where(x > box / 2, x - box, x), which, derivative)
+    if not derivative:
+        vals = vals / (np.sum(vals) * (box / m) ** family.dim)
+    return vals
+
+
+class TestPeriodicSamples:
+    @pytest.mark.parametrize("dim, ms", [(1, [4, 5, 63, 64, 255, 1000, 4096]),
+                                         (2, [4, 5, 15, 16, 63, 64])])
+    @pytest.mark.parametrize("which, derivative",
+                             [("phi", False), ("phi_r", False), ("phi", True)])
+    def test_bitwise_equal_to_index_formula(self, dim, ms, which, derivative):
+        # The nodes of Grid.coordinate and the round-based minimum image of
+        # the direct force give the same bits, sign bits included.
+        fam = KernelFamily(beta=0.6, dim=dim, bandwidth=0.05)
+        for m in ms:
+            for box in (1.0, 2 * np.pi, 0.7, 3.0):
+                got = periodic_kernel_samples(fam, 64, box, m, which, derivative)
+                want = _reference_kernel_samples(fam, 64, box, m, which, derivative)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (m, box)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (m, box)
+
+
 def _mollified(f, box, fam, n, which="phi_r"):
     """The nodes of ``mollify`` applied to the spectrum of the mesh field ``f``."""
     g = Grid(box=box, m=f.shape[0], dim=fam.dim)
