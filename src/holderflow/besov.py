@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, _read_only, as_points
+from .fields import Grid, _read_only, as_points, position_order
 
 __all__ = [
     "DyadicPartition",
@@ -160,7 +160,7 @@ def deposit_nearest(
     pts = as_points(positions, grid.dim, "positions")
     n = pts.shape[0]
     weights = np.ones(n) if weights is None else weights
-    order = np.lexsort((weights,) + tuple(pts.T))
+    order = position_order(pts, weights)
     idx = np.round(pts[order] / grid.h).astype(int) % grid.m
     flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
     dep = np.bincount(flat, weights=weights[order], minlength=grid.m**grid.dim)

@@ -365,9 +365,10 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 
     A particle run that fails numerically (``FloatingPointError``) or is out
     of regime at its N (``RegimeError``) is recorded as ``aborted:<class>``,
-    on each row it wrote too, and the sweep goes on; a fluid failure
-    (vacuum, CFL, non-finite state) invalidates the seed and propagates with
-    the seed and master step in its message; any other error propagates too,
+    on each row it wrote too, and the sweep goes on; a failure of the seed's
+    fBm factorization or of its fluid (vacuum, CFL, non-finite state)
+    invalidates the seed and propagates with the seed in its message, and a
+    fluid failure with its master step too; any other error propagates too,
     and the particle runs that have not started then never start.
 
     Each seed's particle runs are independent given its noise path and
@@ -411,8 +412,8 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
     pool = ThreadPoolExecutor(max_workers=min(_cores(), len(config.n_sweep)))
     try:
         for seed in config.seeds:
-            path = sample_fbm(config.noise_spec(seed))
             try:
+                path = sample_fbm(config.noise_spec(seed))
                 snaps = _fluid_trajectory(config, path, checkpoint_idx)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"seed {seed}, {exc}") from exc
@@ -518,9 +519,20 @@ def fit_rate(results: list, config: ExperimentConfig) -> RateReport:
     )
 
 
+def _null_if_not_finite(x):
+    """``x`` with every non-finite float in its dicts and lists made None."""
+    if isinstance(x, dict):
+        return {k: _null_if_not_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_null_if_not_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def emit_report(report: RateReport, json_path) -> None:
-    """JSON summary with the run manifest; byte-deterministic given inputs."""
-    text = json.dumps(asdict(report), sort_keys=True, indent=2)
+    """Strict JSON summary with the run manifest, byte-deterministic given
+    inputs; an undefined (NaN) slope or standard error is written ``null``."""
+    text = json.dumps(_null_if_not_finite(asdict(report)), sort_keys=True, indent=2,
+                      allow_nan=False)
     if hasattr(json_path, "write"):
         json_path.write(text)
     else:

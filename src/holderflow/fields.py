@@ -22,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "as_points",
+    "position_order",
     "as_kick",
     "as_time_step",
     "Grid",
@@ -56,6 +57,15 @@ def as_points(
         return a
     layout = f"({'...' if batch else 'n'}, {'d' if dim is None else dim})"
     raise ValueError(f"{name} must be an array of shape {layout}, got shape {a.shape}")
+
+
+def position_order(points, ties: np.ndarray | None = None) -> np.ndarray:
+    """Indices that put an (n, d) point set in canonical order, the order of
+    every label-free particle sum: the last coordinate is the primary key and
+    the (n,) ``ties`` break exact coincidences.  Points with equal keys are
+    interchangeable, so a sum in this order does not depend on the labels."""
+    keys = as_points(points).T
+    return np.lexsort(keys if ties is None else (ties, *keys))
 
 
 def as_kick(dy, sigma, dim: int) -> np.ndarray | None:

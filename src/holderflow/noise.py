@@ -183,7 +183,7 @@ def _durbin_levinson(fgn: np.ndarray, hurst: float) -> np.ndarray:
         weights[n - j] = kappa
         var *= 1.0 - kappa * kappa
         if not (var > 0.0 and math.isfinite(var)):  # numerical degeneracy, not expected
-            raise RuntimeError(
+            raise FloatingPointError(
                 f"fBm covariance factorization failed for H={hurst}, "
                 f"M={n}: innovation variance {var:.3e} at step {j}"
             )
@@ -197,7 +197,7 @@ def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
     row = np.concatenate([gamma[: n], gamma[n:n + 1], gamma[n - 1:0:-1]])
     eigs = np.fft.fft(row).real
     if np.min(eigs) < 0:
-        raise RuntimeError(
+        raise FloatingPointError(
             f"circulant embedding produced negative eigenvalues for "
             f"H={hurst}, M={n} (min {np.min(eigs):.3e})"
         )
@@ -254,7 +254,9 @@ def sample_fbm(spec: NoiseSpec) -> SampledPath:
 
     Exact in distribution at grid points; deterministic given the seed.  The
     Cholesky sampler is used up to ``CHOLESKY_MAX_STEPS`` steps, Davies-Harte
-    above.  Paths that share (H, M) are cheaper together, through
+    above; a factorization that fails (a non-positive innovation variance, a
+    negative circulant eigenvalue) is a ``FloatingPointError`` naming H and
+    M.  Paths that share (H, M) are cheaper together, through
     ``sample_fbm_paths``.
     """
     return sample_fbm_paths([spec])[0]

@@ -25,6 +25,7 @@ from .fields import (
     as_kick,
     as_points,
     as_time_step,
+    position_order,
     upsample,
 )
 from .kernels import (
@@ -176,15 +177,16 @@ def init_from_fields(
     return replace(ens, velocities=vel)
 
 
-def _force_direct(ens: ParticleEnsemble, family: KernelFamily, n_scale: int) -> np.ndarray:
-    n, d = ens.count, ens.dim
-    pos = ens.positions
-    out = np.zeros((n, d))
-    block = max(1, (1 << 22) // max(n, 1))
+def _force_direct(ens: ParticleEnsemble, family: KernelFamily) -> np.ndarray:
+    """Each target's sum over all sources, the sources in ``position_order``:
+    bitwise equivariant under relabelling, coincident particles included."""
+    n, pos = ens.count, ens.positions
+    sources = pos[position_order(pos)]
+    out = np.empty_like(pos)
+    block = max(1, (1 << 22) // n)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = _min_image(pos[start:stop, None, :] - pos[None, :, :], ens.box)
-        out[start:stop] = -np.mean(family.kernel(n_scale, diff, derivative=True), axis=1)
+        diff = _min_image(pos[start:start + block, None, :] - sources[None, :, :], ens.box)
+        out[start:start + block] = -np.mean(family.kernel(n, diff, derivative=True), axis=1)
     return out
 
 
@@ -214,7 +216,7 @@ def deposit_cic(positions: np.ndarray, grid: Grid) -> np.ndarray:
     mean particle spacing, so a third entry is rare.
     """
     pts = as_points(positions, grid.dim, "positions")
-    nodes, weights = zip(*_cic_corners(pts[np.lexsort(pts.T)], grid))
+    nodes, weights = zip(*_cic_corners(pts[position_order(pts)], grid))
     dep = np.bincount(
         np.concatenate(nodes), np.concatenate(weights), minlength=grid.m**grid.dim
     )
@@ -276,7 +278,7 @@ def interaction_force(
     """
     if backend == "direct":
         require_support(family, ens.count, ens.box)
-        return _force_direct(ens, family, ens.count)
+        return _force_direct(ens, family)
     if backend != "grid":
         raise ValueError(f"unknown force backend {backend!r}")
     if grid_m is None:

@@ -420,6 +420,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure: fluid at master step 1 of 64: density" in err
 
+    def test_fbm_factorization_failure_numerical_exit(self, tmp_path, capsys):
+        # The circulant embedding at H = 0.9999, M = 65536 has a least
+        # eigenvalue of -9.3e-5 against a largest of 1.3e5.
+        out = tmp_path / "p.csv"
+        argv = ["noise", "--hurst", "0.9999", "--steps", "65536", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "negative eigenvalues for H=0.9999, M=65536" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sampler_failure_names_seed(self, tmp_path, capsys, monkeypatch):
+        # A constant autocovariance is singular: the Cholesky recursion fails.
+        from holderflow import noise
+
+        monkeypatch.setattr(noise, "_fgn_autocovariance", lambda n, hurst: np.ones(n + 1))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: seed 0, fBm covariance factorization failed for H=0.75" in err
+
     def test_simulate_refuses_non_positive_n(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_RUN)

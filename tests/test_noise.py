@@ -246,7 +246,7 @@ class TestCholeskyRecursion:
         # covariance is singular and the first innovation variance is 0.
         monkeypatch.setattr(noise, "_fgn_autocovariance",
                             lambda n, hurst: np.ones(n + 1))
-        with pytest.raises(RuntimeError, match=r"H=0\.75, M=16"):
+        with pytest.raises(FloatingPointError, match=r"H=0\.75, M=16"):
             sample_fbm(NoiseSpec(hurst=0.75, resolution=16))
 
 

@@ -227,12 +227,17 @@ class TestForceMesh:
                 _force_operators(_family(), 2, Grid(box=1.0, m=16, dim=1))
         assert _force_operators.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 96)])
+    @pytest.mark.parametrize("dim, m", [
+        (1, 2048), (2, 96),
+        pytest.param(1, None, id="1-direct"), pytest.param(2, None, id="2-direct"),
+    ])
     def test_grid_force_label_equivariant_bitwise(self, dim, m):
-        # Over a hundred nodes receive three or more entries.  In d=2 their
-        # sums depend on the order, so a deposit not in a canonical order
-        # shows in the force; in d=1 the CIC weights of one node share an
-        # exponent range and usually add exactly.
+        # On the grid, over a hundred nodes receive three or more entries.
+        # In d=2 their sums depend on the order, so a deposit not in a
+        # canonical order shows in the force; in d=1 the CIC weights of one
+        # node share an exponent range and usually add exactly.  The direct
+        # sum (m None) is equivariant only if each target sums its sources in
+        # a canonical order.
         rng = np.random.default_rng(13)
         fam = KernelFamily(beta=0.3, dim=dim, bandwidth=0.1)
         pos = rng.random((1024, dim))
@@ -241,7 +246,7 @@ class TestForceMesh:
 
         def force(p):
             ens = ParticleEnsemble(box=1.0, positions=p, velocities=np.zeros_like(p))
-            return interaction_force(ens, fam, "grid", grid_m=m)
+            return interaction_force(ens, fam, "direct" if m is None else "grid", grid_m=m)
 
         f = force(pos)
         assert np.array_equal(force(pos[perm]), f[perm])
@@ -449,6 +454,25 @@ class TestStep:
         ens = ParticleEnsemble(box=1.0, positions=[[0.5]], velocities=[[0.0]])
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step(ens, dt, _family())
+
+    def test_relabelled_direct_run_is_relabelled_bitwise(self):
+        # 32 noisy steps on the exact force: the relabelled run is the run
+        # relabelled, bit for bit, coincident particles included.
+        rng = np.random.default_rng(21)
+        pos, vel = rng.random((64, 1)), 0.1 * rng.standard_normal((64, 1))
+        pos[56:], vel[56:] = pos[:8], vel[:8]
+        perm = rng.permutation(64)
+        fam, sigma = _family(), SigmaField(amplitude=0.2, modulation=0.5)
+        dys = 0.03 * rng.standard_normal((32, 1))
+        runs = []
+        for p, v in ((pos, vel), (pos[perm], vel[perm])):
+            ens = ParticleEnsemble(box=1.0, positions=p, velocities=v)
+            accel = None
+            for dy in dys:
+                ens, accel = step(ens, 1e-3, fam, dy, sigma, accel=accel)
+            runs.append(ens)
+        assert np.array_equal(runs[1].positions, runs[0].positions[perm])
+        assert np.array_equal(runs[1].velocities, runs[0].velocities[perm])
 
     def test_time_advances(self):
         fam = _family()
