@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     seed, n = config.seeds[0], config.n_sweep[0]
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
         path = sample_fbm(config.noise_spec(seed))
-        _, ens = next(simulate(config, n, path, seed, {config.master_steps}))
+        _, ens = next(simulate(config, n, path, {config.master_steps}))
         if out:
             data = np.column_stack([np.arange(n), ens.positions, ens.velocities])
             np.savetxt(out, data, fmt="%.17g", delimiter=",",

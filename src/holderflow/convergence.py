@@ -116,7 +116,7 @@ class ExperimentConfig:
     checkpoints: int = _key("analysis.checkpoints", 16)
     rho0_amplitude: float = _key("domain.rho0_amplitude", 0.2)
     v0_amplitude: float = _key("domain.v0_amplitude", 0.1)
-    init_strategy: str = _key("particles.init", "quantile")
+    init_strategy: str = _key("particles.init", "quantile")  # the only start, kept like base
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -148,14 +148,16 @@ class ExperimentConfig:
             raise ValueError("n_sweep must contain positive particle counts")
         if self.force_backend not in ("grid", "direct"):
             raise ValueError(f"force_backend must be grid or direct, got {self.force_backend!r}")
-        if self.init_strategy not in ("quantile", "random"):
-            raise ValueError(f"init must be quantile or random, got {self.init_strategy!r}")
-        if self.init_strategy == "quantile":
-            for n in self.n_sweep:
-                sides = quantile_sides(n, self.dim)
-                if max(sides) > 4 * min(sides):
-                    raise ValueError(f"n={n}: quantile strata {' x '.join(map(str, sides))}, "
-                                     "one side over 4 times another; pick an N near a square")
+        if self.init_strategy != "quantile":
+            raise ValueError(
+                f"unknown init {self.init_strategy!r}: the only start is quantile (init = random "
+                f"was removed: an i.i.d. start is not well prepared, ROADMAP Finding 12)"
+            )
+        for n in self.n_sweep:
+            sides = quantile_sides(n, self.dim)
+            if max(sides) > 4 * min(sides):
+                raise ValueError(f"n={n}: quantile strata {' x '.join(map(str, sides))}, "
+                                 "one side over 4 times another; pick an N near a square")
         if not 1 <= self.checkpoints <= self.master_steps:
             raise ValueError(f"checkpoints={self.checkpoints}: need 1 to [noise] "
                              f"steps={self.master_steps}, at most one per step")
@@ -323,21 +325,19 @@ def _fluid_trajectory(
     return snaps
 
 
-def simulate(config: ExperimentConfig, n: int, path: SampledPath, seed: int, at: set):
-    """Evolve N particles on the master path of fBm seed ``seed``.
+def simulate(config: ExperimentConfig, n: int, path: SampledPath, at: set):
+    """Evolve N particles from the quantile start on the master path ``path``.
 
     Yields ``(i, ensemble)`` after each step index i in ``at`` (0 is the
-    initial ensemble).  ``init = random`` draws its positions from a
-    generator seeded by (seed, N), so every run is reproducible.  A path off
-    the config's grid is a ``ValueError`` at the first ``next``.
+    initial ensemble).  The start is deterministic, so the path is the
+    run's only randomness.  A path off the config's grid is a
+    ``ValueError`` at the first ``next``.
     """
     dt = _master_dt(config, path)
     family = config.kernel()
     sigma = config.sigma()
     rho0, v0 = config.initial_fields()
-    ens = init_from_fields(
-        rho0, v0, n, config.pde_grid(), strategy=config.init_strategy, seed=[seed, n]
-    )
+    ens = init_from_fields(rho0, v0, n, config.pde_grid())
     backend = config.force_backend
     grid_m = None
     if backend == "grid":
@@ -394,13 +394,13 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
 
     failed = threading.Event()
 
-    def particle_run(seed, n, path, snaps):
+    def particle_run(n, path, snaps):
         if failed.is_set():  # dequeued after another run raised
             return None
         rows = []
         try:
             fine_m = _auto_grid(family, n, config.box, config.fine_grid, "phi_r")
-            for i, ens in simulate(config, n, path, seed, checkpoint_idx):
+            for i, ens in simulate(config, n, path, checkpoint_idx):
                 rows.append(_checkpoint_row(config, ens, family, snaps[i], part, fine_m))
         except (FloatingPointError, RegimeError) as exc:
             return rows, f"aborted:{type(exc).__name__}"
@@ -418,7 +418,7 @@ def run_coupled(config: ExperimentConfig, csv_sink=None):
             except FloatingPointError as exc:
                 raise FloatingPointError(f"seed {seed}, {exc}") from exc
             runs = {
-                n: pool.submit(particle_run, seed, n, path, snaps)
+                n: pool.submit(particle_run, n, path, snaps)
                 for n in sorted(config.n_sweep, reverse=True)
             }
             for run in as_completed(runs.values()):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .fields import (
     FieldInterpolant,
+    FluidState,
     Grid,
     SigmaField,
     _read_only,
@@ -131,41 +132,32 @@ def quantile_sides(n: int, d: int) -> list[int]:
     return sides + [rest]
 
 
-def init_from_fields(
-    rho0: np.ndarray,
-    v0: np.ndarray,
-    n: int,
-    grid: Grid,
-    strategy: str = "quantile",
-    seed: int | list | None = None,
-) -> ParticleEnsemble:
+def init_from_fields(rho0: np.ndarray, v0: np.ndarray, n: int, grid: Grid) -> ParticleEnsemble:
     """Particles sampled from rho0 with velocities v0(X) by interpolation.
 
     Each point inverts, axis by axis, the CDF of rho0 summed over the later
     axes, on the row of its cell in the earlier axes (the conditional
     inverse CDF of Rosenblatt, *Ann. Math. Stat.* 23, 1952), each CDF that of
-    ``_dense_cdf_1d``.  ``quantile`` inverts the midpoints of the strata of
-    ``quantile_sides``, which makes the initial energy floor decay with the
-    mollification error rather than the Monte-Carlo rate; ``random`` inverts
-    i.i.d. uniforms (requires a seed).
+    ``_dense_cdf_1d``, at the midpoints of the strata of ``quantile_sides``:
+    the initial energy floor then decays with the mollification error
+    rather than the Monte-Carlo rate.  In d = 2 the CDF along y is read from
+    the node row of the point's floor-x cell, not at its x: exact for a
+    separable rho0 = f(x) g(y), the desk's datum, and O(h) otherwise
+    (9.3e-3 at m = 32 for 1 + 0.2 sin 2 pi x sin 2 pi y).  Fields laid out
+    otherwise than ``FluidState``'s are refused as it refuses them.
     """
-    rho0 = np.asarray(rho0, dtype=float)
-    if np.min(rho0) <= 0:
+    state = FluidState(grid=grid, rho=rho0, v=v0)
+    if np.min(state.rho) <= 0:
         raise ValueError("rho0 must be strictly positive")
     d = grid.dim
-    if strategy == "random":
-        u = np.random.default_rng(seed).random((n, d))
-    elif strategy == "quantile":
-        mids = [(np.arange(side) + 0.5) / side for side in quantile_sides(n, d)]
-        u = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(n, d)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    mids = [(np.arange(side) + 0.5) / side for side in quantile_sides(n, d)]
+    u = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(n, d)
 
     line = Grid(box=grid.box, m=grid.m)
     pos = np.empty((n, d))
     cell = np.zeros(n, dtype=int)  # flat index of the point's cell in the axes before q
     for q in range(d):
-        rows = np.sum(rho0, axis=tuple(range(q + 1, d))).reshape(-1, grid.m)
+        rows = np.sum(state.rho, axis=tuple(range(q + 1, d))).reshape(-1, grid.m)
         for c in np.flatnonzero(np.bincount(cell)):  # np.unique imports numpy.ma: +1.4 MB
             sel = cell == c
             x_cdf, cdf = _dense_cdf_1d(rows[c], line)
@@ -173,7 +165,7 @@ def init_from_fields(
         cell = cell * grid.m + np.minimum((pos[:, q] / grid.h).astype(int), grid.m - 1)
     ens = ParticleEnsemble(box=grid.box, positions=pos, velocities=np.zeros_like(pos))
 
-    vel = FieldInterpolant(np.asarray(v0, dtype=float), grid)(ens.positions)
+    vel = FieldInterpolant(state.v, grid)(ens.positions)
     return replace(ens, velocities=vel)
 
 

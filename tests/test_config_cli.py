@@ -59,7 +59,7 @@ NON_DEFAULT = {
     "force_grid": 128, "fine_grid": 128, "pde_resolution": 64, "cfl": 0.4,
     "vacuum_floor": 1e-4, "sigma_amplitude": 0.3, "sigma_modulation": 0.25, "eta": 2.5,
     "q_hat": 1.5, "besov_grid": 128, "besov_lambda": 1.2, "checkpoints": 8,
-    "rho0_amplitude": 0.1, "v0_amplitude": 0.05, "init_strategy": "random",
+    "rho0_amplitude": 0.1, "v0_amplitude": 0.05,
 }
 
 
@@ -121,6 +121,7 @@ class TestParsing:
             ("[noise]\ndim = 3\n", "dim=3"),
             ("[particles]\nforce_backend = gird\n", "force_backend"),
             ("[particles]\ninit = sobol\n", "init"),
+            ("[particles]\ninit = random\n", r"init = random was removed.*Finding 12"),
             # The d=1 default meshes would be 16384^2 points in 2-d.
             ("[noise]\ndim = 2\n[analysis]\neta = 2.5\n", "besov_grid=16384"),
             ("[noise]\ndim = 2\n[analysis]\neta = 2.5\nbesov_grid = 64\n"
@@ -171,7 +172,7 @@ class TestParsing:
             # A negative floor let a run write rows from a negative density.
             ("[pde]\nvacuum_floor = -1\n", "vacuum_floor=-1.0: the vacuum floor"),
         ],
-        ids=["dim", "force_backend", "init", "d2_default_meshes", "d2_pde",
+        ids=["dim", "force_backend", "init", "init_random", "d2_default_meshes", "d2_pde",
              "d2_minimum_rounds_past_cap", "d1_fine", "force_grid_negative",
              "fine_grid_zero", "fine_grid_three", "d2_quantile_one_line",
              "d2_quantile_thin_strata",
@@ -187,10 +188,9 @@ class TestParsing:
             parse_config_text(text)
 
     def test_d2_strata_rule_bounds_the_side_ratio(self):
-        # 2 x 7 and 3 x 11 are within the bound; random draws need no strata.
+        # 2 x 7 and 3 x 11 are within the bound.
         for n in (14, 16, 33, 64, 256, 512, 1024, 2048, 4096):
             assert parse_config_text(D2_MESHES + f"n_list = {n}\n")
-        assert parse_config_text(D2_MESHES + "n_list = 257\ninit = random\n")
         assert parse_config_text("[particles]\nn_list = 257\n")  # one stratum side in d=1
 
     @pytest.mark.parametrize(
@@ -220,13 +220,14 @@ class TestRoundTrip:
         assert len(set(keys)) == len(keys)
 
     def test_emit_covers_every_field(self):
-        # Every field but kernel_base, whose only valid value is its default,
-        # is moved off its default; the round trip must keep each one.
+        # Every field but kernel_base and init_strategy, whose only valid
+        # values are their defaults, is moved off its default; the round
+        # trip must keep each one.
         cfg = ExperimentConfig(**{
             f.name: NON_DEFAULT.get(f.name, f.default) for f in fields(ExperimentConfig)
         })
         assert {f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default} == {
-            "kernel_base"
+            "kernel_base", "init_strategy"
         }
         text = emit_config(cfg)
         assert parse_config_text(text) == cfg

@@ -1,5 +1,6 @@
 """Particle system: initialization, forces, Verlet mechanics, deposition."""
 
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -96,15 +97,25 @@ class TestInitialization:
         want = FieldInterpolant(v[0], g)(ens.positions)
         assert np.max(np.abs(ens.velocities[:, 0] - want)) < 1e-12
 
-    def test_random_strategy_needs_valid_density(self):
+    def test_start_needs_valid_density(self):
         _, v, g = _uniform_fields()
         with pytest.raises(ValueError, match="positive"):
-            init_from_fields(np.zeros(256), v, 8, g, strategy="random", seed=0)
+            init_from_fields(np.zeros(256), v, 8, g)
 
-    def test_unknown_strategy_rejected(self):
-        rho, v, g = _uniform_fields()
-        with pytest.raises(ValueError, match="strategy"):
-            init_from_fields(rho, v, 8, g, strategy="sobol")
+    def test_misshaped_density_refused(self):
+        # Read as its first 256 values, a 512-node rho0 on a 256-node mesh
+        # gave a start that followed half a sine period.
+        rho512 = _sine_fields(m=512)[0]
+        _, v, g = _sine_fields()
+        with pytest.raises(ValueError, match=re.escape("rho must be an array of shape (256,), "
+                                                       "got shape (512,)")):
+            init_from_fields(rho512, v, 64, g)
+
+    def test_misshaped_velocity_refused(self):
+        rho, _, g = _uniform_fields()
+        with pytest.raises(ValueError, match=re.escape("v must be an array of shape (1, 256), "
+                                                       "got shape (1, 512)")):
+            init_from_fields(rho, np.zeros((1, 512)), 64, g)
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("m", [32, 256])

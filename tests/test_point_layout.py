@@ -70,30 +70,36 @@ def test_position_order_last_coordinate_first_then_ties():
     assert position_order(pts, ties=np.array([0.0, 0, 2, 0, -1])).tolist() == [4, 0, 2, 3, 1]
 
 
-def _stray_sorts(tree):
-    """Lines of ``tree`` outside ``position_order`` that call a sort returning
-    indices, ``lexsort`` or ``argsort``, as a function or a method."""
+SORTS = r"\b(lexsort|argsort)$"  # a sort returning indices, as a function or a method
+DRAWS = r"\b(np|numpy)\.random\b|\bdefault_rng\b"  # a random draw or generator
+
+
+def _stray_calls(tree, owner, pattern):
+    """Lines of ``tree`` outside the function ``owner`` that call a function
+    whose source text matches ``pattern``."""
     inside = range(0)
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "position_order":
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
             inside = range(node.lineno, node.end_lineno + 1)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and node.lineno not in inside:
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in ("lexsort", "argsort"):
+            if re.search(pattern, ast.unparse(node.func)):
                 yield node.lineno
+
+
+def _strays(owner, pattern):
+    """``file:line`` of each stray call in the package's modules."""
+    return [
+        f"{path.name}:{lineno}"
+        for path in sorted(Path(holderflow.__file__).parent.glob("*.py"))
+        for lineno in sorted(set(_stray_calls(ast.parse(path.read_text()), owner, pattern)))
+    ]
 
 
 def test_particle_order_only_in_position_order():
     # A label-free particle sum runs in fields.position_order; a second
     # spelling of the order is a second rule that can drift.
-    src = Path(holderflow.__file__).parent
-    stray = [
-        f"{path.name}:{lineno}"
-        for path in sorted(src.glob("*.py"))
-        for lineno in sorted(set(_stray_sorts(ast.parse(path.read_text()))))
-    ]
+    stray = _strays("position_order", SORTS)
     assert not stray, "particle order outside fields.position_order:\n" + "\n".join(stray)
     probe = (  # deposit_cic and deposit_nearest before they read position_order
         "nodes, weights = zip(*_cic_corners(pts[np.lexsort(pts.T)], grid))\n"
@@ -103,4 +109,20 @@ def test_particle_order_only_in_position_order():
         "    return np.lexsort(tuple(points.T))\n"
         "total = np.sum(np.sort(values))\n"  # sorted_sum: values, not an order
     )
-    assert sorted(set(_stray_sorts(ast.parse(probe)))) == [1, 2, 3]
+    assert sorted(set(_stray_calls(ast.parse(probe), "position_order", SORTS))) == [1, 2, 3]
+
+
+def test_randomness_only_in_sample_fbm_paths():
+    # Every random number of a run comes from an fBm seed: a second
+    # generator is a second source that no seed in the config names.
+    stray = _strays("sample_fbm_paths", DRAWS)
+    assert not stray, "random draws outside noise.sample_fbm_paths:\n" + "\n".join(stray)
+    probe = (  # init_from_fields's i.i.d. branch, removed
+        "u = np.random.default_rng(seed).random((n, d))\n"
+        "from numpy.random import default_rng\n"
+        "z = default_rng(0).standard_normal(4) + numpy.random.rand(4)\n"
+        "def sample_fbm_paths(specs):\n"
+        "    return np.random.default_rng(specs[0].seed).standard_normal((1, 8))\n"
+        "x = rng.random(4)\n"  # a generator handed in: its maker is the draw
+    )
+    assert sorted(set(_stray_calls(ast.parse(probe), "sample_fbm_paths", DRAWS))) == [1, 3]
