@@ -107,10 +107,10 @@ def _cmd_simulate(args) -> int:
         _, ens = next(simulate(config, n, path, {config.master_steps}))
         if out:
             data = np.column_stack([np.arange(n), ens.positions, ens.velocities])
-            np.savetxt(out, data, fmt="%.17g", delimiter=",",
-                       header="k,X...,V...", comments="# ")
+            header = f"holderflow-particles,seed={seed},N={n},t={ens.time!r}\nk,X...,V..."
+            np.savetxt(out, data, fmt="%.17g", delimiter=",", header=header, comments="# ")
     vbar = np.mean(ens.velocities, axis=0)
-    print(f"simulated N={n} to t={ens.time:.6g}; mean velocity {vbar}")
+    print(f"simulated N={n} on fBm seed {seed} to t={ens.time:.6g}; mean velocity {vbar}")
     return EXIT_OK
 
 

@@ -113,12 +113,14 @@ class ExperimentConfig:
     q_hat: float = _key("analysis.q_hat", 2.0)
     besov_grid: int = _key("analysis.besov_grid", 16384)
     besov_lambda: float = _key("analysis.lambda", 1.35)
-    checkpoints: int = _key("analysis.checkpoints", 16)
+    checkpoints: int = _key("analysis.checkpoints", None)  # unset: min(16, steps)
     rho0_amplitude: float = _key("domain.rho0_amplitude", 0.2)
     v0_amplitude: float = _key("domain.v0_amplitude", 0.1)
     init_strategy: str = _key("particles.init", "quantile")  # the only start, kept like base
 
     def __post_init__(self) -> None:
+        if self.checkpoints is None:
+            object.__setattr__(self, "checkpoints", min(16, self.master_steps))
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -313,10 +315,10 @@ def _fluid_trajectory(
     state = FluidState(grid=g, rho=rho0, v=v0, time=0.0, vacuum_floor=config.vacuum_floor)
     sigma = config.sigma()
     snaps = {0: state}
+    increments = np.diff(path.values, axis=0)
     for i in range(config.master_steps):
-        dy = path.values[i + 1] - path.values[i]
         try:
-            state = step_field(state, dt, dy, sigma, cfl=config.cfl)
+            state = step_field(state, dt, increments[i], sigma, cfl=config.cfl)
         except FloatingPointError as exc:
             msg = f"fluid at master step {i + 1} of {config.master_steps}: {exc}"
             raise FloatingPointError(msg) from exc

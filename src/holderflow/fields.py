@@ -226,8 +226,8 @@ class Grid:
         return self.h**self.dim
 
 
-def _check_finite(rho: np.ndarray, v: np.ndarray) -> None:
-    if not (np.isfinite(rho).all() and np.isfinite(v).all()):
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
         raise FloatingPointError("non-finite fluid state")
 
 
@@ -250,7 +250,8 @@ class FluidState:
         for name, a, shape in (("rho", rho, g.shape), ("v", v, (g.dim,) + g.shape)):
             if a.shape != shape:
                 raise ValueError(f"{name} must be an array of shape {shape}, got shape {a.shape}")
-        _check_finite(rho, v)
+        _check_finite(rho)
+        _check_finite(v)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "v", v)
 
@@ -270,6 +271,17 @@ class FluidState:
         1 + d are the output state's rho and v, so the next step's first
         stage transforms nothing.  Not a field, like ``spectrum``."""
         return _read_only(_node_rows(self.grid, self.spectrum))
+
+    def _advanced(self, spectrum: np.ndarray, node_rows: np.ndarray, time: float) -> "FluidState":
+        """The state at ``time`` of a half spectrum and its ``_node_rows``, on
+        this grid and floor, without ``__post_init__``: the rows have the
+        grid's layout by construction, so only their rho and v are checked."""
+        d, rows = self.grid.dim, _read_only(node_rows)  # before the views of rho and v
+        _check_finite(rows[: 1 + d])
+        out = object.__new__(FluidState)
+        out.__dict__.update(vars(self), rho=rows[0], v=rows[1 : 1 + d], time=time,
+                            spectrum=_read_only(spectrum), node_rows=rows)
+        return out
 
     def mass(self) -> float:
         return float(np.sum(self.rho) * self.grid.cell_volume())
@@ -298,32 +310,50 @@ class SigmaField:
 
 
 def _node_rows(g: Grid, uk: np.ndarray) -> np.ndarray:
-    """Inverse transform of [rho_k, v_k, i k_r v_k]: rho, v and grad v at the
-    nodes of the state spectrum ``uk`` = [rho_k, v_k], in one batched call."""
-    vk = uk[1:]
-    return g.irfft(np.concatenate([uk] + [g.ik[r] * vk for r in range(g.dim)]))
+    """Inverse transform of [u_k, i k_r v_k]: rho, v and grad v at the nodes
+    of the state spectrum ``uk`` = [rho_k, v_k], in one batched call."""
+    d = g.dim
+    rows = np.empty((1 + d + d * d,) + uk.shape[1:], dtype=complex)
+    rows[: 1 + d] = uk
+    for r in range(d):
+        np.multiply(g.ik[r], uk[1:], out=rows[1 + d * (r + 1) : 1 + d * (r + 2)])
+    return g.irfft(rows)
 
 
 def _drift(g: Grid, uk: np.ndarray, nodes: np.ndarray, floor: float) -> np.ndarray:
     """Drift spectrum of the state spectrum ``uk`` = [rho_k, v_k] from its
     ``_node_rows`` in one forward transform of [rho v, v . grad v].  Refuses
     a non-finite state and a density at the vacuum floor."""
-    d, ik, mask = g.dim, g.ik, g.two_thirds
-    rho, v = nodes[0], nodes[1 : d + 1]
-    _check_finite(rho, v)
-    if float(np.min(rho)) <= floor:
+    d, ik = g.dim, g.ik
+    _check_finite(nodes[: 1 + d])
+    low = nodes[0].min()
+    if low <= floor:
         raise FloatingPointError(
-            f"density {np.min(rho):.3e} at or below vacuum floor "
-            f"{floor:.1e} (1/rho singular)"
+            f"density {low:.3e} at or below vacuum floor {floor:.1e} (1/rho singular)"
         )
+    v = nodes[1 : d + 1]
     grad_v = nodes[d + 1 :].reshape((d, d) + g.shape)  # grad_v[r, q] = d_r v_q
-    adv = sum(v[r] * grad_v[r] for r in range(d))  # adv[q] = v . grad v_q
-    fk = g.rfft(np.concatenate([rho * v, adv]))
-    fk *= mask
+    products = np.empty((2 * d,) + g.shape)  # [rho v, v . grad v]
+    np.multiply(nodes[0], v, out=products[:d])
+    adv = products[d:]  # adv[q] = v . grad v_q
+    np.multiply(v[0], grad_v[0], out=adv)
+    for r in range(1, d):
+        adv += v[r] * grad_v[r]
+    adv += 0.0  # a sum from 0, so that a -0.0 product reads +0.0
+    fk = g.rfft(products)
+    fk *= g.two_thirds
+    # Each complex product keeps the operand order i k * f: with fused
+    # multiply-adds, a complex product is not commutative bit for bit.
     out = np.empty_like(uk)
-    out[0] = -sum(ik[q] * fk[q] for q in range(d))
+    div = out[0]  # sum_q ik_q D(rho v_q), from 0 and then negated
+    np.multiply(ik[0], fk[0], out=div)
+    for q in range(1, d):
+        div += ik[q] * fk[q]
+    div += 0.0
+    np.negative(div, out=div)
+    np.negative(fk[d:], out=out[1:])
     for q in range(d):
-        out[1 + q] = -fk[d + q] - ik[q] * uk[0]
+        out[1 + q] -= ik[q] * uk[0]
     return out
 
 
@@ -347,8 +377,8 @@ def pressure_forms_gap(state: FluidState) -> float:
 
 
 def max_signal_speed(state: FluidState) -> float:
-    speed = np.sqrt(np.sum(state.v**2, axis=0))
-    return float(np.max(speed + np.sqrt(np.maximum(state.rho, 0.0))))
+    speed = np.sqrt((state.v**2).sum(axis=0))
+    return float((speed + np.sqrt(np.maximum(state.rho, 0.0))).max())
 
 
 def step_field(
@@ -364,12 +394,12 @@ def step_field(
     ``dy`` and ``sigma``.  Refuses dt above the advective stability bound
     cfl * h / max(|v| + c) with ``FloatingPointError``: a CFL violation is a
     numerical failure, like the vacuum guard, not a usage error.  The stages
-    and the kick advance ``state.spectrum``; each stage refuses a non-finite
-    input and a density at the vacuum floor, and the one ``FluidState``
-    built per step, the nodes of the advanced spectrum, checks the output.
-    One inverse transform per step gives that state's rho and v and the
-    ``node_rows`` it carries for the next step's first stage: 6 transforms
-    per step.
+    and the kick advance ``state.spectrum``, in place; each stage refuses a
+    non-finite input and a density at the vacuum floor, and the output
+    state, built from the nodes of the advanced spectrum, refuses a
+    non-finite rho or v.  One inverse transform per step gives that state's
+    rho and v and the ``node_rows`` it carries for the next step's first
+    stage: 6 transforms per step.
     """
     g, floor = state.grid, state.vacuum_floor
     dt = as_time_step(dt)
@@ -378,20 +408,25 @@ def step_field(
     if dt > limit * (1.0 + 1e-12):
         raise FloatingPointError(f"dt={dt:.3e} violates CFL bound {limit:.3e}")
 
+    # In place, and bitwise the expressions uk + dt * drift, 0.75 u0 + 0.25 e
+    # and u0 / 3 + 2/3 e: an IEEE sum is the same in either order.
     def euler(uk, nodes):
-        return uk + dt * _drift(g, uk, nodes, floor)
+        out = _drift(g, uk, nodes, floor)
+        out *= dt
+        out += uk
+        return out
 
     u0 = state.spectrum
     u1 = euler(u0, state.node_rows)
-    u2 = 0.75 * u0 + 0.25 * euler(u1, _node_rows(g, u1))
-    uk = u0 / 3.0 + 2.0 / 3.0 * euler(u2, _node_rows(g, u2))
+    u2 = euler(u1, _node_rows(g, u1))
+    u2 *= 0.25
+    u2 += 0.75 * u0
+    uk = euler(u2, _node_rows(g, u2))
+    uk *= 2.0 / 3.0
+    uk += u0 / 3.0
     if dy is not None:
         uk[1:] += sigma.spectrum(g) * dy.reshape((g.dim,) + (1,) * g.dim)
-    nodes = _read_only(_node_rows(g, uk))  # so that they stay the nodes of uk
-    out = FluidState(g, nodes[0], nodes[1 : g.dim + 1], state.time + dt, floor)
-    out.__dict__["spectrum"] = _read_only(uk)  # the cached_properties' slots
-    out.__dict__["node_rows"] = nodes
-    return out
+    return state._advanced(uk, _node_rows(g, uk), state.time + dt)
 
 
 class FieldInterpolant:

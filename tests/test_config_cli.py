@@ -465,6 +465,27 @@ class TestCli:
         header = out.read_text().splitlines()[0]
         assert "holderflow-field" in header
 
+    @pytest.mark.parametrize("command", ["pde", "simulate"])
+    def test_short_run_without_checkpoints_runs(self, tmp_path, capsys, command):
+        # An unset checkpoints is min(16, steps): an 8-step config that never
+        # asked for checkpoints used to be refused with checkpoints=16.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN.replace("steps = 64", "steps = 8")
+                       .replace("horizon = 0.05", "horizon = 0.008"))
+        assert parse_config(cfg).checkpoints == 8
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert "t=0.008" in capsys.readouterr().out
+
+    def test_simulate_names_the_seed_and_n_it_ran(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN.replace("seeds = 0", "seeds = 3 5")
+                       .replace("n_list = 64", "n_list = 64 128"))
+        out = tmp_path / "particles.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "simulated N=64 on fBm seed 3 to t=0.05" in capsys.readouterr().out
+        assert out.read_text().startswith("# holderflow-particles,seed=3,N=64,t=0.049999")
+        assert np.loadtxt(out, delimiter=",").shape == (64, 3)
+
     def test_besov_on_saved_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_RUN)

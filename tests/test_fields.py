@@ -1,5 +1,6 @@
 """Pseudo-spectral compressible solver: conservation, consistency, order."""
 
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holderflow import fields
 from holderflow.fields import (
     _ES_WIDTH,
     _GATHER_BLOCK,
@@ -16,6 +18,7 @@ from holderflow.fields import (
     FluidState,
     Grid,
     SigmaField,
+    _drift,
     _gauss_legendre,
     _phases,
     diagnostics,
@@ -401,6 +404,43 @@ class TestStepping:
         with pytest.raises(FloatingPointError, match="vacuum"):
             step_field(st_, dt)
 
+    def test_vacuum_at_the_third_stage_is_refused(self, monkeypatch):
+        # v = 0.5 sin(2 pi x) holds the density trough at x = 3/4 still
+        # (rho_t = 0 there) and deepens it (rho_tt < 0): the first two stage
+        # inputs keep the minimum 0.8, the third, at mid-step, falls below.
+        g = Grid(box=1.0, m=64, dim=1)
+        wave = np.sin(2 * np.pi * g.nodes())
+        st_ = FluidState(grid=g, rho=1 + 0.2 * wave, v=0.5 * wave[None], vacuum_floor=0.79998)
+        dt = 0.5 * g.h / max_signal_speed(st_)
+        lows = []
+
+        def recorded(g, uk, nodes, floor):
+            lows.append(float(nodes[0].min()))
+            return _drift(g, uk, nodes, floor)
+
+        monkeypatch.setattr(fields, "_drift", recorded)
+        with pytest.raises(FloatingPointError, match="at or below vacuum floor 8.0e-01"):
+            step_field(st_, dt)
+        assert len(lows) == 3 and min(lows[:2]) > st_.vacuum_floor > lows[2]
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["rho", "v"])
+    def test_non_finite_stage_input_is_refused(self, row):
+        st_ = _smooth_state(m=64)
+        nodes = st_.node_rows.copy()
+        nodes[row, 5] = np.nan
+        with pytest.raises(FloatingPointError, match="^non-finite fluid state$"):
+            _drift(st_.grid, st_.spectrum, nodes, st_.vacuum_floor)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_state_is_refused(self, monkeypatch):
+        # Three finite stages; the kick sigma dY overflows the advanced
+        # spectrum, so only the output state is non-finite.
+        st_, calls = _smooth_state(m=64), []
+        monkeypatch.setattr(fields, "_drift", lambda *a: calls.append(1) or _drift(*a))
+        with pytest.raises(FloatingPointError, match="^non-finite fluid state$"):
+            step_field(st_, 1e-3, np.array([1e308]), SigmaField(amplitude=0.2, modulation=0.5))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
     def test_bad_dt_is_usage_error(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
@@ -476,24 +516,48 @@ class TestCarriedSpectrum:
             assert np.array_equal(st_.spectrum, want)
             assert np.array_equal(st_.node_rows, _rows_of(st_))
 
-    def test_six_transforms_per_step(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 16)])
+    def test_six_transforms_per_step(self, monkeypatch, dim, m):
+        calls, raw = [], []
 
-        def counted(transform):
-            def wrapped(self, f):
-                calls.append(np.shape(f))
-                return transform(self, f)
+        def counted(transform, log):
+            def wrapped(*args, **kwargs):
+                log.append(1)
+                return transform(*args, **kwargs)
 
             return wrapped
 
-        monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft))
-        monkeypatch.setattr(Grid, "irfft", counted(Grid.irfft))
-        st_, sigma = _smooth_state(m=128), SigmaField(amplitude=0.2, modulation=0.5)
+        monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft, calls))
+        monkeypatch.setattr(Grid, "irfft", counted(Grid.irfft, calls))
+        for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), raw))
+        st_, sigma = _wavy_state(dim, m), SigmaField(amplitude=0.2, modulation=0.5)
         for _ in range(64):
-            st_ = step_field(st_, 1e-3, np.array([0.01]), sigma)
+            st_ = step_field(st_, 1e-3, np.full(dim, 0.01), sigma)
         # The first state's spectrum and node rows, and sigma's spectrum,
         # are built once.
         assert len(calls) <= 6 * 64 + 3
+        # A Grid transform is d one-axis transforms: the step makes no other.
+        assert len(raw) == dim * len(calls)
+
+    @pytest.mark.parametrize(
+        "dim, m, digest",
+        [(1, 128, "a806885e4c9956502491b428984ea79e4a7888a9b5cf2e865e1b7bf48212d10a"),
+         (2, 16, "86c5c98309470de66cd103308994263bb3638b4522d29d21f4d06e25bcbbab68")],
+    )
+    def test_noisy_trajectory_bits(self, dim, m, digest):
+        # sha256 over 64 noisy steps of rho, v, the carried spectrum and node
+        # rows, and the time: the step's arithmetic is pinned bit for bit, as
+        # the golden run pins the records.  Computed with numpy 2.4.6 on
+        # x86-64; another numpy build or processor may round differently.
+        rng = np.random.default_rng(64 + dim)
+        sigma = SigmaField(amplitude=0.2, modulation=0.5)
+        st_, h = _wavy_state(dim, m), hashlib.sha256()
+        for _ in range(64):
+            st_ = step_field(st_, 1e-3, 0.03 * rng.standard_normal(dim), sigma)
+            for a in (st_.rho, st_.v, st_.spectrum, st_.node_rows, np.float64(st_.time)):
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSigmaField:
